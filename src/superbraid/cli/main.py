@@ -11,6 +11,7 @@ import sys
 from ..coxeter_complex import CoxeterSpec, build_complex
 from ..exact_linalg import IntMatrix, product_is_zero
 from ..homology_engine import (
+    CacheConflictError,
     CalibrationError,
     ResourceLimitError,
     braid_trivial_homology,
@@ -407,6 +408,9 @@ def main(argv=None) -> int:
     except CalibrationError as err:
         print(f"calibration failed: {err}", file=sys.stderr)
         return 1
+    except CacheConflictError as err:
+        print(f"cache error: {err}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -8,6 +8,17 @@ representatives beta of W_{Gamma minus tau} in W_Gamma, the matrices
 of beta as a positive Artin word and mu counts the position of tau in
 Gamma (plus a global base offset).
 
+W_Gamma is the direct product of the parabolics of the connected runs of
+Gamma (maximal sets of consecutive generators).  So the minimal coset
+representatives of W_{Gamma minus tau} in W_Gamma are exactly those of
+W_{R minus tau} in W_R, where R is the run of Gamma containing tau, on
+either coset side and for both families.  The block is therefore
+(-1)^(mu + mu_base) B(R, tau), with B(R, tau) the sum over those
+representatives of (-1)^length(beta) rho(lift(beta)); one build computes
+each B(R, tau) once.  Lifts are int64 products checked against 2^62 before
+each product and each sum; a block whose check fails is computed in exact
+integer arithmetic instead.
+
 The coset side and the sign base are free conventions; candidates are
 enumerated in the documented order and the shipped default is the first
 one passing the composition and trivial-coefficient gates.  A failing
@@ -19,7 +30,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
+import numpy as np
+
 from ..exact_linalg import IntMatrix, product_is_zero
+from ..exact_linalg.matrix import _INT64_SAFE
 from .groups import CoxeterSpec, min_coset_reps
 from .systems import LocalSystem
 
@@ -100,35 +114,133 @@ class ChainComplex:
         }
 
 
-def _boundary_matrix(spec: CoxeterSpec, rho: LocalSystem, k: int,
-                     convention: BoundaryConvention) -> IntMatrix:
-    dim = rho.dimension
+def _run_of(gamma: tuple[int, ...], tau: int) -> tuple[int, ...]:
+    """The connected run of gamma (maximal consecutive generators) holding tau."""
+    members = set(gamma)
+    lo = hi = tau
+    while lo - 1 in members:
+        lo -= 1
+    while hi + 1 in members:
+        hi += 1
+    return tuple(range(lo, hi + 1))
+
+
+def _run_block_int64(reps, gens: np.ndarray, gen_max: int,
+                     side: str) -> np.ndarray | None:
+    """B(R, tau) on int64, or None once an entry bound reaches 2^62.
+
+    Representatives come in breadth-first order, so each length forms one
+    contiguous level whose parents all lie in the level before; a level is
+    lifted by one stacked product and added to the block with its sign.
+    A product is taken only if dim * max|parent| * max|generator| < 2^62,
+    and a level is added only if the running bound on the block's entries
+    plus (level size) * max|level| stays below 2^62.
+    """
+    dim = gens.shape[1]
+    lifts = np.empty((len(reps), dim, dim), dtype=np.int64)
+    lifts[0] = np.eye(dim, dtype=np.int64)
+    block = lifts[0].copy()
+    total = 1  # bounds max |entry| of every partial sum of the block
+    top = 1  # max |entry| over the previous level
+    start = 1
+    while start < len(reps):
+        length = reps[start].length
+        end = start
+        while end < len(reps) and reps[end].length == length:
+            end += 1
+        if dim * top * gen_max >= _INT64_SAFE:
+            return None
+        parents = lifts[[r.parent for r in reps[start:end]]]
+        letters = gens[[r.letter for r in reps[start:end]]]
+        level = parents @ letters if side == "left" else letters @ parents
+        top = int(np.abs(level).max(initial=0))
+        total += (end - start) * top
+        if total >= _INT64_SAFE:
+            return None
+        lifts[start:end] = level
+        if length % 2:
+            block -= level.sum(axis=0)
+        else:
+            block += level.sum(axis=0)
+        start = end
+    return block
+
+
+def _run_block_exact(reps, rho: LocalSystem, side: str) -> IntMatrix:
+    """B(R, tau) in exact integer arithmetic."""
+    block = IntMatrix.zero(rho.dimension, rho.dimension)
+    lifted: list[IntMatrix] = []
+    for rep in reps:
+        if rep.parent < 0:
+            m = IntMatrix.identity(rho.dimension)
+        elif side == "left":
+            m = lifted[rep.parent] * rho.action(rep.letter)
+        else:
+            m = rho.action(rep.letter) * lifted[rep.parent]
+        lifted.append(m)
+        block = block - m if rep.length % 2 else block + m
+    return block
+
+
+class _RunBlocks:
+    """B(R, tau) as (row, col, value) triples, computed once per (run, tau)."""
+
+    def __init__(self, spec: CoxeterSpec, rho: LocalSystem, side: str):
+        self.spec = spec
+        self.rho = rho
+        self.side = side
+        self.blocks: dict[tuple, list[tuple[int, int, int]]] = {}
+        dim = rho.dimension
+        self.gens = np.zeros((spec.rank, dim, dim), dtype=np.int64)
+        try:
+            for g, a in enumerate(rho.actions):
+                self.gens[g] = a.to_numpy()
+        except OverflowError:  # every block takes the exact path
+            self.gens = None
+        self.gen_max = max((a.max_abs() for a in rho.actions), default=0)
+
+    def triples(self, run: tuple[int, ...], tau: int):
+        key = (run, tau)
+        if key not in self.blocks:
+            reps = min_coset_reps(self.spec, run,
+                                  tuple(g for g in run if g != tau), self.side)
+            block = None
+            if self.gens is not None:
+                block = _run_block_int64(reps, self.gens, self.gen_max,
+                                         self.side)
+            if block is None:
+                exact = _run_block_exact(reps, self.rho, self.side)
+                self.blocks[key] = exact.triples()
+            else:
+                rr, cc = np.nonzero(block)
+                self.blocks[key] = list(zip(rr.tolist(), cc.tolist(),
+                                            block[rr, cc].tolist()))
+        return self.blocks[key]
+
+
+def _boundary_matrix(spec: CoxeterSpec, dim: int, k: int, blocks: _RunBlocks,
+                     mu_base: int) -> IntMatrix:
     cols = _subsets_colex(spec.rank, k)
     rows = {g: i for i, g in enumerate(_subsets_colex(spec.rank, k - 1))}
-    ent = {}
+    out = IntMatrix.zero(len(rows) * dim, len(cols) * dim)
+    ent = out.entries
     for ci, gamma in enumerate(cols):
+        c0 = ci * dim
         for mu, tau in enumerate(gamma):
-            gamma_prime = tuple(g for g in gamma if g != tau)
-            reps = min_coset_reps(spec, gamma, gamma_prime, convention.side)
-            block = IntMatrix.zero(dim, dim)
-            lifted: list[IntMatrix] = []
-            for rep in reps:
-                if rep.parent < 0:
-                    m = IntMatrix.identity(dim)
-                elif convention.side == "left":
-                    m = lifted[rep.parent] * rho.action(rep.letter)
-                else:
-                    m = rho.action(rep.letter) * lifted[rep.parent]
-                lifted.append(m)
-                if (rep.length + mu + convention.mu_base) % 2 == 0:
-                    block = block + m
-                else:
-                    block = block - m
-            r0 = rows[gamma_prime] * dim
-            c0 = ci * dim
-            for (r, c), v in block.entries.items():
-                ent[(r0 + r, c0 + c)] = v
-    return IntMatrix(len(rows) * dim, len(cols) * dim, ent)
+            r0 = rows[tuple(g for g in gamma if g != tau)] * dim
+            sign = -1 if (mu + mu_base) % 2 else 1
+            for r, c, v in blocks.triples(_run_of(gamma, tau), tau):
+                ent[(r0 + r, c0 + c)] = sign * v
+    return out
+
+
+def _boundaries(spec: CoxeterSpec, rho: LocalSystem,
+                convention: BoundaryConvention) -> dict[int, IntMatrix]:
+    """Every boundary of the complex, before the composition check."""
+    blocks = _RunBlocks(spec, rho, convention.side)
+    return {k: _boundary_matrix(spec, rho.dimension, k, blocks,
+                                convention.mu_base)
+            for k in range(1, spec.rank + 1)}
 
 
 def _locate_failure(d_low: IntMatrix, d_high: IntMatrix, k: int,
@@ -149,9 +261,7 @@ def build_complex(spec: CoxeterSpec, rho: LocalSystem,
     """
     if rho.spec != spec:
         raise ValueError("local system was built for a different Coxeter spec")
-    boundaries = {}
-    for k in range(1, spec.rank + 1):
-        boundaries[k] = _boundary_matrix(spec, rho, k, convention)
+    boundaries = _boundaries(spec, rho, convention)
     for k in range(1, spec.rank):
         if not product_is_zero(boundaries[k], boundaries[k + 1]):
             raise _locate_failure(boundaries[k], boundaries[k + 1], k,

@@ -10,10 +10,6 @@ import numpy as np
 
 from .matrix import IntMatrix, product_is_zero
 
-# Remainders larger than this (after the unit-pivot phase) get a warning-free
-# but slower dense treatment; the engine passes prime hints to switch strategy.
-_DENSE_LIMIT = 4000
-
 
 class CompositionError(ValueError):
     """Raised when a claimed chain pair does not compose to zero."""
@@ -56,6 +52,21 @@ def _primary_parts(q: int) -> list[int]:
     if n > 1:
         out.append(n)
     return sorted(out)
+
+
+def _invariant_chain(primary: tuple[int, ...]) -> list[int]:
+    """Invariant factors q_1 | q_2 | ... rebuilt from prime-power parts."""
+    by_prime: dict[int, list[int]] = {}
+    for q in primary:  # ascending, so each prime's powers ascend
+        p = next(f for f in range(2, q + 1) if q % f == 0)
+        by_prime.setdefault(p, []).append(q)
+    chain: list[int] = []
+    for powers in by_prime.values():
+        for k, q in enumerate(reversed(powers)):
+            if k == len(chain):
+                chain.append(1)
+            chain[k] *= q
+    return chain[::-1]
 
 
 @dataclass(frozen=True)
@@ -103,13 +114,17 @@ class AbelianGroup:
         return AbelianGroup(self.rank + other.rank, tuple(merged))
 
     def describe(self) -> str:
-        """Render as Z^r (+) Z_q terms, 0 for the trivial group."""
+        """Render as Z^r (+) Z_q terms, 0 for the trivial group.
+
+        The torsion prints as its invariant-factor chain, so equal groups
+        print alike whichever decomposition they were built from.
+        """
         parts = []
         if self.rank == 1:
             parts.append("Z")
         elif self.rank > 1:
             parts.append(f"Z^{self.rank}")
-        parts.extend(f"Z_{q}" for q in self.torsion)
+        parts.extend(f"Z_{q}" for q in _invariant_chain(self.primary()))
         return " + ".join(parts) if parts else "0"
 
     @classmethod
@@ -504,18 +519,14 @@ _RANK_PRIMES = (2097143, 2097133, 2097131)  # below 2^21, int64-safe elimination
 
 
 def rank_rational(m: IntMatrix) -> int:
-    """Rank over Q, as the maximum of ranks modulo several large primes.
+    """Rank over Q, as the largest of the ranks modulo three 21-bit primes.
 
-    Each modular rank is a lower bound for the rational rank, and a prime can
-    only lower it by dividing a nonzero invariant-factor product; three
-    distinct 21-bit primes cannot all divide the same nonzero minor unless it
-    exceeds 2^63 per factor, which the doubling check below rules out by
-    agreement.
+    Each modular rank is a lower bound for the rational rank r: a prime
+    lowers it exactly when it divides every r-by-r minor.  The largest of the
+    three is therefore a lower bound too, and it is not certified: it falls
+    short when all three primes divide every r-by-r minor.
     """
-    ranks = {rank_mod_p(m, p) for p in _RANK_PRIMES}
-    if len(ranks) == 1:
-        return ranks.pop()
-    return max(ranks)
+    return max(rank_mod_p(m, p) for p in _RANK_PRIMES)
 
 
 def _rank_mod_p_numpy(a: np.ndarray, p: int) -> int:

@@ -3,7 +3,8 @@
 One file per (family, n, d, coefficient) holding the groups for all degrees,
 written atomically.  A row is only reused when the stored convention
 fingerprint matches; a fingerprint mismatch is an error rather than a silent
-recompute so that stale caches get noticed.
+recompute so that stale caches get noticed.  So is a file that is truncated,
+not JSON, missing a field, or written under another cache version.
 """
 
 from __future__ import annotations
@@ -16,10 +17,15 @@ from pathlib import Path
 from ..exact_linalg import AbelianGroup
 
 CACHE_VERSION = 1
+_FIELDS = frozenset({"fingerprint", "groups", "version"})
 
 
 class CacheConflictError(RuntimeError):
     """A cache file exists with a different convention fingerprint."""
+
+
+class CacheFormatError(CacheConflictError):
+    """A cache file is unreadable: not JSON, incomplete, or another version."""
 
 
 def cache_root(explicit=None) -> Path | None:
@@ -63,17 +69,38 @@ def _canonical(fingerprint: dict) -> str:
     return json.dumps(fingerprint, sort_keys=True)
 
 
+def _read(path: Path) -> dict:
+    """The blob of an existing cache file, checked for version and fields."""
+    try:
+        blob = json.loads(path.read_text())
+    except ValueError as err:  # truncated, not JSON, or not UTF-8
+        raise CacheFormatError(f"{path} is not JSON: {err}") from err
+    if not isinstance(blob, dict) or not _FIELDS <= blob.keys():
+        raise CacheFormatError(
+            f"{path} lacks one of the fields {', '.join(sorted(_FIELDS))}")
+    if blob["version"] != CACHE_VERSION:
+        raise CacheFormatError(
+            f"{path} has cache version {blob['version']!r}, "
+            f"not {CACHE_VERSION}")
+    return blob
+
+
 def load(root, family: str, n: int, d: int, coeff: str,
          fingerprint: dict) -> list[AbelianGroup] | None:
     path = cache_path(root, family, n, d, coeff)
     if not path.exists():
         return None
-    blob = json.loads(path.read_text())
+    blob = _read(path)
     if _canonical(blob["fingerprint"]) != _canonical(fingerprint):
         raise CacheConflictError(
             f"{path} was computed under fingerprint {blob['fingerprint']}, "
             f"not {fingerprint}")
-    return decode_groups(blob["groups"])
+    try:
+        return decode_groups(blob["groups"])
+    except (ValueError, KeyError, TypeError) as err:
+        raise CacheFormatError(
+            f"{path} holds unreadable groups: "
+            f"{type(err).__name__}: {err}") from err
 
 
 def store(root, family: str, n: int, d: int, coeff: str,
@@ -81,7 +108,7 @@ def store(root, family: str, n: int, d: int, coeff: str,
     path = cache_path(root, family, n, d, coeff)
     path.parent.mkdir(parents=True, exist_ok=True)
     if path.exists():
-        blob = json.loads(path.read_text())
+        blob = _read(path)
         if _canonical(blob["fingerprint"]) != _canonical(fingerprint):
             raise CacheConflictError(
                 f"refusing to overwrite {path}: fingerprint "

@@ -289,6 +289,18 @@ class TestExitCodes:
         assert code == 3
         assert "resource limit" in err
 
+    @pytest.mark.parametrize("text", [
+        '{"fingerprint": {}, "groups": [', '{"fingerprint": {"construction": '
+        '"A"}, "groups": [], "version": 1}'])
+    def test_cache_error_maps_to_two(self, capsys, tmp_path, text):
+        (tmp_path / "h_A_3_2_z.json").write_text(text)
+        code, out, err = run(capsys, "homology", "--n", "3", "--d", "2",
+                             "--cache-dir", str(tmp_path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("cache error: ")
+        assert err.count("\n") == 1
+
     def test_console_script_smoke(self):
         """The declared console script resolves and lists the subcommands.
 

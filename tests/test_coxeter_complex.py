@@ -23,7 +23,8 @@ from superbraid.coxeter_complex import (
     t_local_system,
     trivial_system,
 )
-from superbraid.coxeter_complex.complexes import _subsets_colex
+from superbraid.coxeter_complex import complexes
+from superbraid.coxeter_complex.complexes import _boundaries, _subsets_colex
 from superbraid.exact_linalg import AbelianGroup, IntMatrix, homology_pair
 from superbraid.surface_rep import RelationError, build_rep
 
@@ -59,6 +60,38 @@ def surface_system(n, d):
     rep = build_rep(n, d, construction="B", order="left_to_right")
     spec = CoxeterSpec("A", n - 1)
     return spec, LocalSystem(spec, [rep.generator(k) for k in range(1, n)])
+
+
+def reference_boundary(spec, rho, k, convention):
+    """The documented block sum, one (Gamma, tau) pair at a time, exactly.
+
+    Block (Gamma, tau) is the sum over the minimal coset representatives
+    beta of W_{Gamma - tau} in W_Gamma of
+    (-1)^(length(beta) + mu + mu_base) rho(lift(beta)), with mu the
+    position of tau in Gamma.
+    """
+    dim = rho.dimension
+    rows = {g: i for i, g in enumerate(_subsets_colex(spec.rank, k - 1))}
+    triples = []
+    for ci, gamma in enumerate(_subsets_colex(spec.rank, k)):
+        for mu, tau in enumerate(gamma):
+            prime = tuple(g for g in gamma if g != tau)
+            for rep in min_coset_reps(spec, gamma, prime, convention.side):
+                sign = (-1) ** (rep.length + mu + convention.mu_base)
+                lift = rho.evaluate_word(rep.word)
+                triples.extend((rows[prime] * dim + r, ci * dim + c, sign * v)
+                               for r, c, v in lift.triples())
+    return IntMatrix.from_triples(len(rows) * dim,
+                                  math.comb(spec.rank, k) * dim, triples)
+
+
+def assert_reference_boundaries(spec, rho):
+    for convention in CONVENTION_CANDIDATES:
+        got = _boundaries(spec, rho, convention)
+        assert sorted(got) == list(range(1, spec.rank + 1))
+        for k, b in got.items():
+            assert b == reference_boundary(spec, rho, k, convention), (
+                convention, k)
 
 
 class TestCoxeterSpec:
@@ -354,3 +387,43 @@ class TestChainComplexes:
             for k, triples in blob["boundaries"].items()}
         assert rebuilt == cx.boundaries
         json.dumps(blob)
+
+
+class TestRunBlocks:
+    """Boundaries built once per (run, tau) equal the per-(Gamma, tau) sum."""
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_braid_systems(self, n, d):
+        assert_reference_boundaries(*surface_system(n, d))
+
+    @pytest.mark.parametrize("variant", [0, 1, 2, 3])
+    def test_t_systems(self, variant):
+        rho = t_local_system(4, 3, variant=variant)
+        assert_reference_boundaries(rho.spec, rho)
+
+    def test_trivial_systems(self):
+        for spec in (CoxeterSpec("A", 4), CoxeterSpec("B", 3)):
+            assert_reference_boundaries(spec, trivial_system(spec, 2))
+
+    def test_exact_fallback_past_the_int64_guard(self, monkeypatch):
+        exact_calls = []
+        exact = complexes._run_block_exact
+
+        def counted(*args):
+            exact_calls.append(args)
+            return exact(*args)
+
+        monkeypatch.setattr(complexes, "_run_block_exact", counted)
+        spec, rho = surface_system(4, 2)
+        assert_reference_boundaries(spec, rho)
+        assert not exact_calls
+        dim = rho.dimension
+        p = IntMatrix(dim, dim, {**IntMatrix.identity(dim).entries,
+                                 (0, 1): 1 << 20})
+        p_inv = IntMatrix(dim, dim, {**IntMatrix.identity(dim).entries,
+                                     (0, 1): -(1 << 20)})
+        big = LocalSystem(spec, [p_inv * a * p for a in rho.actions])
+        assert max(a.max_abs() for a in big.actions) >= 1 << 40
+        assert_reference_boundaries(spec, big)
+        assert exact_calls

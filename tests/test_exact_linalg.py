@@ -76,6 +76,15 @@ def test_abelian_group_describe():
     assert AbelianGroup(1).describe() == "Z"
 
 
+def test_equal_groups_describe_alike():
+    assert AbelianGroup.from_divisors(0, (12,)).describe() == "Z_12"
+    assert AbelianGroup.from_divisors(0, (3, 4)).describe() == "Z_12"
+    assert AbelianGroup(0, (2, 2, 3, 4)).describe() == "Z_2 + Z_2 + Z_12"
+    assert AbelianGroup(1, (2, 3, 4, 5, 8, 9)).describe() == (
+        "Z + Z_2 + Z_12 + Z_360")
+    assert AbelianGroup(0, (2, 3)).describe() == AbelianGroup(0, (6,)).describe()
+
+
 def test_abelian_group_sum():
     a = AbelianGroup(1, (2,))
     b = AbelianGroup(0, (6,))

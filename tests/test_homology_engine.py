@@ -13,6 +13,7 @@ from superbraid.homology_engine import (
     CACHE_VERSION,
     CALIBRATION_GRID,
     CacheConflictError,
+    CacheFormatError,
     CalibrationError,
     HomologyTable,
     ResourceLimitError,
@@ -265,6 +266,49 @@ class TestCache:
     def test_no_stray_temp_files(self, tmp_path):
         store(tmp_path, "A", 3, 2, "z", {}, [group(0, 2)])
         assert [p.name for p in tmp_path.iterdir()] == ["h_A_3_2_z.json"]
+
+    def test_loaded_row_renders_like_the_computed_row(self, tmp_path):
+        computed = braid_twisted_homology(6, 2, cache_dir=tmp_path)
+        loaded = braid_twisted_homology(6, 2, cache_dir=tmp_path)
+        assert "Z_2 + Z_6" in describe_row(computed)
+        assert describe_row(loaded) == describe_row(computed)
+        store(tmp_path, "A", 3, 5, "z", {}, [group(0, 12), group(1, 2, 6)])
+        assert describe_row(load(tmp_path, "A", 3, 5, "z", {})) == [
+            "Z_12", "Z + Z_2 + Z_6"]
+
+    @pytest.mark.parametrize("text", [
+        '{"fingerprint": {}, "groups": [',  # truncated
+        "not json at all",
+        "[]",
+        '{"fingerprint": {}, "groups": []}',  # no version
+        '{"fingerprint": {}, "version": 1}',  # no groups
+        '{"groups": [], "version": 1}',  # no fingerprint
+        '{"fingerprint": {}, "groups": [], "version": 2}',
+    ])
+    def test_unreadable_file_is_a_typed_error(self, tmp_path, text):
+        path = cache_path(tmp_path, "A", 3, 2, "z")
+        path.write_text(text)
+        with pytest.raises(CacheFormatError):
+            load(tmp_path, "A", 3, 2, "z", {})
+        with pytest.raises(CacheFormatError):
+            store(tmp_path, "A", 3, 2, "z", {}, [group(1)])
+        assert path.read_text() == text
+        assert issubclass(CacheFormatError, CacheConflictError)
+
+    def test_unreadable_groups_are_a_typed_error(self, tmp_path):
+        path = cache_path(tmp_path, "A", 3, 2, "z")
+        path.write_text(
+            '{"fingerprint": {}, "groups": [{"i": 0}], "version": 1}')
+        with pytest.raises(CacheFormatError, match="groups"):
+            load(tmp_path, "A", 3, 2, "z", {})
+
+    def test_stored_file_truncated_midway(self, tmp_path):
+        path = store(tmp_path, "A", 3, 2, "z", {}, [group(1), group(0, 2)])
+        path.write_text(path.read_text()[:-7])
+        with pytest.raises(CacheFormatError, match="not JSON"):
+            load(tmp_path, "A", 3, 2, "z", {})
+        with pytest.raises(CacheFormatError):
+            store(tmp_path, "A", 3, 2, "z", {}, [group(1), group(0, 2)])
 
     def test_decode_rejects_missing_degrees(self):
         with pytest.raises(ValueError, match="missing or duplicate degrees"):
