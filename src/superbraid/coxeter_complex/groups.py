@@ -105,8 +105,40 @@ class CoxeterSpec:
         out.update(g for g in range(1, self.rank) if w[g - 1] > w[g])
         return out
 
+    def is_left_descent(self, w: tuple, g: int) -> bool:
+        """Whether s_g * w is shorter than w.
+
+        Read off where w places the letters s_g moves, that is, the right
+        descent g of the inverse, without building the inverse.
+        """
+        if self.family == "A":
+            return w.index(g) > w.index(g + 1)
+        if g == 0:
+            return -1 in w
+
+        def signed_position(x):
+            return w.index(x) + 1 if x in w else -w.index(-x) - 1
+
+        return signed_position(g) > signed_position(g + 1)
+
+    def left_descent_moved_by(self, u: tuple, s: int) -> int | None:
+        """The one generator whose left-descent status u * s_s can change.
+
+        Whether s_g is a left descent depends only on the order in which the
+        window places the letters s_g moves (see is_left_descent).  Right
+        multiplication by s_s swaps two adjacent positions, or for the
+        type-B s_0 negates the first one, so that order changes at most for
+        the generator moving exactly the letters there; None if there is
+        no such generator.
+        """
+        if self.family == "B" and s == 0:
+            return 0 if abs(u[0]) == 1 else None
+        i = s if self.family == "A" else s - 1
+        a, b = abs(u[i]), abs(u[i + 1])
+        return min(a, b) if abs(a - b) == 1 else None
+
     def left_descents(self, w: tuple) -> set[int]:
-        return self.right_descents(self.inverse(w))
+        return {g for g in self.generators if self.is_left_descent(w, g)}
 
     def parabolic_order(self, gamma: tuple[int, ...]) -> int:
         """|W_gamma| from the connected runs of consecutive generators."""
@@ -169,18 +201,20 @@ def _coset_reps(family: str, rank: int, gamma: tuple[int, ...],
     while frontier:
         new_frontier = []
         for idx, u in frontier:
-            if side == "left":
-                blocked = spec.right_descents(u)
-            else:
-                blocked = spec.left_descents(u)
+            blocked = spec.right_descents(u) if side == "left" else ()
             for s in gamma:
-                if s in blocked:
-                    continue
                 if side == "left":
+                    if s in blocked:
+                        continue
                     w = spec.apply_right(u, s)
-                    if prime and spec.left_descents(w) & prime:
+                    # u has no left descent in gamma', so w has one only
+                    # where appending s could create it.
+                    g = spec.left_descent_moved_by(u, s)
+                    if g in prime and spec.is_left_descent(w, g):
                         continue
                 else:
+                    if spec.is_left_descent(u, s):
+                        continue
                     w = spec.apply_left(u, s)
                     if prime and spec.right_descents(w) & prime:
                         continue

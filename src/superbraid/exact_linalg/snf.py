@@ -22,7 +22,9 @@ class SmithForm:
     divisors holds the nonzero invariant factors d_1 | d_2 | ... (all >= 1);
     rank == len(divisors).  When transforms were requested, U and V are
     unimodular with U * M * V equal to the diagonal of divisors (padded with
-    zeros to the matrix shape).
+    zeros to the matrix shape).  pivot_cols holds the input column of each
+    +-1 pivot the sparse phase peeled, one per unit divisor it accounts for
+    (empty on the transform path).
     """
 
     divisors: tuple[int, ...]
@@ -30,6 +32,7 @@ class SmithForm:
     ncols: int
     U: IntMatrix | None = None
     V: IntMatrix | None = None
+    pivot_cols: tuple[int, ...] = ()
 
     @property
     def rank(self) -> int:
@@ -301,21 +304,26 @@ def _dense_snf_transforms(
 # ---------------------------------------------------------------------------
 
 
-def _unit_pivot_phase(m: IntMatrix) -> tuple[int, list[list[int]]]:
+def _unit_pivot_phase(
+    m: IntMatrix, skip_rows=frozenset(),
+) -> tuple[list[int], list[list[int]]]:
     """Eliminate +-1 pivots with unimodular operations.
 
-    Returns (number of unit invariant factors peeled off, dense remainder).
-    Pivot choice approximates minimal Markowitz fill among unit entries.
+    Rows in skip_rows are dropped first.  Returns (the column of each pivot,
+    one per unit invariant factor peeled off, dense remainder).  Pivot
+    choice approximates minimal Markowitz fill among unit entries.
     """
     rows: dict[int, dict[int, int]] = {}
     cols: dict[int, set[int]] = {}
+    units: dict[tuple[int, int], None] = {}
     for (i, j), v in m.entries.items():
+        if i in skip_rows:
+            continue
         rows.setdefault(i, {})[j] = v
         cols.setdefault(j, set()).add(i)
-    units: dict[tuple[int, int], None] = {
-        (i, j): None for (i, j), v in m.entries.items() if abs(v) == 1
-    }
-    ones = 0
+        if abs(v) == 1:
+            units[(i, j)] = None
+    pivot_cols: list[int] = []
     while units:
         best_key = None
         best_score = None
@@ -377,7 +385,7 @@ def _unit_pivot_phase(m: IntMatrix) -> tuple[int, list[list[int]]]:
             if not row_r:
                 del rows[r]
         cols.pop(j, None)
-        ones += 1
+        pivot_cols.append(j)
     # pack the remainder densely with fresh indices
     row_ids = sorted(rows)
     col_ids = sorted({j for r in row_ids for j in rows[r]})
@@ -386,7 +394,7 @@ def _unit_pivot_phase(m: IntMatrix) -> tuple[int, list[list[int]]]:
     for k, r in enumerate(row_ids):
         for j, v in rows[r].items():
             dense[k][col_pos[j]] = v
-    return ones, dense
+    return pivot_cols, dense
 
 
 # ---------------------------------------------------------------------------
@@ -472,14 +480,22 @@ def _plocal_attempt(m: IntMatrix, p: int, B: int) -> list[int] | None:
 # ---------------------------------------------------------------------------
 
 
-def snf(m: IntMatrix, want_transforms: bool = False) -> SmithForm:
+def snf(m: IntMatrix, want_transforms: bool = False, *,
+        skip_rows=()) -> SmithForm:
     """Smith normal form with an ascending divisor chain.
 
     The transform-free path peels +-1 pivots sparsely and finishes the
     remainder densely; the transform path runs the dense algorithm on the
     whole matrix (intended for small inputs such as audits and tests).
+
+    skip_rows names rows the sparse phase drops before it eliminates.  The
+    caller vouches that each lies in the integer span of the kept rows, so
+    the row lattice and the divisors are those of m; the engine passes the
+    pivot columns of the boundary one degree below (see _integral_groups).
     """
     if want_transforms:
+        if skip_rows:
+            raise ValueError("skip_rows has no transforms to report")
         a = m.to_dense()
         divisors, U, V = _dense_snf_transforms(a)
         return SmithForm(
@@ -489,10 +505,11 @@ def snf(m: IntMatrix, want_transforms: bool = False) -> SmithForm:
             U=IntMatrix.from_dense(U) if m.nrows else IntMatrix(0, 0),
             V=IntMatrix.from_dense(V) if m.ncols else IntMatrix(0, 0),
         )
-    ones, dense = _unit_pivot_phase(m)
+    pivot_cols, dense = _unit_pivot_phase(m, frozenset(skip_rows))
     rest = _dense_snf(dense) if dense and dense[0] else []
-    divisors = [1] * ones + rest
-    return SmithForm(tuple(divisors), m.nrows, m.ncols)
+    divisors = [1] * len(pivot_cols) + rest
+    return SmithForm(tuple(divisors), m.nrows, m.ncols,
+                     pivot_cols=tuple(pivot_cols))
 
 
 def snf_with_prime_hints(m: IntMatrix, primes) -> SmithForm:
@@ -501,7 +518,8 @@ def snf_with_prime_hints(m: IntMatrix, primes) -> SmithForm:
     Exact whenever every prime dividing some invariant factor is hinted; the
     engine hints all primes dividing the coefficient order d plus primes <= n.
     """
-    ones, dense = _unit_pivot_phase(m)
+    pivot_cols, dense = _unit_pivot_phase(m)
+    ones = len(pivot_cols)
     if not dense or not dense[0]:
         return SmithForm(tuple([1] * ones), m.nrows, m.ncols)
     rest = IntMatrix.from_dense(dense)

@@ -61,13 +61,27 @@ def _braid_system(n: int, d: int, construction: str, order: str) -> LocalSystem:
 
 
 def _integral_groups(cx) -> list[AbelianGroup]:
-    """One Smith form per boundary, shared between adjacent degrees."""
+    """One Smith form per boundary, swept bottom-up, shared between degrees.
+
+    Precondition: the boundaries compose to zero, which build_complex checks
+    before it returns a complex.  The snf of the boundary d_k skips the rows
+    at the columns where the unit-pivot phase of d_(k-1) pivoted.  That keeps
+    the row lattice of d_k, and with it the divisors: if (i, j) is a +-1
+    pivot of A = d_(k-1), row i of A * d_k = 0 writes row j of d_k as an
+    integer combination of its other rows.  Eliminating the pivot leaves a
+    Schur complement that still composes to zero with d_k minus row j, whose
+    next pivot is again a unit, so the argument repeats pivot by pivot.  The
+    kept rows of d_k still compose to zero with d_(k+1), so the pivots d_k's
+    own phase finds on them serve d_(k+1) in turn.
+    """
     top = cx.spec.rank
     forms = {}
+    paired = ()
     for k in range(1, top + 1):
         b = cx.boundary(k)
         charge(b.nrows, b.ncols, b.max_abs())
-        forms[k] = snf(b)
+        forms[k] = snf(b, skip_rows=paired)
+        paired = forms[k].pivot_cols
     groups = []
     for k in range(top + 1):
         r_low = forms[k].rank if k >= 1 else 0

@@ -129,6 +129,17 @@ class TestCoxeterSpec:
                 left_shorter = spec.length(spec.apply_left(w, g)) < spec.length(w)
                 assert (g in spec.left_descents(w)) == left_shorter
 
+    @pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3)])
+    def test_one_generator_can_change_left_descent(self, family, rank):
+        spec = CoxeterSpec(family, rank)
+        for w in enumerate_group(spec):
+            before = spec.right_descents(spec.inverse(w))
+            for s in spec.generators:
+                after = spec.right_descents(
+                    spec.inverse(spec.apply_right(w, s)))
+                moved = spec.left_descent_moved_by(w, s)
+                assert before ^ after <= {moved}
+
     def test_parabolic_orders(self):
         a3 = CoxeterSpec("A", 3)
         assert a3.parabolic_order((0, 1, 2)) == 24

@@ -191,3 +191,43 @@ def test_matrix_roundtrips():
     assert IntMatrix.from_triples(3, 2, m.triples()) == m
     assert m.transpose().transpose() == m
     assert (m - m).is_zero()
+
+
+def test_pivot_cols_one_per_peeled_unit():
+    perm = IntMatrix.from_dense([[0, -1, 0], [0, 0, 1], [1, 0, 0]])
+    assert sorted(snf(perm).pivot_cols) == [0, 1, 2]
+    # no +-1 entry to peel: the unit divisor of diag(2, 3) comes from the
+    # dense phase, so no pivot column records it
+    assert snf(IntMatrix.from_dense([[2, 0], [0, 3]])).pivot_cols == ()
+    assert snf(IntMatrix.zero(2, 3)).pivot_cols == ()
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrices)
+def test_pivot_cols_are_distinct_nonzero_columns(rows):
+    m = IntMatrix.from_dense(rows)
+    s = snf(m)
+    nonzero_cols = {j for (_, j) in m.entries}
+    assert len(set(s.pivot_cols)) == len(s.pivot_cols)
+    assert set(s.pivot_cols) <= nonzero_cols
+    assert len(s.pivot_cols) <= s.divisors.count(1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrices)
+def test_skip_rows_empty_reproduces_snf(rows):
+    m = IntMatrix.from_dense(rows)
+    assert snf(m, skip_rows=()) == snf(m)
+
+
+def test_skip_rows_drops_rows_before_eliminating():
+    m = IntMatrix.from_dense([[1, 0], [0, 2], [0, 3]])
+    assert snf(m).divisors == (1, 1)
+    assert snf(m, skip_rows={2}).divisors == (1, 2)
+    assert snf(m, skip_rows=[0, 2]).divisors == (2,)
+
+
+def test_skip_rows_rejects_transforms():
+    m = IntMatrix.identity(2)
+    with pytest.raises(ValueError):
+        snf(m, want_transforms=True, skip_rows={0})

@@ -6,9 +6,17 @@ import json
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from superbraid.cli.fixtures import fixture
-from superbraid.exact_linalg import AbelianGroup
+from superbraid.coxeter_complex import (
+    CoxeterSpec,
+    build_complex,
+    t_local_system,
+    trivial_system,
+)
+from superbraid.exact_linalg import AbelianGroup, IntMatrix, snf
 from superbraid.homology_engine import (
     CACHE_VERSION,
     CALIBRATION_GRID,
@@ -41,6 +49,7 @@ from superbraid.homology_engine import (
     verify_uct,
     verify_unstable_free,
 )
+from superbraid.homology_engine import engine
 from superbraid.homology_engine.cache import decode_groups, load, store
 from superbraid.homology_engine.limits import charge
 
@@ -576,3 +585,139 @@ class TestSignedPermutationSide:
         row = artinB_homology(2, 2, coeff="f:2")
         assert all(g.primary() == () for g in row)
         assert [g.rank for g in row] == [1, 3, 2]
+
+
+def _sweep_complexes():
+    for d in range(2, 7):
+        cal = calibrate(d)
+        for n in range(2, 9):
+            yield (f"braid n={n} d={d}", build_complex(
+                CoxeterSpec("A", n - 1),
+                engine._braid_system(n, d, cal.construction, cal.order)))
+    for family in ("A", "B"):
+        for rank in range(1, 9):
+            spec = CoxeterSpec(family, rank)
+            yield f"trivial {family}{rank}", build_complex(
+                spec, trivial_system(spec))
+    variant = calibrate_t_variant()
+    for n in range(2, 7):
+        for d in range(2, 5):
+            yield (f"t-system n={n} d={d}", build_complex(
+                CoxeterSpec("B", n), t_local_system(n, d, variant=variant)))
+
+
+class _Complex:
+    """The slice of ChainComplex that _integral_groups reads."""
+
+    def __init__(self, ranks, boundaries):
+        self.spec = CoxeterSpec("A", len(ranks) - 1)
+        self.ranks = ranks
+        self.boundaries = boundaries
+
+    def rank(self, k):
+        return self.ranks[k] if 0 <= k < len(self.ranks) else 0
+
+    def boundary(self, k):
+        return self.boundaries[k]
+
+
+def _unimodular(draw, n):
+    """A random unimodular n x n matrix and its inverse, as products of
+    elementary row additions."""
+    u = v = IntMatrix.identity(n)
+    if n < 2:
+        return u, v
+    for _ in range(draw(st.integers(0, 3 * n))):
+        i = draw(st.integers(0, n - 1))
+        j = draw(st.integers(0, n - 2))
+        j += j >= i
+        c = draw(st.sampled_from([-2, -1, 1, 2]))
+        u = IntMatrix(n, n, {(i, j): c}) * u + u
+        v = v - v * IntMatrix(n, n, {(i, j): c})
+    return u, v
+
+
+@st.composite
+def chain_complexes(draw):
+    """A direct sum of pieces Z --m--> Z and free Z's, in a random basis.
+
+    Returns the complex and its homology, read off the pieces: a piece with
+    m = 0 adds Z at both ends, one with |m| > 1 adds Z_|m| at its target.
+    """
+    top = draw(st.integers(1, 4))
+    pieces = {k: draw(st.lists(st.sampled_from([0, 1, -1, 1, -1, 2, 3, -6]),
+                               max_size=4))
+              for k in range(1, top + 1)}
+    free = [draw(st.integers(0, 2)) for _ in range(top + 1)]
+    # basis of C_k: free Z's, then targets of pieces from k + 1, then sources
+    ranks = [free[k] + len(pieces.get(k + 1, ())) + len(pieces.get(k, ()))
+             for k in range(top + 1)]
+    expected = []
+    for k in range(top + 1):
+        zeros = (pieces.get(k + 1, []).count(0) + pieces.get(k, []).count(0))
+        torsion = [abs(m) for m in pieces.get(k + 1, ()) if abs(m) > 1]
+        expected.append(AbelianGroup.from_divisors(free[k] + zeros, torsion))
+    bases = [_unimodular(draw, r) for r in ranks]
+    boundaries = {}
+    for k in range(1, top + 1):
+        entries = {}
+        target0 = free[k - 1]
+        source0 = free[k] + len(pieces.get(k + 1, ()))
+        for t, m in enumerate(pieces[k]):
+            if m:
+                entries[(target0 + t, source0 + t)] = m
+        diag = IntMatrix(ranks[k - 1], ranks[k], entries)
+        boundaries[k] = bases[k - 1][0] * diag * bases[k][1]
+    return _Complex(ranks, boundaries), expected
+
+
+class TestBottomUpSweep:
+    def test_divisors_match_plain_snf(self, monkeypatch):
+        calls = []
+
+        def recording_snf(m, *args, **kwargs):
+            form = snf(m, *args, **kwargs)
+            calls.append((m, kwargs.get("skip_rows", ()), form))
+            return form
+
+        monkeypatch.setattr(engine, "snf", recording_snf)
+        skipped = 0
+        count = 0
+        for name, cx in _sweep_complexes():
+            calls.clear()
+            engine._integral_groups(cx)
+            assert len(calls) == cx.spec.rank, name
+            for k, (m, skip, form) in enumerate(calls, start=1):
+                assert m is cx.boundary(k), name
+                assert form.divisors == snf(m).divisors, (name, k)
+                skipped += len(skip)
+            count += 1
+        assert count == 66
+        assert skipped > 0
+
+    def test_first_boundary_skips_nothing_then_each_takes_its_lower_pivots(
+            self, monkeypatch):
+        calls = []
+
+        def recording_snf(m, *args, **kwargs):
+            form = snf(m, *args, **kwargs)
+            calls.append((set(kwargs.get("skip_rows", ())), form))
+            return form
+
+        monkeypatch.setattr(engine, "snf", recording_snf)
+        cal = calibrate(2)
+        engine._integral_groups(build_complex(
+            CoxeterSpec("A", 4),
+            engine._braid_system(5, 2, cal.construction, cal.order)))
+        assert calls[0][0] == set()
+        for (_, lower), (skip, _) in zip(calls, calls[1:]):
+            assert skip == set(lower.pivot_cols)
+            assert skip
+
+    @settings(max_examples=150, deadline=None)
+    @given(chain_complexes())
+    def test_random_chain_complexes(self, complex_and_groups):
+        cx, expected = complex_and_groups
+        for k in range(2, cx.spec.rank + 1):
+            assert (cx.boundary(k - 1) * cx.boundary(k)).is_zero()
+        assert engine._integral_groups(cx) == expected
