@@ -14,6 +14,7 @@ from ..homology_engine import (
     CacheConflictError,
     CalibrationError,
     ResourceLimitError,
+    braid_system,
     braid_trivial_homology,
     braid_twisted_homology,
     calibrate,
@@ -25,7 +26,6 @@ from ..homology_engine import (
     verify_uct,
     verify_unstable_free,
 )
-from ..homology_engine.engine import _braid_system
 from ..homology_engine.laws import Report
 from ..series import compare_local, local_series, stable_series
 from ..surface_rep import build_rep
@@ -216,7 +216,7 @@ def cmd_series(args) -> int:
 def _injected_fault_report() -> Report:
     """Flip one boundary sign and confirm the composition check trips."""
     spec = CoxeterSpec("A", 3)
-    cx = build_complex(spec, _braid_system(4, 2, "B", "left_to_right"))
+    cx = build_complex(spec, braid_system(4, 2, "B", "left_to_right"))
     for k in range(spec.rank, 1, -1):
         low, high = cx.boundary(k - 1), cx.boundary(k)
         for (r, c, v) in high.triples():
@@ -282,8 +282,7 @@ def cmd_verify(args) -> int:
         checks.append(Report(f"calibration d={d}", True, len(cal.outcomes),
                              (), tuple(f"{c}/{o}: {msg}"
                                        for c, o, msg in cal.outcomes)))
-        table = compute_table(d, n_max, cache_dir=args.cache_dir,
-                              threads=args.threads)
+        table = compute_table(d, n_max, cache_dir=args.cache_dir)
         tables[d] = table
         checks.append(_golden_report(d, table))
         checks.append(_tagged(verify_torsion_law(table), d))
@@ -292,8 +291,7 @@ def cmd_verify(args) -> int:
         checks.append(_tagged(verify_unstable_free(table), d))
         for p in (2, 3, 5):
             mod_tables[(d, p)] = compute_table(d, n_max, f"f:{p}",
-                                               cache_dir=args.cache_dir,
-                                               threads=args.threads)
+                                               cache_dir=args.cache_dir)
             checks.append(_tagged(verify_uct(table, mod_tables[(d, p)]), d))
         for p, dd in LOCAL_PRIMES:
             if dd == d:
@@ -391,7 +389,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="self-test: flip a boundary sign and require "
                              "the composition check to catch it")
     verify.add_argument("--cache-dir", default=None)
-    verify.add_argument("--threads", type=int, default=None)
     verify.add_argument("--format", choices=("text", "json"), default="text")
     verify.set_defaults(func=cmd_verify)
     return parser

@@ -33,7 +33,7 @@ from itertools import combinations
 import numpy as np
 
 from ..exact_linalg import IntMatrix, product_is_zero
-from ..exact_linalg.matrix import _INT64_SAFE
+from ..exact_linalg.matrix import INT64_SAFE
 from .groups import CoxeterSpec, min_coset_reps
 from .systems import LocalSystem
 
@@ -148,14 +148,14 @@ def _run_block_int64(reps, gens: np.ndarray, gen_max: int,
         end = start
         while end < len(reps) and reps[end].length == length:
             end += 1
-        if dim * top * gen_max >= _INT64_SAFE:
+        if dim * top * gen_max >= INT64_SAFE:
             return None
         parents = lifts[[r.parent for r in reps[start:end]]]
         letters = gens[[r.letter for r in reps[start:end]]]
         level = parents @ letters if side == "left" else letters @ parents
         top = int(np.abs(level).max(initial=0))
         total += (end - start) * top
-        if total >= _INT64_SAFE:
+        if total >= INT64_SAFE:
             return None
         lifts[start:end] = level
         if length % 2:

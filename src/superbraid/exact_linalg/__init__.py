@@ -1,28 +1,13 @@
 """Exact integer linear algebra: sparse matrices, Smith form, modular ranks."""
 
 from .matrix import IntMatrix, product_is_zero
-from .snf import (
-    AbelianGroup,
-    CompositionError,
-    SmithForm,
-    homology_pair,
-    plocal_valuations,
-    rank_mod_p,
-    rank_rational,
-    snf,
-    snf_with_prime_hints,
-)
+from .snf import AbelianGroup, SmithForm, rank_mod_p, snf
 
 __all__ = [
     "IntMatrix",
     "product_is_zero",
     "AbelianGroup",
-    "CompositionError",
     "SmithForm",
-    "homology_pair",
-    "plocal_valuations",
     "rank_mod_p",
-    "rank_rational",
     "snf",
-    "snf_with_prime_hints",
 ]

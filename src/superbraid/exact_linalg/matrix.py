@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 # Largest |entry| for which int64 products with a given inner dimension are safe.
-_INT64_SAFE = 1 << 62
+INT64_SAFE = 1 << 62
 
 
 class IntMatrix:
@@ -77,7 +77,7 @@ class IntMatrix:
         return out
 
     def to_numpy(self) -> np.ndarray:
-        if self.max_abs() >= _INT64_SAFE:
+        if self.max_abs() >= INT64_SAFE:
             raise OverflowError("entries too large for int64 view")
         a = np.zeros((self.nrows, self.ncols), dtype=np.int64)
         for (i, j), v in self.entries.items():
@@ -187,7 +187,7 @@ def product_is_zero(a: IntMatrix, b: IntMatrix) -> bool:
     if not a.entries or not b.entries:
         return True
     bound = a.ncols * a.max_abs() * b.max_abs()
-    if bound < _INT64_SAFE:
+    if bound < INT64_SAFE:
         from scipy import sparse
 
         ai, aj, av = zip(*((i, j, v) for (i, j), v in a.entries.items()))

@@ -1,18 +1,13 @@
-"""Smith normal form, modular ranks, and homology groups of integer chain pairs."""
+"""Smith normal form, modular ranks, and finitely generated abelian groups."""
 
 from __future__ import annotations
 
-import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .matrix import IntMatrix, product_is_zero
-
-
-class CompositionError(ValueError):
-    """Raised when a claimed chain pair does not compose to zero."""
+from .matrix import IntMatrix
 
 
 @dataclass(frozen=True)
@@ -20,18 +15,13 @@ class SmithForm:
     """Invariant factors of an integer matrix.
 
     divisors holds the nonzero invariant factors d_1 | d_2 | ... (all >= 1);
-    rank == len(divisors).  When transforms were requested, U and V are
-    unimodular with U * M * V equal to the diagonal of divisors (padded with
-    zeros to the matrix shape).  pivot_cols holds the input column of each
-    +-1 pivot the sparse phase peeled, one per unit divisor it accounts for
-    (empty on the transform path).
+    rank == len(divisors).  pivot_cols holds the input column of each +-1
+    pivot the sparse phase peeled, one per unit divisor it accounts for.
     """
 
     divisors: tuple[int, ...]
     nrows: int
     ncols: int
-    U: IntMatrix | None = None
-    V: IntMatrix | None = None
     pivot_cols: tuple[int, ...] = ()
 
     @property
@@ -220,85 +210,6 @@ def _dense_snf(a: list[list[int]]) -> list[int]:
     return divisors
 
 
-def _dense_snf_transforms(
-    a: list[list[int]],
-) -> tuple[list[int], list[list[int]], list[list[int]]]:
-    """Smith elimination carrying unimodular row (U) and column (V) transforms."""
-    R = len(a)
-    C = len(a[0]) if R else 0
-    U = [[1 if i == j else 0 for j in range(R)] for i in range(R)]
-    V = [[1 if i == j else 0 for j in range(C)] for i in range(C)]
-    divisors: list[int] = []
-    t = 0
-    while True:
-        piv = None
-        best = None
-        for i in range(t, R):
-            for j in range(t, C):
-                v = a[i][j]
-                if v:
-                    av = abs(v)
-                    if best is None or av < best:
-                        best, piv = av, (i, j)
-        if piv is None:
-            break
-        i, j = piv
-        if i != t:
-            a[t], a[i] = a[i], a[t]
-            U[t], U[i] = U[i], U[t]
-        if j != t:
-            for row in a:
-                row[t], row[j] = row[j], row[t]
-            for row in V:
-                row[t], row[j] = row[j], row[t]
-        if a[t][t] < 0:
-            a[t] = [-v for v in a[t]]
-            U[t] = [-v for v in U[t]]
-        p = a[t][t]
-        dirty = False
-        for r in range(t + 1, R):
-            v = a[r][t]
-            if v:
-                q, rem = divmod(v, p)
-                if q:
-                    a[r] = [x - q * y for x, y in zip(a[r], a[t])]
-                    U[r] = [x - q * y for x, y in zip(U[r], U[t])]
-                if rem:
-                    dirty = True
-        if dirty:
-            continue
-        for c in range(t + 1, C):
-            v = a[t][c]
-            if v:
-                q, rem = divmod(v, p)
-                if q:
-                    for r in range(R):
-                        a[r][c] -= q * a[r][t]
-                    for r in range(C):
-                        V[r][c] -= q * V[r][t]
-                if rem:
-                    dirty = True
-        if dirty:
-            continue
-        offender = None
-        for r in range(t + 1, R):
-            for c in range(t + 1, C):
-                if a[r][c] % p:
-                    offender = r
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
-            a[t] = [x + y for x, y in zip(a[t], a[offender])]
-            U[t] = [x + y for x, y in zip(U[t], U[offender])]
-            continue
-        divisors.append(p)
-        t += 1
-        if t == R or t == C:
-            break
-    return divisors, U, V
-
-
 # ---------------------------------------------------------------------------
 # Sparse unit-pivot compression
 # ---------------------------------------------------------------------------
@@ -398,113 +309,20 @@ def _unit_pivot_phase(
 
 
 # ---------------------------------------------------------------------------
-# p-local elimination (valuations of invariant factors)
-# ---------------------------------------------------------------------------
-
-
-def plocal_valuations(m: IntMatrix, p: int, rank: int) -> list[int]:
-    """p-adic valuations of the invariant factors (length == rank).
-
-    Eliminates over Z/p^B with minimal-valuation pivots; valuations below B
-    are exact, and B doubles until all rank factors are accounted for.
-    """
-    B = 32
-    while True:
-        vals = _plocal_attempt(m, p, B)
-        if vals is not None and len(vals) >= rank:
-            return sorted(vals)[:rank]
-        if vals is not None and len(vals) < rank:
-            # entries vanished mod p^B that matter over Q; deepen
-            pass
-        B *= 2
-        if B > (1 << 16):
-            raise ArithmeticError(f"p-local elimination did not converge at p={p}")
-
-
-def _plocal_attempt(m: IntMatrix, p: int, B: int) -> list[int] | None:
-    mod = p**B
-    rows: dict[int, dict[int, int]] = {}
-    for (i, j), v in m.entries.items():
-        w = v % mod
-        if w:
-            rows.setdefault(i, {})[j] = w
-
-    def val(x: int) -> int:
-        v = 0
-        while x % p == 0:
-            x //= p
-            v += 1
-        return v
-
-    vals: list[int] = []
-    while rows:
-        best = None
-        best_v = None
-        for i, row in rows.items():
-            for j, x in row.items():
-                vx = val(x)
-                if best_v is None or vx < best_v:
-                    best_v, best = vx, (i, j)
-                    if vx == 0:
-                        break
-            if best_v == 0:
-                break
-        if best is None:
-            break
-        if best_v >= B:
-            return None
-        i, j = best
-        vals.append(best_v)
-        pivot_row = rows.pop(i)
-        pv = pivot_row[j]
-        unit = pv // (p**best_v)
-        inv_unit = pow(unit, -1, mod)
-        targets = [r for r, row in rows.items() if j in row]
-        for r in targets:
-            row_r = rows[r]
-            w = row_r[j]
-            factor = ((w // (p**best_v)) * inv_unit) % mod
-            for jj, vv in pivot_row.items():
-                nw = (row_r.get(jj, 0) - factor * vv) % mod
-                if nw:
-                    row_r[jj] = nw
-                else:
-                    row_r.pop(jj, None)
-            if not row_r:
-                del rows[r]
-    return vals
-
-
-# ---------------------------------------------------------------------------
 # Public operations
 # ---------------------------------------------------------------------------
 
 
-def snf(m: IntMatrix, want_transforms: bool = False, *,
-        skip_rows=()) -> SmithForm:
+def snf(m: IntMatrix, *, skip_rows=()) -> SmithForm:
     """Smith normal form with an ascending divisor chain.
 
-    The transform-free path peels +-1 pivots sparsely and finishes the
-    remainder densely; the transform path runs the dense algorithm on the
-    whole matrix (intended for small inputs such as audits and tests).
+    Peels +-1 pivots sparsely, then finishes the remainder densely.
 
     skip_rows names rows the sparse phase drops before it eliminates.  The
     caller vouches that each lies in the integer span of the kept rows, so
     the row lattice and the divisors are those of m; the engine passes the
-    pivot columns of the boundary one degree below (see _integral_groups).
+    pivot columns of the boundary one degree below (see engine.homology).
     """
-    if want_transforms:
-        if skip_rows:
-            raise ValueError("skip_rows has no transforms to report")
-        a = m.to_dense()
-        divisors, U, V = _dense_snf_transforms(a)
-        return SmithForm(
-            tuple(divisors),
-            m.nrows,
-            m.ncols,
-            U=IntMatrix.from_dense(U) if m.nrows else IntMatrix(0, 0),
-            V=IntMatrix.from_dense(V) if m.ncols else IntMatrix(0, 0),
-        )
     pivot_cols, dense = _unit_pivot_phase(m, frozenset(skip_rows))
     rest = _dense_snf(dense) if dense and dense[0] else []
     divisors = [1] * len(pivot_cols) + rest
@@ -512,43 +330,8 @@ def snf(m: IntMatrix, want_transforms: bool = False, *,
                      pivot_cols=tuple(pivot_cols))
 
 
-def snf_with_prime_hints(m: IntMatrix, primes) -> SmithForm:
-    """SNF through modular ranks and p-local valuations at the hinted primes.
-
-    Exact whenever every prime dividing some invariant factor is hinted; the
-    engine hints all primes dividing the coefficient order d plus primes <= n.
-    """
-    pivot_cols, dense = _unit_pivot_phase(m)
-    ones = len(pivot_cols)
-    if not dense or not dense[0]:
-        return SmithForm(tuple([1] * ones), m.nrows, m.ncols)
-    rest = IntMatrix.from_dense(dense)
-    r = rank_rational(rest)
-    factors = [1] * r
-    for p in sorted(set(primes)):
-        for k, v in enumerate(plocal_valuations(rest, p, r)):
-            factors[k] *= p**v
-    factors.sort()
-    divisors = [1] * ones + factors
-    return SmithForm(tuple(divisors), m.nrows, m.ncols)
-
-
-_RANK_PRIMES = (2097143, 2097133, 2097131)  # below 2^21, int64-safe elimination
-
-
-def rank_rational(m: IntMatrix) -> int:
-    """Rank over Q, as the largest of the ranks modulo three 21-bit primes.
-
-    Each modular rank is a lower bound for the rational rank r: a prime
-    lowers it exactly when it divides every r-by-r minor.  The largest of the
-    three is therefore a lower bound too, and it is not certified: it falls
-    short when all three primes divide every r-by-r minor.
-    """
-    return max(rank_mod_p(m, p) for p in _RANK_PRIMES)
-
-
 def _rank_mod_p_numpy(a: np.ndarray, p: int) -> int:
-    a = np.mod(a, p)
+    """Rank of a, whose entries are residues in [0, p); eliminates in place."""
     R, C = a.shape
     rank = 0
     row = 0
@@ -579,7 +362,11 @@ def rank_mod_p(m: IntMatrix, p: int) -> int:
     if m.nrows == 0 or m.ncols == 0 or not m.entries:
         return 0
     if p < (1 << 21):
-        return _rank_mod_p_numpy(m.to_numpy() % p, p)
+        # Reduce before the int64 view: entries may exceed 2^62, residues not.
+        a = np.zeros((m.nrows, m.ncols), dtype=np.int64)
+        for (i, j), v in m.entries.items():
+            a[i, j] = v % p
+        return _rank_mod_p_numpy(a, p)
     # arbitrary-precision fallback
     rows = [dict(r) for r in m.rows_map().values()]
     rank = 0
@@ -606,30 +393,3 @@ def rank_mod_p(m: IntMatrix, p: int) -> int:
                 rank += 1
                 break
     return rank
-
-
-def homology_pair(
-    d_k: IntMatrix,
-    d_k1: IntMatrix,
-    check: bool = True,
-    prime_hints=None,
-) -> AbelianGroup:
-    """Homology at C_k of the pair d_k: C_k -> C_(k-1), d_k1: C_(k+1) -> C_k.
-
-    Raises CompositionError unless d_k * d_k1 == 0.  The group is
-    Z^(dim C_k - rank d_k - rank d_k1) plus the torsion of the d_k1 cokernel.
-    """
-    if d_k.ncols != d_k1.nrows:
-        raise ValueError("chain dimensions disagree")
-    if check and not product_is_zero(d_k, d_k1):
-        raise CompositionError("boundary pair does not compose to zero")
-    if prime_hints:
-        s1 = snf_with_prime_hints(d_k1, prime_hints)
-        r_k = rank_rational(d_k)
-    else:
-        s1 = snf(d_k1)
-        r_k = snf(d_k).rank
-    free = d_k.ncols - r_k - s1.rank
-    if free < 0:
-        raise ArithmeticError("negative free rank; ranks are inconsistent")
-    return AbelianGroup.from_divisors(free, s1.divisors)

@@ -9,8 +9,6 @@ them.  Every cached result records the winning fingerprint.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from ..cli.fixtures import UNKNOWN, fixture
@@ -23,7 +21,7 @@ from ..coxeter_complex import (
     t_local_system,
     trivial_system,
 )
-from ..exact_linalg import AbelianGroup, rank_mod_p, rank_rational, snf
+from ..exact_linalg import AbelianGroup, rank_mod_p, snf
 from ..surface_rep import RelationError, build_rep
 from .cache import cache_root, load, store
 from .limits import charge
@@ -53,72 +51,58 @@ def parse_coeff(coeff: str) -> tuple[str, int | None]:
     raise ValueError(f"bad coefficient spec {coeff!r}; use 'z' or 'f:p'")
 
 
-def _braid_system(n: int, d: int, construction: str, order: str) -> LocalSystem:
+def braid_system(n: int, d: int, construction: str, order: str) -> LocalSystem:
+    """The n-strand braid generators acting on the curve classes, as a
+    local system on the type-A Salvetti complex."""
     rep = build_rep(n, d, construction=construction, order=order)
     spec = CoxeterSpec("A", n - 1)
     return LocalSystem(spec, [rep.generator(k) for k in range(1, n)],
                        dimension=rep.dim)
 
 
-def _integral_groups(cx) -> list[AbelianGroup]:
-    """One Smith form per boundary, swept bottom-up, shared between degrees.
+def homology(cx, coeff: str) -> list[AbelianGroup]:
+    """Groups H_0..H_top of a chain complex over Z ("z") or F_p ("f:p").
 
-    Precondition: the boundaries compose to zero, which build_complex checks
-    before it returns a complex.  The snf of the boundary d_k skips the rows
-    at the columns where the unit-pivot phase of d_(k-1) pivoted.  That keeps
-    the row lattice of d_k, and with it the divisors: if (i, j) is a +-1
-    pivot of A = d_(k-1), row i of A * d_k = 0 writes row j of d_k as an
-    integer combination of its other rows.  Eliminating the pivot leaves a
-    Schur complement that still composes to zero with d_k minus row j, whose
-    next pivot is again a unit, so the argument repeats pivot by pivot.  The
-    kept rows of d_k still compose to zero with d_(k+1), so the pivots d_k's
-    own phase finds on them serve d_(k+1) in turn.
+    Over F_p the groups carry dimensions only (empty torsion): each boundary
+    is ranked on its own with rank_mod_p.
+
+    Over Z there is one Smith form per boundary, swept bottom-up and shared
+    between degrees.  Precondition: the boundaries compose to zero, which
+    build_complex checks before it returns a complex.  The snf of the
+    boundary d_k skips the rows at the columns where the unit-pivot phase of
+    d_(k-1) pivoted.  That keeps the row lattice of d_k, and with it the
+    divisors: if (i, j) is a +-1 pivot of A = d_(k-1), row i of A * d_k = 0
+    writes row j of d_k as an integer combination of its other rows.
+    Eliminating the pivot leaves a Schur complement that still composes to
+    zero with d_k minus row j, whose next pivot is again a unit, so the
+    argument repeats pivot by pivot.  The kept rows of d_k still compose to
+    zero with d_(k+1), so the pivots d_k's own phase finds on them serve
+    d_(k+1) in turn.
     """
+    kind, p = parse_coeff(coeff)
     top = cx.spec.rank
-    forms = {}
+    ranks: dict[int, int] = {}
+    torsion: dict[int, tuple[int, ...]] = {}
     paired = ()
     for k in range(1, top + 1):
         b = cx.boundary(k)
         charge(b.nrows, b.ncols, b.max_abs())
-        forms[k] = snf(b, skip_rows=paired)
-        paired = forms[k].pivot_cols
-    groups = []
-    for k in range(top + 1):
-        r_low = forms[k].rank if k >= 1 else 0
-        nxt = forms.get(k + 1)
-        r_high = nxt.rank if nxt else 0
-        torsion = nxt.divisors if nxt else ()
-        groups.append(AbelianGroup.from_divisors(
-            cx.rank(k) - r_low - r_high, torsion))
-    return groups
-
-
-def _modular_dims(cx, p: int) -> list[int]:
-    top = cx.spec.rank
-    ranks = {}
-    for k in range(1, top + 1):
-        b = cx.boundary(k)
-        charge(b.nrows, b.ncols, b.max_abs())
-        ranks[k] = rank_mod_p(b, p)
-    return [cx.rank(k) - ranks.get(k, 0) - ranks.get(k + 1, 0)
-            for k in range(top + 1)]
-
-
-def _rational_dims(cx) -> list[int]:
-    top = cx.spec.rank
-    ranks = {k: rank_rational(cx.boundary(k)) for k in range(1, top + 1)}
-    return [cx.rank(k) - ranks.get(k, 0) - ranks.get(k + 1, 0)
+        if kind == "f":
+            ranks[k] = rank_mod_p(b, p)
+            continue
+        form = snf(b, skip_rows=paired)
+        ranks[k], torsion[k], paired = form.rank, form.divisors, form.pivot_cols
+    return [AbelianGroup.from_divisors(
+                cx.rank(k) - ranks.get(k, 0) - ranks.get(k + 1, 0),
+                torsion.get(k + 1, ()))
             for k in range(top + 1)]
 
 
 def _twisted_row(n: int, d: int, construction: str, order: str,
                  coeff: str = "z") -> list[AbelianGroup]:
-    kind, p = parse_coeff(coeff)
     spec = CoxeterSpec("A", n - 1)
-    cx = build_complex(spec, _braid_system(n, d, construction, order))
-    if kind == "z":
-        return _integral_groups(cx)
-    return [AbelianGroup.from_divisors(r, ()) for r in _modular_dims(cx, p)]
+    cx = build_complex(spec, braid_system(n, d, construction, order))
+    return homology(cx, coeff)
 
 
 @dataclass(frozen=True)
@@ -249,12 +233,8 @@ def braid_trivial_homology(n: int, coeff: str = "z") -> list[AbelianGroup]:
     """Homology of the n-strand braid group with trivial coefficients."""
     if n < 1:
         raise ValueError("need n >= 1")
-    kind, p = parse_coeff(coeff)
     spec = CoxeterSpec("A", n - 1)
-    cx = build_complex(spec, trivial_system(spec))
-    if kind == "z":
-        return _integral_groups(cx)
-    return [AbelianGroup.from_divisors(r, ()) for r in _modular_dims(cx, p)]
+    return homology(build_complex(spec, trivial_system(spec)), coeff)
 
 
 def bddn_homology(n: int, d: int, cache_dir=None) -> list[AbelianGroup]:
@@ -313,26 +293,14 @@ class HomologyTable:
         return cls(blob["d"], blob["coeff"], dict(blob["fingerprint"]), cells)
 
 
-def thread_count(explicit=None) -> int:
-    if explicit:
-        return max(1, int(explicit))
-    env = os.environ.get("SUPERBRAID_THREADS")
-    return max(1, int(env)) if env else 1
-
-
-def compute_table(d: int, n_max: int, coeff: str = "z", cache_dir=None,
-                  threads=None) -> HomologyTable:
-    """All rows n = 1..n_max; row jobs fan out, assembly is deterministic."""
+def compute_table(d: int, n_max: int, coeff: str = "z",
+                  cache_dir=None) -> HomologyTable:
+    """All rows n = 1..n_max of the calibrated twisted homology for one d."""
     cal = calibrate(d)
-    ns = list(range(1, n_max + 1))
-    workers = thread_count(threads)
-    if workers == 1:
-        rows = [braid_twisted_homology(n, d, coeff, cache_dir) for n in ns]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(
-                lambda n: braid_twisted_homology(n, d, coeff, cache_dir), ns))
-    cells = {(n, i): g for n, row in zip(ns, rows) for i, g in enumerate(row)}
+    cells = {}
+    for n in range(1, n_max + 1):
+        for i, g in enumerate(braid_twisted_homology(n, d, coeff, cache_dir)):
+            cells[(n, i)] = g
     return HomologyTable(d, coeff, cal.fingerprint(), cells)
 
 
@@ -363,12 +331,9 @@ def artinB_homology(n: int, d: int, coeff: str = "z",
     """Homology of the type-B Artin group on the rank-d cyclic module."""
     if variant is None:
         variant = calibrate_t_variant()
-    kind, p = parse_coeff(coeff)
     spec = CoxeterSpec("B", n)
     cx = build_complex(spec, t_local_system(n, d, variant=variant))
-    if kind == "z":
-        return _integral_groups(cx)
-    return [AbelianGroup.from_divisors(r, ()) for r in _modular_dims(cx, p)]
+    return homology(cx, coeff)
 
 
 def artinB_betti(n: int, d: int, variant: int | None = None) -> list[int]:
@@ -377,12 +342,13 @@ def artinB_betti(n: int, d: int, variant: int | None = None) -> list[int]:
         variant = calibrate_t_variant()
     spec = CoxeterSpec("B", n)
     cx = build_complex(spec, t_local_system(n, d, variant=variant))
-    return _rational_dims(cx)
+    return [g.rank for g in homology(cx, "z")]
 
 
 def artinB_trivial_betti(n: int) -> list[int]:
     spec = CoxeterSpec("B", n)
-    return _rational_dims(build_complex(spec, trivial_system(spec)))
+    cx = build_complex(spec, trivial_system(spec))
+    return [g.rank for g in homology(cx, "z")]
 
 
 def artinB_reduced_betti(n: int, d: int,

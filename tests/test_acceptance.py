@@ -19,6 +19,7 @@ from superbraid.exact_linalg import IntMatrix, product_is_zero, snf
 from superbraid.homology_engine import (
     artinB_betti,
     artinB_reduced_betti,
+    braid_system,
     braid_trivial_homology,
     braid_twisted_homology,
     calibrate,
@@ -29,7 +30,6 @@ from superbraid.homology_engine import (
     verify_uct,
     verify_unstable_free,
 )
-from superbraid.homology_engine.engine import _braid_system
 from superbraid.series import compare_local, stable_series
 from superbraid.surface_rep import build_rep, convention_audit, root_check
 
@@ -113,7 +113,7 @@ def test_criterion_02_complex_soundness():
         build_complex(spec, trivial_system(spec))
         built += 1
         for d in range(2, 7):
-            build_complex(spec, _braid_system(rank + 1, d, "B",
+            build_complex(spec, braid_system(rank + 1, d, "B",
                                               "left_to_right"))
             built += 1
     for rank in range(1, 8):

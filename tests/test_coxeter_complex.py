@@ -25,7 +25,7 @@ from superbraid.coxeter_complex import (
 )
 from superbraid.coxeter_complex import complexes
 from superbraid.coxeter_complex.complexes import _boundaries, _subsets_colex
-from superbraid.exact_linalg import AbelianGroup, IntMatrix, homology_pair
+from superbraid.exact_linalg import AbelianGroup, IntMatrix, snf
 from superbraid.surface_rep import RelationError, build_rep
 
 
@@ -34,7 +34,13 @@ def group(rank, *torsion):
 
 
 def homology(cx):
-    return [homology_pair(cx.boundary(k), cx.boundary(k + 1))
+    """One plain snf per boundary: H_k is the free rank dim C_k - rank d_k -
+    rank d_(k+1) plus the divisors of d_(k+1).  It shares no code with the
+    engine's bottom-up sweep, so it stays a reference for that sweep."""
+    forms = [snf(cx.boundary(k)) for k in range(cx.spec.rank + 2)]
+    return [AbelianGroup.from_divisors(
+                cx.rank(k) - forms[k].rank - forms[k + 1].rank,
+                forms[k + 1].divisors)
             for k in range(cx.spec.rank + 1)]
 
 

@@ -3,15 +3,10 @@ from hypothesis import given, settings, strategies as st
 
 from superbraid.exact_linalg import (
     AbelianGroup,
-    CompositionError,
     IntMatrix,
-    homology_pair,
-    plocal_valuations,
     product_is_zero,
     rank_mod_p,
-    rank_rational,
     snf,
-    snf_with_prime_hints,
 )
 
 matrices = st.integers(1, 8).flatmap(
@@ -54,20 +49,11 @@ def test_rank_mod_p_diag():
     assert rank_mod_p(m, 3) == 1
 
 
-def test_homology_pair_z6():
-    # C_2 = Z^2 --diag(2,3)--> C_1 = Z^2 --0--> C_0 = Z
-    d1 = IntMatrix.zero(1, 2)
-    d2 = IntMatrix.from_dense([[2, 0], [0, 3]])
-    h = homology_pair(d1, d2)
-    assert h == AbelianGroup(0, (6,))
-    assert h == AbelianGroup(0, (2, 3))  # primary-insensitive equality
-
-
-def test_homology_pair_rejects_nonzero_composition():
-    d1 = IntMatrix.from_dense([[1, 0]])
-    d2 = IntMatrix.from_dense([[1], [0]])
-    with pytest.raises(CompositionError):
-        homology_pair(d1, d2)
+def test_rank_mod_p_reduces_entries_beyond_int64():
+    m = IntMatrix.from_dense([[2**70, 1], [3, 5]])
+    assert rank_mod_p(m, 3) == 2
+    assert rank_mod_p(m, 2) == 2
+    assert rank_mod_p(IntMatrix.from_dense([[2**70, 2**71]]), 2) == 0
 
 
 def test_abelian_group_describe():
@@ -83,6 +69,7 @@ def test_equal_groups_describe_alike():
     assert AbelianGroup(1, (2, 3, 4, 5, 8, 9)).describe() == (
         "Z + Z_2 + Z_12 + Z_360")
     assert AbelianGroup(0, (2, 3)).describe() == AbelianGroup(0, (6,)).describe()
+    assert AbelianGroup(0, (6,)) == AbelianGroup(0, (2, 3))
 
 
 def test_abelian_group_sum():
@@ -109,18 +96,12 @@ def test_snf_divisor_chain(rows):
 
 
 @settings(max_examples=60, deadline=None)
-@given(matrices)
-def test_snf_transforms_unimodular(rows):
-    import sympy
-
+@given(matrices, st.data())
+def test_snf_with_skip_rows_matches_sympy_on_kept_rows(rows, data):
+    skip = data.draw(st.sets(st.integers(0, len(rows) - 1)))
+    kept = [row for i, row in enumerate(rows) if i not in skip]
     m = IntMatrix.from_dense(rows)
-    s = snf(m, want_transforms=True)
-    assert abs(sympy.Matrix(s.U.to_dense()).det()) == 1
-    assert abs(sympy.Matrix(s.V.to_dense()).det()) == 1
-    d = s.U * m * s.V
-    expect = {(i, i): v for i, v in enumerate(s.divisors)}
-    assert d == IntMatrix(m.nrows, m.ncols, expect)
-    assert list(s.divisors) == sympy_divisors(rows)
+    assert list(snf(m, skip_rows=skip).divisors) == sympy_divisors(kept)
 
 
 @settings(max_examples=100, deadline=None)
@@ -129,49 +110,6 @@ def test_rank_mod_p_counts_nondivisible_invariants(rows, p):
     m = IntMatrix.from_dense(rows)
     s = snf(m)
     assert rank_mod_p(m, p) == sum(1 for d in s.divisors if d % p)
-
-
-@settings(max_examples=60, deadline=None)
-@given(matrices)
-def test_rank_rational_equals_snf_rank(rows):
-    m = IntMatrix.from_dense(rows)
-    assert rank_rational(m) == snf(m).rank
-
-
-@settings(max_examples=60, deadline=None)
-@given(matrices, st.sampled_from([2, 3, 5]))
-def test_plocal_valuations_match_snf(rows, p):
-    m = IntMatrix.from_dense(rows)
-    s = snf(m)
-    vals = plocal_valuations(m, p, s.rank)
-    expect = []
-    for d in s.divisors:
-        v = 0
-        while d % p == 0:
-            d //= p
-            v += 1
-        expect.append(v)
-    assert vals == sorted(expect)
-
-
-@settings(max_examples=60, deadline=None)
-@given(matrices)
-def test_snf_with_prime_hints_exact_when_hints_cover(rows):
-    m = IntMatrix.from_dense(rows)
-    s = snf(m)
-    primes = set()
-    for d in s.divisors:
-        f = 2
-        while f * f <= d:
-            if d % f == 0:
-                primes.add(f)
-                while d % f == 0:
-                    d //= f
-            f += 1
-        if d > 1:
-            primes.add(d)
-    got = snf_with_prime_hints(m, primes | {2})
-    assert got.divisors == s.divisors
 
 
 @settings(max_examples=60, deadline=None)
@@ -226,8 +164,3 @@ def test_skip_rows_drops_rows_before_eliminating():
     assert snf(m, skip_rows={2}).divisors == (1, 2)
     assert snf(m, skip_rows=[0, 2]).divisors == (2,)
 
-
-def test_skip_rows_rejects_transforms():
-    m = IntMatrix.identity(2)
-    with pytest.raises(ValueError):
-        snf(m, want_transforms=True, skip_rows={0})

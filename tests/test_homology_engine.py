@@ -42,7 +42,6 @@ from superbraid.homology_engine import (
     first_stable_rows,
     parse_coeff,
     stable_bound,
-    thread_count,
     verify_covering_iso,
     verify_stability,
     verify_torsion_law,
@@ -210,19 +209,6 @@ class TestHomologyTable:
         blob = compute_table(2, 4).to_json()
         keys = [(item["n"], item["i"]) for item in blob["cells"]]
         assert keys == sorted(keys)
-
-    def test_thread_count_sources(self, monkeypatch):
-        monkeypatch.delenv("SUPERBRAID_THREADS", raising=False)
-        assert thread_count() == 1
-        monkeypatch.setenv("SUPERBRAID_THREADS", "4")
-        assert thread_count() == 4
-        assert thread_count(2) == 2
-
-    def test_threaded_assembly_is_deterministic(self):
-        serial = compute_table(3, 5)
-        threaded = compute_table(3, 5, threads=4)
-        assert serial.cells == threaded.cells
-        assert serial.fingerprint == threaded.fingerprint
 
 
 class TestCache:
@@ -593,7 +579,7 @@ def _sweep_complexes():
         for n in range(2, 9):
             yield (f"braid n={n} d={d}", build_complex(
                 CoxeterSpec("A", n - 1),
-                engine._braid_system(n, d, cal.construction, cal.order)))
+                engine.braid_system(n, d, cal.construction, cal.order)))
     for family in ("A", "B"):
         for rank in range(1, 9):
             spec = CoxeterSpec(family, rank)
@@ -607,7 +593,7 @@ def _sweep_complexes():
 
 
 class _Complex:
-    """The slice of ChainComplex that _integral_groups reads."""
+    """The slice of ChainComplex that engine.homology reads."""
 
     def __init__(self, ranks, boundaries):
         self.spec = CoxeterSpec("A", len(ranks) - 1)
@@ -685,7 +671,7 @@ class TestBottomUpSweep:
         count = 0
         for name, cx in _sweep_complexes():
             calls.clear()
-            engine._integral_groups(cx)
+            engine.homology(cx, "z")
             assert len(calls) == cx.spec.rank, name
             for k, (m, skip, form) in enumerate(calls, start=1):
                 assert m is cx.boundary(k), name
@@ -706,9 +692,9 @@ class TestBottomUpSweep:
 
         monkeypatch.setattr(engine, "snf", recording_snf)
         cal = calibrate(2)
-        engine._integral_groups(build_complex(
+        engine.homology(build_complex(
             CoxeterSpec("A", 4),
-            engine._braid_system(5, 2, cal.construction, cal.order)))
+            engine.braid_system(5, 2, cal.construction, cal.order)), "z")
         assert calls[0][0] == set()
         for (_, lower), (skip, _) in zip(calls, calls[1:]):
             assert skip == set(lower.pivot_cols)
@@ -720,4 +706,4 @@ class TestBottomUpSweep:
         cx, expected = complex_and_groups
         for k in range(2, cx.spec.rank + 1):
             assert (cx.boundary(k - 1) * cx.boundary(k)).is_zero()
-        assert engine._integral_groups(cx) == expected
+        assert engine.homology(cx, "z") == expected
