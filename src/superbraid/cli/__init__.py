@@ -1,7 +1,8 @@
-"""Command-line front end and embedded reference fixtures.
+"""Command-line front end.
 
 The entry point lives in :mod:`superbraid.cli.main`; it is not imported
-here so that lower layers can use the fixtures without a cycle.
+here, so importing the package stays cheap.  The reference tables are
+re-exported from :mod:`superbraid.reference` as ``superbraid.cli.fixtures``.
 """
 
 from .fixtures import FIXTURES, UNKNOWN, Fixture, fixture, parse_cell

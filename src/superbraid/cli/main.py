@@ -9,7 +9,7 @@ import json
 import sys
 
 from ..coxeter_complex import CoxeterSpec, build_complex
-from ..exact_linalg import IntMatrix, product_is_zero
+from ..exact_linalg import IntMatrix, product_is_zero, require_prime
 from ..homology_engine import (
     CacheConflictError,
     CalibrationError,
@@ -20,6 +20,8 @@ from ..homology_engine import (
     calibrate,
     calibrate_t_variant,
     compute_table,
+    compute_tables,
+    parse_coeff,
     verify_covering_iso,
     verify_stability,
     verify_torsion_law,
@@ -35,19 +37,17 @@ GATING_WINDOW = "2:10,3:10,4:9,5:9,6:8"
 
 LOCAL_PRIMES = ((2, 2), (3, 3), (2, 4), (5, 5), (2, 6), (3, 6))
 
+# Every table verify reads: the integral one and the three the laws need.
+VERIFY_RINGS = ("z", "f:2", "f:3", "f:5")
+
 
 def _coeff(text: str) -> str:
-    from ..homology_engine import parse_coeff
-
     parse_coeff(text)
     return text
 
 
 def _prime(text: str) -> int:
-    p = int(text)
-    if p < 2 or any(p % q == 0 for q in range(2, int(p**0.5) + 1)):
-        raise ValueError(f"{p} is not prime")
-    return p
+    return require_prime(int(text))
 
 
 def _window(text: str) -> dict[int, int]:
@@ -103,8 +103,6 @@ def cmd_twist(args) -> int:
 
 
 def _group_text(g, coeff: str) -> str:
-    from ..homology_engine import parse_coeff
-
     kind, p = parse_coeff(coeff)
     if kind == "f":
         return "0" if g.rank == 0 else f"F_{p}^{g.rank}"
@@ -268,7 +266,6 @@ def cmd_verify(args) -> int:
     if not window and not args.inject_fault:
         print("warning: empty verification window; vacuously passing")
         return 0
-    tables = {}
     mod_tables = {}
     fingerprints = {}
     for d, n_max in sorted(window.items()):
@@ -282,37 +279,31 @@ def cmd_verify(args) -> int:
         checks.append(Report(f"calibration d={d}", True, len(cal.outcomes),
                              (), tuple(f"{c}/{o}: {msg}"
                                        for c, o, msg in cal.outcomes)))
-        table = compute_table(d, n_max, cache_dir=args.cache_dir)
-        tables[d] = table
+        by_ring = compute_tables(d, n_max, VERIFY_RINGS,
+                                 cache_dir=args.cache_dir)
+        table = by_ring["z"]
         checks.append(_golden_report(d, table))
         checks.append(_tagged(verify_torsion_law(table), d))
         checks.append(_tagged(verify_stability(table, fixture(d).highlights),
                               d))
         checks.append(_tagged(verify_unstable_free(table), d))
         for p in (2, 3, 5):
-            mod_tables[(d, p)] = compute_table(d, n_max, f"f:{p}",
-                                               cache_dir=args.cache_dir)
+            mod_tables[(d, p)] = by_ring[f"f:{p}"]
             checks.append(_tagged(verify_uct(table, mod_tables[(d, p)]), d))
         for p, dd in LOCAL_PRIMES:
             if dd == d:
                 checks.append(compare_local(p, d, table))
+    # The covering laws compare the rows two tables share, so the full
+    # tables above serve them as they are.
     for base, cover, p in ((2, 6, 2), (3, 6, 3)):
-        if base in window and cover in window:
-            n_shared = min(window[base], window[cover])
-            pair = {
-                base: compute_table(base, n_shared, f"f:{p}",
-                                    cache_dir=args.cache_dir),
-                cover: compute_table(cover, n_shared, f"f:{p}",
-                                     cache_dir=args.cache_dir),
-            }
+        if (base, p) in mod_tables and (cover, p) in mod_tables:
+            pair = {base: mod_tables[(base, p)], cover: mod_tables[(cover, p)]}
             checks.append(verify_covering_iso(base, cover, p, pair))
-    for d_odd in (3, 5):
-        if d_odd in window:
-            pair = {
-                1: compute_table(1, window[d_odd], "f:2"),
-                d_odd: mod_tables.get((d_odd, 2)) or compute_table(
-                    d_odd, window[d_odd], "f:2", cache_dir=args.cache_dir),
-            }
+    odd = [d for d in (3, 5) if (d, 2) in mod_tables]
+    if odd:
+        baseline = compute_table(1, max(window[d] for d in odd), "f:2")
+        for d_odd in odd:
+            pair = {1: baseline, d_odd: mod_tables[(d_odd, 2)]}
             checks.append(verify_covering_iso(1, d_odd, 2, pair))
     failures = [c for c in checks if not c.ok]
     if args.format == "json":

@@ -1,6 +1,8 @@
-"""Exact integer linear algebra: sparse matrices, Smith form, modular ranks."""
+"""Exact integer linear algebra: sparse matrices, Smith form, modular ranks,
+and the primality of the moduli."""
 
 from .matrix import IntMatrix, product_is_zero
+from .primes import require_prime
 from .snf import AbelianGroup, SmithForm, rank_mod_p, snf
 
 __all__ = [
@@ -9,5 +11,6 @@ __all__ = [
     "AbelianGroup",
     "SmithForm",
     "rank_mod_p",
+    "require_prime",
     "snf",
 ]

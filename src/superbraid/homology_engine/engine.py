@@ -5,13 +5,17 @@ defining relations alone, so the engine calibrates once per d: it runs the
 candidate configurations against the embedded reference rows and keeps the
 first (and only, up to identical results) configuration that reproduces
 them.  Every cached result records the winning fingerprint.
+
+A row is computed over every coefficient ring a caller needs from one
+build of its complex: the representation, the Salvetti complex and its
+square-zero check do not depend on the ring.  The engine holds one complex
+at a time and keeps none after the row is done.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..cli.fixtures import UNKNOWN, fixture
 from ..coxeter_complex import (
     DEFAULT_CONVENTION,
     CoxeterSpec,
@@ -21,7 +25,8 @@ from ..coxeter_complex import (
     t_local_system,
     trivial_system,
 )
-from ..exact_linalg import AbelianGroup, rank_mod_p, snf
+from ..exact_linalg import AbelianGroup, rank_mod_p, require_prime, snf
+from ..reference import UNKNOWN, fixture
 from ..surface_rep import RelationError, build_rep
 from .cache import cache_root, load, store
 from .limits import charge
@@ -44,10 +49,7 @@ def parse_coeff(coeff: str) -> tuple[str, int | None]:
     if coeff == "z":
         return ("z", None)
     if coeff.startswith("f:"):
-        p = int(coeff[2:])
-        if p < 2 or any(p % q == 0 for q in range(2, int(p**0.5) + 1)):
-            raise ValueError(f"{p} is not prime")
-        return ("f", p)
+        return ("f", require_prime(int(coeff[2:])))
     raise ValueError(f"bad coefficient spec {coeff!r}; use 'z' or 'f:p'")
 
 
@@ -98,11 +100,16 @@ def homology(cx, coeff: str) -> list[AbelianGroup]:
             for k in range(top + 1)]
 
 
-def _twisted_row(n: int, d: int, construction: str, order: str,
-                 coeff: str = "z") -> list[AbelianGroup]:
+def _twisted_rows(n: int, d: int, construction: str, order: str,
+                  coeffs) -> dict[str, list[AbelianGroup]]:
+    """One twisted row per ring in coeffs, all from one build of the complex.
+
+    Every F_p row is ranked mod p on its own boundaries, never read off the
+    integral divisors, so the universal-coefficient check stays a check.
+    """
     spec = CoxeterSpec("A", n - 1)
     cx = build_complex(spec, braid_system(n, d, construction, order))
-    return homology(cx, coeff)
+    return {coeff: homology(cx, coeff) for coeff in coeffs}
 
 
 @dataclass(frozen=True)
@@ -179,7 +186,7 @@ def calibrate(d: int) -> CalibrationResult:
     matches = []
     for construction, order in CALIBRATION_GRID:
         try:
-            rows = {n: _twisted_row(n, d, construction, order)
+            rows = {n: _twisted_rows(n, d, construction, order, ("z",))["z"]
                     for n in GATE_ROWS}
         except RelationError as err:
             outcomes.append((construction, order, f"rejected: {err}"))
@@ -206,27 +213,43 @@ def calibrate(d: int) -> CalibrationResult:
     return result
 
 
-def braid_twisted_homology(n: int, d: int, coeff: str = "z",
-                           cache_dir=None) -> list[AbelianGroup]:
-    """Homology of the n-strand braid group acting on the curve classes.
+def braid_twisted_rows(n: int, d: int, coeffs=("z",),
+                       cache_dir=None) -> dict[str, list[AbelianGroup]]:
+    """Homology of the n-strand braid group acting on the curve classes,
+    over each coefficient ring in coeffs ("z" or "f:p").
 
-    Returns one group per degree i = 0..n-1.  Over a prime field the groups
-    carry dimensions only (empty torsion).
+    Returns {coeff: row}, one group per degree i = 0..n-1 in each row.  Over
+    a prime field the groups carry dimensions only (empty torsion).  Every
+    ring found in the cache is loaded; the complex is built once, and only
+    if some ring misses, and each computed row is stored.
     """
     if n < 1 or d < 1:
         raise ValueError("need n >= 1 and d >= 1")
-    parse_coeff(coeff)
+    for coeff in coeffs:
+        parse_coeff(coeff)
     cal = calibrate(d)
     fp = cal.fingerprint()
     root = cache_root(cache_dir)
+    rows = {}
     if root is not None:
-        hit = load(root, "A", n, d, coeff, fp)
-        if hit is not None:
-            return hit
-    row = _twisted_row(n, d, cal.construction, cal.order, coeff)
-    if root is not None:
-        store(root, "A", n, d, coeff, fp, row)
-    return row
+        for coeff in coeffs:
+            hit = load(root, "A", n, d, coeff, fp)
+            if hit is not None:
+                rows[coeff] = hit
+    missing = [coeff for coeff in coeffs if coeff not in rows]
+    if missing:
+        fresh = _twisted_rows(n, d, cal.construction, cal.order, missing)
+        if root is not None:
+            for coeff, row in fresh.items():
+                store(root, "A", n, d, coeff, fp, row)
+        rows.update(fresh)
+    return {coeff: rows[coeff] for coeff in coeffs}
+
+
+def braid_twisted_homology(n: int, d: int, coeff: str = "z",
+                           cache_dir=None) -> list[AbelianGroup]:
+    """The one-ring case of braid_twisted_rows."""
+    return braid_twisted_rows(n, d, (coeff,), cache_dir)[coeff]
 
 
 def braid_trivial_homology(n: int, coeff: str = "z") -> list[AbelianGroup]:
@@ -293,15 +316,24 @@ class HomologyTable:
         return cls(blob["d"], blob["coeff"], dict(blob["fingerprint"]), cells)
 
 
+def compute_tables(d: int, n_max: int, coeffs=("z",),
+                   cache_dir=None) -> dict[str, HomologyTable]:
+    """All rows n = 1..n_max of the calibrated twisted homology for one d,
+    as {coeff: table}; each row is computed over every ring from one build."""
+    cal = calibrate(d)
+    cells = {coeff: {} for coeff in coeffs}
+    for n in range(1, n_max + 1):
+        for coeff, row in braid_twisted_rows(n, d, coeffs, cache_dir).items():
+            for i, g in enumerate(row):
+                cells[coeff][(n, i)] = g
+    return {coeff: HomologyTable(d, coeff, cal.fingerprint(), cells[coeff])
+            for coeff in coeffs}
+
+
 def compute_table(d: int, n_max: int, coeff: str = "z",
                   cache_dir=None) -> HomologyTable:
-    """All rows n = 1..n_max of the calibrated twisted homology for one d."""
-    cal = calibrate(d)
-    cells = {}
-    for n in range(1, n_max + 1):
-        for i, g in enumerate(braid_twisted_homology(n, d, coeff, cache_dir)):
-            cells[(n, i)] = g
-    return HomologyTable(d, coeff, cal.fingerprint(), cells)
+    """The one-ring case of compute_tables."""
+    return compute_tables(d, n_max, (coeff,), cache_dir)[coeff]
 
 
 # Signed-permutation (type B) side.  The rank-d module splits one dimension

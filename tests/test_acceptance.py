@@ -24,6 +24,7 @@ from superbraid.homology_engine import (
     braid_twisted_homology,
     calibrate,
     compute_table,
+    compute_tables,
     verify_covering_iso,
     verify_stability,
     verify_torsion_law,
@@ -44,14 +45,21 @@ LOCAL_PAIRS = ((2, 2), (3, 3), (2, 4), (5, 5), (2, 6), (3, 6))
 
 
 @pytest.fixture(scope="session")
-def tables():
-    return {d: compute_table(d, n_max) for d, n_max in WINDOWS.items()}
+def ring_tables():
+    """Every gating table, each row built once for Z, F_2, F_3 and F_5."""
+    return {d: compute_tables(d, n_max, ("z", "f:2", "f:3", "f:5"))
+            for d, n_max in WINDOWS.items()}
 
 
 @pytest.fixture(scope="session")
-def mod_tables():
-    return {(d, p): compute_table(d, n_max, f"f:{p}")
-            for d, n_max in WINDOWS.items() for p in (2, 3, 5)}
+def tables(ring_tables):
+    return {d: by_ring["z"] for d, by_ring in ring_tables.items()}
+
+
+@pytest.fixture(scope="session")
+def mod_tables(ring_tables):
+    return {(d, p): ring_tables[d][f"f:{p}"]
+            for d in WINDOWS for p in (2, 3, 5)}
 
 
 def _one_over_d_twist_failures(rep):

@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -17,6 +18,7 @@ from superbraid.cli.main import (
     _injected_fault_report,
     _poly_text,
     _window,
+    build_parser,
     main,
 )
 from superbraid.exact_linalg import AbelianGroup
@@ -108,6 +110,42 @@ class TestHomology:
         with pytest.raises(SystemExit) as exc:
             main(["homology", "--n", "4", "--coeff", "f:4"])
         assert exc.value.code == 2
+
+
+class TestPrimeArguments:
+    """Prime moduli are certified quickly or refused with a usage error."""
+
+    HUGE = 10**400 + 1  # past 2^64, so no primality certificate applies
+    BIG_PRIME = 10**18 + 3
+
+    @pytest.mark.parametrize("argv", [
+        ["homology", "--n", "3", "--coeff", f"f:{HUGE}"],
+        ["series", "--p", str(HUGE)],
+        ["homology", "--n", "3", "--coeff", f"f:{BIG_PRIME - 2}"],
+        ["series", "--p", str(BIG_PRIME + 2)],
+    ])
+    def test_uncertified_modulus_is_a_usage_error(self, argv, capsys):
+        start = time.perf_counter()
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert time.perf_counter() - start < 1.0
+        assert exc.value.code == 2
+        assert "invalid" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["homology", "--n", "3", "--coeff", f"f:{BIG_PRIME}"],
+        ["series", "--p", str(BIG_PRIME)],
+    ])
+    def test_large_prime_is_accepted_at_once(self, argv):
+        start = time.perf_counter()
+        build_parser().parse_args(argv)
+        assert time.perf_counter() - start < 1.0
+
+    def test_large_prime_field_row(self, capsys):
+        code, out, _ = run(capsys, "homology", "--n", "3", "--coeff",
+                           f"f:{self.BIG_PRIME}")
+        assert code == 0
+        assert out.strip().splitlines() == ["H_0 = 0", "H_1 = 0", "H_2 = 0"]
 
 
 class TestTable:

@@ -6,6 +6,7 @@ from superbraid.exact_linalg import (
     IntMatrix,
     product_is_zero,
     rank_mod_p,
+    require_prime,
     snf,
 )
 
@@ -164,3 +165,44 @@ def test_skip_rows_drops_rows_before_eliminating():
     assert snf(m, skip_rows={2}).divisors == (1, 2)
     assert snf(m, skip_rows=[0, 2]).divisors == (2,)
 
+
+
+def _certified(p):
+    try:
+        return require_prime(p) == p
+    except ValueError:
+        return False
+
+
+def test_require_prime_matches_sympy_below_limit():
+    import sympy
+
+    for p in range(-2, 5000):
+        assert _certified(p) == sympy.isprime(p), p
+
+
+@given(st.integers(0, (1 << 64) - 1))
+@settings(max_examples=300, deadline=None)
+def test_require_prime_matches_sympy_up_to_two_to_64(p):
+    import sympy
+
+    assert _certified(p) == sympy.isprime(p)
+
+
+@pytest.mark.parametrize("p, prime", [
+    (561, False),                     # Carmichael
+    (3215031751, False),              # strong pseudoprime to bases 2, 3, 5, 7
+    (3825123056546413051, False),     # strong pseudoprime to bases 2..23
+    (2**61 - 1, True),
+    (10**18 + 3, True),
+    (2**64 - 59, True),               # the largest prime below 2^64
+    (2**64 - 1, False),
+])
+def test_require_prime_on_hard_cases(p, prime):
+    assert _certified(p) == prime
+
+
+def test_require_prime_refuses_what_it_cannot_certify():
+    for p in (2**64 + 13, 2**89 - 1, 10**400 + 1):  # 2^64 + 13 and 2^89 - 1 are prime
+        with pytest.raises(ValueError, match="not below 2\\^64"):
+            require_prime(p)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import threading
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -33,12 +34,14 @@ from superbraid.homology_engine import (
     bit_budget,
     braid_trivial_homology,
     braid_twisted_homology,
+    braid_twisted_rows,
     cache_path,
     cache_root,
     calibrate,
     calibrate_t_variant,
     coeff_tag,
     compute_table,
+    compute_tables,
     first_stable_rows,
     parse_coeff,
     stable_bound,
@@ -211,6 +214,79 @@ class TestHomologyTable:
         assert keys == sorted(keys)
 
 
+RINGS = ("z", "f:2", "f:3", "f:5")
+
+
+def count_builds(monkeypatch) -> Counter:
+    """Count the engine's complex builds by (n, d, construction, order) of
+    their braid system; a complex of any other system counts under None."""
+    systems = {}
+    builds = Counter()
+    real_system, real_build = engine.braid_system, engine.build_complex
+
+    def braid_system(n, d, construction, order):
+        rho = real_system(n, d, construction, order)
+        systems[id(rho)] = (rho, (n, d, construction, order))
+        return rho
+
+    def build_complex(spec, rho, *args, **kwargs):
+        builds[systems.get(id(rho), (rho, None))[1]] += 1
+        return real_build(spec, rho, *args, **kwargs)
+
+    monkeypatch.setattr(engine, "braid_system", braid_system)
+    monkeypatch.setattr(engine, "build_complex", build_complex)
+    return builds
+
+
+class TestSeveralRings:
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_tables_equal_one_ring_tables(self, d):
+        together = compute_tables(d, 6, RINGS)
+        assert list(together) == list(RINGS)
+        for coeff in RINGS:
+            assert together[coeff] == compute_table(d, 6, coeff)
+
+    def test_verify_builds_each_complex_once(self, monkeypatch, capsys):
+        from superbraid.cli.main import main
+
+        # Warm the memoized calibrations, so every build counted below
+        # happens outside them.
+        for d in (1, 2, 3, 6):
+            calibrate(d)
+        calibrate_t_variant()
+        builds = count_builds(monkeypatch)
+        assert main(["verify", "--window", "2:5,3:5,6:5",
+                     "--format", "json"]) == 0
+        capsys.readouterr()
+        assert builds == Counter({(n, d, "B", "left_to_right"): 1
+                                  for d in (1, 2, 3, 6) for n in range(1, 6)})
+
+    def test_cache_serves_what_it_holds(self, tmp_path, monkeypatch):
+        expected = {coeff: braid_twisted_homology(4, 3, coeff)
+                    for coeff in RINGS}
+        braid_twisted_homology(4, 3, "z", cache_dir=tmp_path)
+        assert [p.name for p in tmp_path.iterdir()] == ["h_A_4_3_z.json"]
+        builds = count_builds(monkeypatch)
+        computed = []
+        real_homology = engine.homology
+
+        def homology(cx, coeff):
+            computed.append(coeff)
+            return real_homology(cx, coeff)
+
+        monkeypatch.setattr(engine, "homology", homology)
+        assert braid_twisted_rows(4, 3, RINGS, tmp_path) == expected
+        assert builds == Counter({(4, 3, "B", "left_to_right"): 1})
+        assert computed == ["f:2", "f:3", "f:5"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "h_A_4_3_f2.json", "h_A_4_3_f3.json", "h_A_4_3_f5.json",
+            "h_A_4_3_z.json"]
+        builds.clear()
+        computed.clear()
+        assert braid_twisted_rows(4, 3, RINGS, tmp_path) == expected
+        assert not builds and not computed
+
+
 class TestCache:
     def test_paths_and_tags(self, tmp_path):
         assert coeff_tag("z") == "z"
@@ -244,7 +320,7 @@ class TestCache:
             raise AssertionError("cache miss")
 
         import superbraid.homology_engine.engine as engine
-        monkeypatch.setattr(engine, "_twisted_row", boom)
+        monkeypatch.setattr(engine, "build_complex", boom)
         assert braid_twisted_homology(5, 2, cache_dir=tmp_path) == row
 
     def test_fingerprint_conflicts(self, tmp_path):

@@ -1,4 +1,5 @@
-"""Layering: no module imports a private name from another subpackage."""
+"""Layering: no module imports a private name from another subpackage, and
+nothing outside the command-line front end imports it."""
 
 from __future__ import annotations
 
@@ -10,38 +11,57 @@ import superbraid
 ROOT = Path(superbraid.__file__).parent
 
 
+def _imports(source: str, package: tuple[str, ...]):
+    """(line, absolute module, imported names) for each import in source,
+    read as a module of package."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            base = package[:len(package) - node.level + 1] if node.level else ()
+            module = base + tuple(filter(None, (node.module or "").split(".")))
+            yield node.lineno, module, [alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.lineno, tuple(alias.name.split(".")), []
+
+
 def cross_private_imports(source: str, package: tuple[str, ...]) -> list[str]:
     """Imports in source, read as a module of package, that reach a
     _-prefixed name or module inside another superbraid subpackage."""
     own = package[1:2]
     found = []
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.ImportFrom):
-            base = package[:len(package) - node.level + 1] if node.level else ()
-            module = base + tuple(filter(None, (node.module or "").split(".")))
-            imports = [(module, [alias.name for alias in node.names])]
-        elif isinstance(node, ast.Import):
-            imports = [(tuple(alias.name.split(".")), []) for alias in node.names]
-        else:
+    for line, target, names in _imports(source, package):
+        if target[:1] != ("superbraid",) or target[1:2] == own:
             continue
-        for target, names in imports:
-            if target[:1] != ("superbraid",) or target[1:2] == own:
-                continue
-            private = [part for part in (*target[1:], *names)
-                       if part.startswith("_") and not part.startswith("__")]
-            if private:
-                found.append(f"line {node.lineno}: {'.'.join(target)} "
-                             f"-> {', '.join(private)}")
+        private = [part for part in (*target[1:], *names)
+                   if part.startswith("_") and not part.startswith("__")]
+        if private:
+            found.append(f"line {line}: {'.'.join(target)} "
+                         f"-> {', '.join(private)}")
     return found
 
 
-def test_no_module_imports_a_private_name_across_subpackages():
-    violations = []
+def cli_imports(source: str, package: tuple[str, ...]) -> list[str]:
+    """Imports in source, read as a module of package, that reach
+    superbraid.cli from outside it."""
+    if package[:2] == ("superbraid", "cli"):
+        return []
+    found = []
+    for line, target, names in _imports(source, package):
+        reached = [target] + [target + (name,) for name in names]
+        if any(t[:2] == ("superbraid", "cli") for t in reached):
+            found.append(f"line {line}: {'.'.join(target)}")
+    return found
+
+
+def _modules():
     for path in sorted(ROOT.rglob("*.py")):
         rel = path.relative_to(ROOT)
-        package = ("superbraid", *rel.parent.parts)
-        for hit in cross_private_imports(path.read_text(), package):
-            violations.append(f"{rel}: {hit}")
+        yield rel, path.read_text(), ("superbraid", *rel.parent.parts)
+
+
+def test_no_module_imports_a_private_name_across_subpackages():
+    violations = [f"{rel}: {hit}" for rel, source, package in _modules()
+                  for hit in cross_private_imports(source, package)]
     assert not violations, "\n".join(violations)
 
 
@@ -57,3 +77,26 @@ def test_checker_flags_cross_package_private_imports():
     assert not cross_private_imports(
         "from ..homology_engine import braid_system", cli)
     assert not cross_private_imports("from __future__ import annotations", cli)
+
+
+def test_only_the_front_end_imports_the_front_end():
+    violations = [f"{rel}: {hit}" for rel, source, package in _modules()
+                  for hit in cli_imports(source, package)]
+    assert not violations, "\n".join(violations)
+
+
+def test_checker_flags_imports_of_the_front_end():
+    engine = ("superbraid", "homology_engine")
+    top = ("superbraid",)
+    assert cli_imports("from ..cli.fixtures import fixture", engine)
+    assert cli_imports("from .. import cli", engine)
+    assert cli_imports("import superbraid.cli.main as cli", engine)
+    assert cli_imports("from superbraid import cli", engine)
+    assert cli_imports("from .cli import main", top)
+    assert not cli_imports("from ..reference import fixture", engine)
+    assert not cli_imports("from .reference import fixture", top)
+    assert not cli_imports("from .client import x", top)
+    assert not cli_imports("from .fixtures import fixture",
+                           ("superbraid", "cli"))
+    assert not cli_imports("from ..reference import fixture",
+                           ("superbraid", "cli"))
