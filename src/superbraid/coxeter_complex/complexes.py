@@ -96,9 +96,6 @@ class ChainComplex:
             return self.boundaries[k]
         return IntMatrix.zero(self.rank(k - 1), self.rank(k))
 
-    def subsets(self, k: int) -> list[tuple[int, ...]]:
-        return _subsets_colex(self.spec.rank, k)
-
     def to_json(self) -> dict:
         return {
             "family": self.spec.family,

@@ -1,13 +1,17 @@
-"""Smith normal form, modular ranks, and finitely generated abelian groups."""
+"""Smith normal form, modular ranks, and finitely generated abelian groups.
+
+One sparse Markowitz elimination serves Z and every prime field.  Over Z it
+pivots on +-1 entries and hands what is left to a dense Smith elimination.
+Over F_p it pivots on any nonzero residue, so the remainder is empty and the
+pivot count is the rank.
+"""
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
-import numpy as np
-
 from .matrix import IntMatrix
+from .primes import require_prime
 
 
 @dataclass(frozen=True)
@@ -85,14 +89,8 @@ class AbelianGroup:
             out.extend(_primary_parts(q))
         return tuple(sorted(out))
 
-    def primary_counter(self) -> Counter:
-        return Counter(self.primary())
-
     def p_primary_count(self, p: int) -> int:
         return sum(1 for pk in self.primary() if pk % p == 0)
-
-    def is_trivial(self) -> bool:
-        return self.rank == 0 and not self.torsion
 
     def __eq__(self, other):
         if not isinstance(other, AbelianGroup):
@@ -211,28 +209,36 @@ def _dense_snf(a: list[list[int]]) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# Sparse unit-pivot compression
+# Sparse unit-pivot elimination, over Z or over F_p
 # ---------------------------------------------------------------------------
 
 
 def _unit_pivot_phase(
-    m: IntMatrix, skip_rows=frozenset(),
+    m: IntMatrix, skip_rows=frozenset(), p: int = 0,
 ) -> tuple[list[int], list[list[int]]]:
-    """Eliminate +-1 pivots with unimodular operations.
+    """Eliminate unit pivots sparsely; over Z when p == 0, else over F_p.
 
-    Rows in skip_rows are dropped first.  Returns (the column of each pivot,
-    one per unit invariant factor peeled off, dense remainder).  Pivot
-    choice approximates minimal Markowitz fill among unit entries.
+    Over Z the units are the +-1 entries and the row operations are
+    unimodular.  Over F_p the entries are reduced mod p as they load, zeros
+    are dropped, and every stored residue is a unit, so the remainder comes
+    back empty and the pivot count is the rank.  Rows in skip_rows are
+    dropped first.  Returns (the column of each pivot, one per unit
+    invariant factor peeled off, dense remainder).  Pivot choice
+    approximates minimal Markowitz fill among unit entries.
     """
     rows: dict[int, dict[int, int]] = {}
-    cols: dict[int, set[int]] = {}
+    cols: dict[int, set[int]] = {}  # r in cols[j] iff j in rows[r]
     units: dict[tuple[int, int], None] = {}
     for (i, j), v in m.entries.items():
         if i in skip_rows:
             continue
+        if p:
+            v %= p
+            if not v:
+                continue
         rows.setdefault(i, {})[j] = v
         cols.setdefault(j, set()).add(i)
-        if abs(v) == 1:
+        if p or v == 1 or v == -1:
             units[(i, j)] = None
     pivot_cols: list[int] = []
     while units:
@@ -243,7 +249,8 @@ def _unit_pivot_phase(
         for key in units:
             i, j = key
             row = rows.get(i)
-            if row is None or row.get(j, 0) not in (1, -1):
+            v = row.get(j) if row is not None else None
+            if v is None or not (p or v == 1 or v == -1):
                 stale.append(key)
                 continue
             score = (len(row) - 1) * (len(cols[j]) - 1)
@@ -261,41 +268,36 @@ def _unit_pivot_phase(
         units.pop(best_key, None)
         i, j = best_key
         pivot_row = rows.pop(i)
-        v = pivot_row[j]
-        # remove the pivot row from all column indices
         for jj in pivot_row:
-            s = cols.get(jj)
-            if s is not None:
-                s.discard(i)
-                if not s:
-                    del cols[jj]
-        for r in list(cols.get(j, ())):
+            cols[jj].discard(i)
+        # Scale the pivot row so the pivot is 1; each row update is then
+        # row_r -= c * pivot_row, with c the entry of row_r in column j.
+        v = pivot_row.pop(j)
+        inv = pow(v, -1, p) if p else v  # over Z, v = +-1 is its own inverse
+        others = [(jj, vv * inv % p if p else vv * inv)
+                  for jj, vv in pivot_row.items()]
+        for r in cols.pop(j):
             row_r = rows[r]
-            c = row_r.get(j)
-            if not c:
-                cols[j].discard(r)
-                continue
-            factor = c * v  # v in {1,-1} so c/v == c*v
-            for jj, vv in pivot_row.items():
-                if jj == j:
-                    w = 0
-                else:
-                    w = row_r.get(jj, 0) - factor * vv
+            c = row_r.pop(j)
+            for jj, vv in others:
+                x = row_r.get(jj)
+                if x is None:  # fill-in: -c * vv is nonzero, also mod p
+                    w = -c * vv % p if p else -c * vv
+                    row_r[jj] = w
+                    cols[jj].add(r)
+                    if p or w == 1 or w == -1:
+                        units[(r, jj)] = None
+                    continue
+                w = (x - c * vv) % p if p else x - c * vv
                 if w:
                     row_r[jj] = w
-                    cols.setdefault(jj, set()).add(r)
-                    if abs(w) == 1:
+                    if not p and (w == 1 or w == -1):
                         units[(r, jj)] = None
                 else:
-                    if row_r.pop(jj, None) is not None:
-                        s = cols.get(jj)
-                        if s is not None:
-                            s.discard(r)
-                            if not s:
-                                del cols[jj]
+                    del row_r[jj]
+                    cols[jj].discard(r)
             if not row_r:
                 del rows[r]
-        cols.pop(j, None)
         pivot_cols.append(j)
     # pack the remainder densely with fresh indices
     row_ids = sorted(rows)
@@ -330,66 +332,14 @@ def snf(m: IntMatrix, *, skip_rows=()) -> SmithForm:
                      pivot_cols=tuple(pivot_cols))
 
 
-def _rank_mod_p_numpy(a: np.ndarray, p: int) -> int:
-    """Rank of a, whose entries are residues in [0, p); eliminates in place."""
-    R, C = a.shape
-    rank = 0
-    row = 0
-    for col in range(C):
-        if row == R:
-            break
-        nz = np.nonzero(a[row:, col])[0]
-        if nz.size == 0:
-            continue
-        piv = row + int(nz[0])
-        if piv != row:
-            a[[row, piv]] = a[[piv, row]]
-        inv = pow(int(a[row, col]), p - 2, p)
-        a[row] = (a[row] * inv) % p
-        below = np.nonzero(a[row + 1 :, col])[0]
-        if below.size:
-            idx = below + row + 1
-            a[idx] = (a[idx] - np.outer(a[idx, col], a[row])) % p
-        rank += 1
-        row += 1
-    return rank
-
-
 def rank_mod_p(m: IntMatrix, p: int) -> int:
-    """Rank of the matrix over the prime field F_p."""
-    if p < 2:
-        raise ValueError("p must be a prime >= 2")
-    if m.nrows == 0 or m.ncols == 0 or not m.entries:
-        return 0
-    if p < (1 << 21):
-        # Reduce before the int64 view: entries may exceed 2^62, residues not.
-        a = np.zeros((m.nrows, m.ncols), dtype=np.int64)
-        for (i, j), v in m.entries.items():
-            a[i, j] = v % p
-        return _rank_mod_p_numpy(a, p)
-    # arbitrary-precision fallback
-    rows = [dict(r) for r in m.rows_map().values()]
-    rank = 0
-    for row in rows:
-        for k in list(row):
-            row[k] %= p
-            if not row[k]:
-                del row[k]
-    pivots: dict[int, dict[int, int]] = {}
-    for row in rows:
-        while row:
-            j = min(row)
-            if j in pivots:
-                piv = pivots[j]
-                f = (row[j] * pow(piv[j], -1, p)) % p
-                for jj, vv in piv.items():
-                    w = (row.get(jj, 0) - f * vv) % p
-                    if w:
-                        row[jj] = w
-                    else:
-                        row.pop(jj, None)
-            else:
-                pivots[j] = row
-                rank += 1
-                break
-    return rank
+    """Rank of the matrix over the prime field F_p.
+
+    p must be a certified prime below 2^64 (see require_prime); anything
+    else raises ValueError.  The rank is the pivot count of the sparse
+    elimination that snf uses, run mod p: every nonzero residue is a unit
+    pivot, so nothing is left for a dense remainder.
+    """
+    require_prime(p)
+    pivot_cols, _ = _unit_pivot_phase(m, p=p)
+    return len(pivot_cols)

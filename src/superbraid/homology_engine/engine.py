@@ -66,7 +66,8 @@ def homology(cx, coeff: str) -> list[AbelianGroup]:
     """Groups H_0..H_top of a chain complex over Z ("z") or F_p ("f:p").
 
     Over F_p the groups carry dimensions only (empty torsion): each boundary
-    is ranked on its own with rank_mod_p.
+    is ranked on its own with rank_mod_p, the sparse elimination of snf run
+    mod p, never read off the integral divisors.
 
     Over Z there is one Smith form per boundary, swept bottom-up and shared
     between degrees.  Precondition: the boundaries compose to zero, which
@@ -370,11 +371,7 @@ def artinB_homology(n: int, d: int, coeff: str = "z",
 
 def artinB_betti(n: int, d: int, variant: int | None = None) -> list[int]:
     """Rational Betti numbers of the full rank-d module, degrees 0..n."""
-    if variant is None:
-        variant = calibrate_t_variant()
-    spec = CoxeterSpec("B", n)
-    cx = build_complex(spec, t_local_system(n, d, variant=variant))
-    return [g.rank for g in homology(cx, "z")]
+    return [g.rank for g in artinB_homology(n, d, "z", variant)]
 
 
 def artinB_trivial_betti(n: int) -> list[int]:

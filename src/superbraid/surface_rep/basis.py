@@ -125,15 +125,6 @@ class IntersectionForm:
         """Corank of the pairing; equals gcd(n, d) - 1."""
         return self.basis.dim - snf(self.omega).rank
 
-    def pair_vectors(self, x: dict[int, int], y: dict[int, int]) -> int:
-        total = 0
-        for r, vx in x.items():
-            for c, vy in y.items():
-                w = self.omega[(r, c)]
-                if w:
-                    total += vx * w * vy
-        return total
-
 
 def intersection_form(n: int, d: int) -> IntMatrix:
     return IntersectionForm(n, d).omega

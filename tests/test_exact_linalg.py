@@ -57,6 +57,15 @@ def test_rank_mod_p_reduces_entries_beyond_int64():
     assert rank_mod_p(IntMatrix.from_dense([[2**70, 2**71]]), 2) == 0
 
 
+@pytest.mark.parametrize("rows, p", [
+    ([[3, 0], [0, 3]], 0), ([[3, 0], [0, 3]], 1), ([[2]], 4),
+    ([[3, 0], [0, 3]], 9), ([], 9), ([[3, 0], [0, 3]], 2**64 + 13),
+])
+def test_rank_mod_p_refuses_uncertified_moduli(rows, p):
+    with pytest.raises(ValueError):
+        rank_mod_p(IntMatrix.from_dense(rows), p)
+
+
 def test_abelian_group_describe():
     assert AbelianGroup(0).describe() == "0"
     assert AbelianGroup(2, (2, 6)).describe() == "Z^2 + Z_2 + Z_6"
@@ -111,6 +120,36 @@ def test_rank_mod_p_counts_nondivisible_invariants(rows, p):
     m = IntMatrix.from_dense(rows)
     s = snf(m)
     assert rank_mod_p(m, p) == sum(1 for d in s.divisors if d % p)
+
+
+BIG_PRIMES = [2, 3, 5, 7, 2**31 - 1, 2**61 - 1]
+
+
+@st.composite
+def lifted_low_rank(draw):
+    """(rows, p): a product of small factors, so the rank may fall short,
+    plus p times entries up to 2^70, so many entries pass 2^64."""
+    p = draw(st.sampled_from(BIG_PRIMES))
+    r, k, c = draw(st.integers(1, 8)), draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    small = st.integers(-9, 9)
+    a = draw(st.lists(st.lists(small, min_size=k, max_size=k), min_size=r, max_size=r))
+    b = draw(st.lists(st.lists(small, min_size=c, max_size=c), min_size=k, max_size=k))
+    lift = st.one_of(st.just(0), st.integers(-(2**70), 2**70))
+    rows = [[sum(a[i][t] * b[t][j] for t in range(k)) + p * draw(lift)
+             for j in range(c)] for i in range(r)]
+    return rows, p
+
+
+@settings(max_examples=150, deadline=None)
+@given(lifted_low_rank())
+def test_rank_mod_p_matches_sympy_gf(case):
+    from sympy import GF, ZZ
+    from sympy.polys.matrices import DomainMatrix
+
+    rows, p = case
+    ref = DomainMatrix([[ZZ(v) for v in row] for row in rows],
+                       (len(rows), len(rows[0])), ZZ).convert_to(GF(p)).rank()
+    assert rank_mod_p(IntMatrix.from_dense(rows), p) == ref
 
 
 @settings(max_examples=60, deadline=None)
