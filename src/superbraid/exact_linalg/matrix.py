@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import chain
+
 import numpy as np
 
 # Largest |entry| for which int64 products with a given inner dimension are safe.
@@ -86,6 +88,14 @@ class IntMatrix:
 
     def triples(self) -> list[tuple[int, int, int]]:
         return sorted((i, j, v) for (i, j), v in self.entries.items())
+
+    def without_rows(self, rows) -> "IntMatrix":
+        """The same shape with every entry in the named rows dropped."""
+        drop = frozenset(rows)
+        out = IntMatrix(self.nrows, self.ncols)
+        out.entries = {k: v for k, v in self.entries.items()
+                       if k[0] not in drop}
+        return out
 
     def rows_map(self) -> dict[int, dict[int, int]]:
         rows: dict[int, dict[int, int]] = {}
@@ -180,23 +190,63 @@ class IntMatrix:
         return out
 
 
+def _coo(m: IntMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows, columns and values of m's entries as int64 arrays."""
+    n = len(m.entries)
+    ij = np.fromiter(chain.from_iterable(m.entries), dtype=np.int64,
+                     count=2 * n).reshape(n, 2)
+    v = np.fromiter(m.entries.values(), dtype=np.int64, count=n)
+    return ij[:, 0], ij[:, 1], v
+
+
 def product_is_zero(a: IntMatrix, b: IntMatrix) -> bool:
-    """Exact test a*b == 0, using an int64 sparse product when provably safe."""
+    """Exact test a*b == 0.
+
+    When every sum of products fits in int64 (ncols * max|a| * max|b| <
+    2^62) and every output key i * b.ncols + j does too, a's entries are
+    joined to b's rows in numpy: the product terms of each entry of a are
+    expanded with np.repeat, keyed by output cell, sorted, and summed per
+    key.  a's rows go through in slices of at most nnz(a) + nnz(b) terms
+    (one row that is longer on its own makes its own slice), and the test
+    stops at the first slice with a nonzero sum.  A slice holds whole rows
+    of a, so each sum is a full output entry.  Otherwise the exact
+    IntMatrix product decides.
+    """
     if a.ncols != b.nrows:
         raise ValueError("shape mismatch")
     if not a.entries or not b.entries:
         return True
-    bound = a.ncols * a.max_abs() * b.max_abs()
-    if bound < INT64_SAFE:
-        from scipy import sparse
-
-        ai, aj, av = zip(*((i, j, v) for (i, j), v in a.entries.items()))
-        bi, bj, bv = zip(*((i, j, v) for (i, j), v in b.entries.items()))
-        sa = sparse.coo_matrix(
-            (np.array(av, dtype=np.int64), (ai, aj)), shape=(a.nrows, a.ncols)
-        ).tocsr()
-        sb = sparse.coo_matrix(
-            (np.array(bv, dtype=np.int64), (bi, bj)), shape=(b.nrows, b.ncols)
-        ).tocsr()
-        return (sa @ sb).count_nonzero() == 0
-    return (a * b).is_zero()
+    if (a.ncols * a.max_abs() * b.max_abs() >= INT64_SAFE
+            or a.nrows * b.ncols >= 1 << 63):
+        return (a * b).is_zero()
+    ai, ak, av = _coo(a)
+    by_row = np.argsort(ai, kind="stable")
+    ai, ak, av = ai[by_row], ak[by_row], av[by_row]
+    bk, bj, bv = _coo(b)
+    by_k = np.argsort(bk, kind="stable")
+    bk, bj, bv = bk[by_k], bj[by_k], bv[by_k]
+    first = np.searchsorted(bk, ak, side="left")
+    terms = np.searchsorted(bk, ak, side="right") - first
+    # Cumulative term count at the end of each row of a; slices cut there.
+    row_end = np.flatnonzero(np.append(ai[1:] != ai[:-1], True)) + 1
+    done = np.cumsum(terms)[row_end - 1]
+    budget = len(a.entries) + len(b.entries)
+    lo = r = 0  # entry and row where the next slice starts
+    while r < len(row_end):
+        base = done[r - 1] if r else 0
+        r = max(int(np.searchsorted(done, base + budget, side="right")), r + 1)
+        hi = int(row_end[r - 1])
+        count = terms[lo:hi]
+        total = int(done[r - 1] - base)
+        if total:
+            start = np.cumsum(count) - count
+            at = np.arange(total) + np.repeat(first[lo:hi] - start, count)
+            keys = np.repeat(ai[lo:hi], count) * b.ncols + bj[at]
+            vals = np.repeat(av[lo:hi], count) * bv[at]
+            order = np.argsort(keys)
+            keys, vals = keys[order], vals[order]
+            cells = np.flatnonzero(np.append(True, keys[1:] != keys[:-1]))
+            if np.add.reduceat(vals, cells).any():
+                return False
+        lo = hi
+    return True

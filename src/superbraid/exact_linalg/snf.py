@@ -2,8 +2,8 @@
 
 One sparse Markowitz elimination serves Z and every prime field.  Over Z it
 pivots on +-1 entries and hands what is left to a dense Smith elimination.
-Over F_p it pivots on any nonzero residue, so the remainder is empty and the
-pivot count is the rank.
+Over F_p it pivots on any nonzero residue, so the remainder is empty, every
+invariant factor is 1 and the pivot count is the rank.
 """
 
 from __future__ import annotations
@@ -19,8 +19,10 @@ class SmithForm:
     """Invariant factors of an integer matrix.
 
     divisors holds the nonzero invariant factors d_1 | d_2 | ... (all >= 1);
-    rank == len(divisors).  pivot_cols holds the input column of each +-1
-    pivot the sparse phase peeled, one per unit divisor it accounts for.
+    rank == len(divisors).  pivot_cols holds the input column of each unit
+    pivot the sparse phase peeled, one per unit divisor it accounts for: a
+    +-1 entry over Z, any nonzero residue over F_p (see rank_mod_p).  The
+    columns are distinct and linearly independent over the ring.
     """
 
     divisors: tuple[int, ...]
@@ -332,14 +334,17 @@ def snf(m: IntMatrix, *, skip_rows=()) -> SmithForm:
                      pivot_cols=tuple(pivot_cols))
 
 
-def rank_mod_p(m: IntMatrix, p: int) -> int:
-    """Rank of the matrix over the prime field F_p.
+def rank_mod_p(m: IntMatrix, p: int) -> SmithForm:
+    """Smith form of the matrix over the prime field F_p.
 
     p must be a certified prime below 2^64 (see require_prime); anything
-    else raises ValueError.  The rank is the pivot count of the sparse
-    elimination that snf uses, run mod p: every nonzero residue is a unit
-    pivot, so nothing is left for a dense remainder.
+    else raises ValueError.  The form comes from the sparse elimination that
+    snf uses, run mod p: every nonzero residue is a unit pivot, so nothing
+    is left for a dense remainder, the divisors are (1,) * rank, and
+    pivot_cols holds the column of each pivot.  Like snf's, those columns
+    serve the bottom-up sweep in engine.homology.
     """
     require_prime(p)
     pivot_cols, _ = _unit_pivot_phase(m, p=p)
-    return len(pivot_cols)
+    return SmithForm((1,) * len(pivot_cols), m.nrows, m.ncols,
+                     pivot_cols=tuple(pivot_cols))

@@ -65,22 +65,24 @@ def braid_system(n: int, d: int, construction: str, order: str) -> LocalSystem:
 def homology(cx, coeff: str) -> list[AbelianGroup]:
     """Groups H_0..H_top of a chain complex over Z ("z") or F_p ("f:p").
 
-    Over F_p the groups carry dimensions only (empty torsion): each boundary
-    is ranked on its own with rank_mod_p, the sparse elimination of snf run
-    mod p, never read off the integral divisors.
+    One Smith form per boundary, swept bottom-up and shared between
+    degrees: snf over Z, rank_mod_p over F_p, whose divisors are all 1, so
+    the F_p groups carry dimensions only (empty torsion).  Each prime
+    sweeps on its own pivots, never on the integral ones, so a mod-p row is
+    not read off the integral divisors.
 
-    Over Z there is one Smith form per boundary, swept bottom-up and shared
-    between degrees.  Precondition: the boundaries compose to zero, which
-    build_complex checks before it returns a complex.  The snf of the
-    boundary d_k skips the rows at the columns where the unit-pivot phase of
-    d_(k-1) pivoted.  That keeps the row lattice of d_k, and with it the
-    divisors: if (i, j) is a +-1 pivot of A = d_(k-1), row i of A * d_k = 0
-    writes row j of d_k as an integer combination of its other rows.
-    Eliminating the pivot leaves a Schur complement that still composes to
-    zero with d_k minus row j, whose next pivot is again a unit, so the
-    argument repeats pivot by pivot.  The kept rows of d_k still compose to
-    zero with d_(k+1), so the pivots d_k's own phase finds on them serve
-    d_(k+1) in turn.
+    Precondition: the boundaries compose to zero, which build_complex
+    checks before it returns a complex.  The form of the boundary d_k skips
+    the rows at the columns where the sparse elimination of d_(k-1)
+    pivoted.  That keeps the row space of d_k over the ring (over Z its row
+    lattice, and with it the divisors): if (i, j) is a pivot of A = d_(k-1),
+    a unit of the ring (+-1 over Z, any nonzero residue over F_p), row i of
+    A * d_k = 0 writes row j of d_k as a combination of its other rows with
+    coefficients in the ring.  Eliminating the pivot leaves a Schur
+    complement that still composes to zero with d_k minus row j, whose next
+    pivot is again a unit, so the argument repeats pivot by pivot.  The
+    kept rows of d_k still compose to zero with d_(k+1), so the pivots
+    d_k's own elimination finds on them serve d_(k+1) in turn.
     """
     kind, p = parse_coeff(coeff)
     top = cx.spec.rank
@@ -91,9 +93,9 @@ def homology(cx, coeff: str) -> list[AbelianGroup]:
         b = cx.boundary(k)
         charge(b.nrows, b.ncols, b.max_abs())
         if kind == "f":
-            ranks[k] = rank_mod_p(b, p)
-            continue
-        form = snf(b, skip_rows=paired)
+            form = rank_mod_p(b.without_rows(paired), p)
+        else:
+            form = snf(b, skip_rows=paired)
         ranks[k], torsion[k], paired = form.rank, form.divisors, form.pivot_cols
     return [AbelianGroup.from_divisors(
                 cx.rank(k) - ranks.get(k, 0) - ranks.get(k + 1, 0),
@@ -105,8 +107,9 @@ def _twisted_rows(n: int, d: int, construction: str, order: str,
                   coeffs) -> dict[str, list[AbelianGroup]]:
     """One twisted row per ring in coeffs, all from one build of the complex.
 
-    Every F_p row is ranked mod p on its own boundaries, never read off the
-    integral divisors, so the universal-coefficient check stays a check.
+    Every F_p row is ranked mod p on its own boundaries and its own pivots,
+    never read off the integral divisors, so the universal-coefficient check
+    stays a check.
     """
     spec = CoxeterSpec("A", n - 1)
     cx = build_complex(spec, braid_system(n, d, construction, order))

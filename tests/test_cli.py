@@ -288,6 +288,20 @@ class TestVerify:
         assert "injected sign flip" in out
         assert "failures:" in out
 
+    def test_verify_imports_no_scipy(self):
+        """A verify run in a fresh interpreter leaves scipy unimported."""
+        call = ("import sys; from superbraid.cli.main import main; "
+                "code = main(['verify', '--window', '2:4,3:4']); "
+                "print('scipy imported:', 'scipy' in sys.modules, "
+                "file=sys.stderr); sys.exit(code)")
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(superbraid.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", call],
+                              capture_output=True, text=True, env=env,
+                              timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert "scipy imported: False" in proc.stderr
+
     def test_injected_fault_report_shape(self):
         report = _injected_fault_report()
         assert not report.ok

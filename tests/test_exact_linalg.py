@@ -45,16 +45,16 @@ def test_snf_zero_and_identity():
 
 def test_rank_mod_p_diag():
     m = IntMatrix.from_dense([[2, 0], [0, 3]])
-    assert rank_mod_p(m, 2) == 1
-    assert rank_mod_p(m, 5) == 2
-    assert rank_mod_p(m, 3) == 1
+    assert rank_mod_p(m, 2).rank == 1
+    assert rank_mod_p(m, 5).rank == 2
+    assert rank_mod_p(m, 3).rank == 1
 
 
 def test_rank_mod_p_reduces_entries_beyond_int64():
     m = IntMatrix.from_dense([[2**70, 1], [3, 5]])
-    assert rank_mod_p(m, 3) == 2
-    assert rank_mod_p(m, 2) == 2
-    assert rank_mod_p(IntMatrix.from_dense([[2**70, 2**71]]), 2) == 0
+    assert rank_mod_p(m, 3).rank == 2
+    assert rank_mod_p(m, 2).rank == 2
+    assert rank_mod_p(IntMatrix.from_dense([[2**70, 2**71]]), 2).rank == 0
 
 
 @pytest.mark.parametrize("rows, p", [
@@ -119,7 +119,7 @@ def test_snf_with_skip_rows_matches_sympy_on_kept_rows(rows, data):
 def test_rank_mod_p_counts_nondivisible_invariants(rows, p):
     m = IntMatrix.from_dense(rows)
     s = snf(m)
-    assert rank_mod_p(m, p) == sum(1 for d in s.divisors if d % p)
+    assert rank_mod_p(m, p).rank == sum(1 for d in s.divisors if d % p)
 
 
 BIG_PRIMES = [2, 3, 5, 7, 2**31 - 1, 2**61 - 1]
@@ -140,28 +140,100 @@ def lifted_low_rank(draw):
     return rows, p
 
 
-@settings(max_examples=150, deadline=None)
-@given(lifted_low_rank())
-def test_rank_mod_p_matches_sympy_gf(case):
+def gf_rank(rows, p):
     from sympy import GF, ZZ
     from sympy.polys.matrices import DomainMatrix
 
+    return DomainMatrix([[ZZ(v) for v in row] for row in rows],
+                        (len(rows), len(rows[0])), ZZ).convert_to(GF(p)).rank()
+
+
+@settings(max_examples=150, deadline=None)
+@given(lifted_low_rank())
+def test_rank_mod_p_matches_sympy_gf(case):
     rows, p = case
-    ref = DomainMatrix([[ZZ(v) for v in row] for row in rows],
-                       (len(rows), len(rows[0])), ZZ).convert_to(GF(p)).rank()
-    assert rank_mod_p(IntMatrix.from_dense(rows), p) == ref
+    assert rank_mod_p(IntMatrix.from_dense(rows), p).rank == gf_rank(rows, p)
+
+
+@settings(max_examples=100, deadline=None)
+@given(lifted_low_rank())
+def test_rank_mod_p_pivot_cols_are_independent_columns(case):
+    rows, p = case
+    form = rank_mod_p(IntMatrix.from_dense(rows), p)
+    cols = form.pivot_cols
+    assert len(set(cols)) == len(cols) == form.rank
+    assert form.divisors == (1,) * form.rank
+    assert all(0 <= j < len(rows[0]) for j in cols)
+    if cols:
+        assert gf_rank([[row[j] for j in cols] for row in rows], p) == len(cols)
 
 
 @settings(max_examples=60, deadline=None)
-@given(matrices, matrices)
-def test_product_is_zero_agrees_with_exact(a_rows, b_rows):
-    a = IntMatrix.from_dense(a_rows)
-    b = IntMatrix.from_dense(b_rows)
-    if a.ncols != b.nrows:
-        b = b.transpose()
-        if a.ncols != b.nrows:
-            return
+@given(matrices, st.data())
+def test_without_rows_keeps_shape_and_drops_named_rows(rows, data):
+    drop = data.draw(st.sets(st.integers(0, len(rows) + 1)))
+    m = IntMatrix.from_dense(rows)
+    out = m.without_rows(drop)
+    assert (out.nrows, out.ncols) == (m.nrows, m.ncols)
+    assert out.to_dense() == [[0] * m.ncols if i in drop else row
+                              for i, row in enumerate(rows)]
+    assert m == IntMatrix.from_dense(rows)
+
+
+@st.composite
+def product_pairs(draw):
+    """(a, b) with a.ncols == b.nrows.  Besides plain random pairs: pairs
+    [P, P] * [Q; -Q] whose product cancels to zero, with the inner index
+    shuffled and perhaps one sign of b flipped; entries scaled up to and
+    past the 2^62 guard; and sizes whose product terms outnumber
+    nnz(a) + nnz(b) several times, so the check runs in several row slices.
+    """
+    small = st.integers(-9, 9)
+    r, k, c = (draw(st.integers(1, 12)) for _ in range(3))
+    p = draw(st.lists(st.lists(small, min_size=k, max_size=k),
+                      min_size=r, max_size=r))
+    q = draw(st.lists(st.lists(small, min_size=c, max_size=c),
+                      min_size=k, max_size=k))
+    if draw(st.booleans()):
+        p = [row + row for row in p]
+        q = q + [[-v for v in row] for row in q]
+        order = draw(st.permutations(range(2 * k)))
+        p = [[row[t] for t in order] for row in p]
+        q = [q[t] for t in order]
+        if draw(st.booleans()):
+            i, j = draw(st.integers(0, 2 * k - 1)), draw(st.integers(0, c - 1))
+            q[i][j] = -q[i][j]
+    scale = draw(st.sampled_from([1, 1, 2**29, 2**62]))
+    p = [[v * scale for v in row] for row in p]
+    return IntMatrix.from_dense(p), IntMatrix.from_dense(q)
+
+
+@settings(max_examples=200, deadline=None)
+@given(product_pairs())
+def test_product_is_zero_agrees_with_exact(pair):
+    a, b = pair
     assert product_is_zero(a, b) == (a * b).is_zero()
+
+
+def test_product_is_zero_cancels_across_row_slices():
+    p = [[(3 * i + 5 * j) % 7 - 3 for j in range(6)] for i in range(12)]
+    q = [[(2 * i - j) % 5 - 2 for j in range(9)] for i in range(6)]
+    a = IntMatrix.from_dense([row + row for row in p])
+    b = IntMatrix.from_dense(q + [[-v for v in row] for row in q])
+    terms = sum(1 for _, k in a.entries for kk, _ in b.entries if kk == k)
+    assert terms > 3 * (a.nnz() + b.nnz())
+    assert product_is_zero(a, b)
+    for (k, j), v in sorted(b.entries.items())[::5]:
+        flipped = IntMatrix(b.nrows, b.ncols, {**b.entries, (k, j): -v})
+        assert not product_is_zero(a, flipped)
+
+
+def test_product_is_zero_keys_past_int64():
+    # Output keys i * b.ncols + j of rows 0 and 2^40 differ by 2^64, so an
+    # int64 key would merge the two cells and cancel them.
+    a = IntMatrix(2**40 + 1, 1, {(0, 0): 1, (2**40, 0): -1})
+    b = IntMatrix(1, 2**24, {(0, 0): 1})
+    assert not product_is_zero(a, b)
 
 
 def test_matrix_roundtrips():

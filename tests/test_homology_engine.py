@@ -17,7 +17,13 @@ from superbraid.coxeter_complex import (
     t_local_system,
     trivial_system,
 )
-from superbraid.exact_linalg import AbelianGroup, IntMatrix, snf
+from superbraid.exact_linalg import (
+    AbelianGroup,
+    IntMatrix,
+    product_is_zero,
+    rank_mod_p,
+    snf,
+)
 from superbraid.homology_engine import (
     CACHE_VERSION,
     CALIBRATION_GRID,
@@ -668,6 +674,11 @@ def _sweep_complexes():
                 CoxeterSpec("B", n), t_local_system(n, d, variant=variant)))
 
 
+@pytest.fixture(scope="module")
+def sweep_complexes():
+    return list(_sweep_complexes())
+
+
 class _Complex:
     """The slice of ChainComplex that engine.homology reads."""
 
@@ -734,7 +745,7 @@ def chain_complexes(draw):
 
 
 class TestBottomUpSweep:
-    def test_divisors_match_plain_snf(self, monkeypatch):
+    def test_divisors_match_plain_snf(self, monkeypatch, sweep_complexes):
         calls = []
 
         def recording_snf(m, *args, **kwargs):
@@ -745,7 +756,7 @@ class TestBottomUpSweep:
         monkeypatch.setattr(engine, "snf", recording_snf)
         skipped = 0
         count = 0
-        for name, cx in _sweep_complexes():
+        for name, cx in sweep_complexes:
             calls.clear()
             engine.homology(cx, "z")
             assert len(calls) == cx.spec.rank, name
@@ -775,6 +786,57 @@ class TestBottomUpSweep:
         for (_, lower), (skip, _) in zip(calls, calls[1:]):
             assert skip == set(lower.pivot_cols)
             assert skip
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_mod_p_sweep_matches_plain_ranks(self, monkeypatch,
+                                             sweep_complexes, p):
+        """Each F_p rank skips the rows at the F_p pivots one degree below,
+        and the groups equal those of ranking every whole boundary."""
+        calls = []
+
+        def recording_rank_mod_p(m, q):
+            form = rank_mod_p(m, q)
+            calls.append((m, form))
+            return form
+
+        monkeypatch.setattr(engine, "rank_mod_p", recording_rank_mod_p)
+        dropped = 0
+        for name, cx in sweep_complexes:
+            calls.clear()
+            groups = engine.homology(cx, f"f:{p}")
+            top = cx.spec.rank
+            plain = {k: rank_mod_p(cx.boundary(k), p).rank
+                     for k in range(1, top + 1)}
+            assert groups == [
+                AbelianGroup(cx.rank(k) - plain.get(k, 0) - plain.get(k + 1, 0))
+                for k in range(top + 1)], name
+            assert len(calls) == top, name
+            lower = ()
+            for k, (m, form) in enumerate(calls, start=1):
+                b = cx.boundary(k)
+                assert m == b.without_rows(lower), (name, k)
+                dropped += b.nnz() - m.nnz()
+                lower = form.pivot_cols
+        assert dropped > 0
+
+    def test_boundaries_compose_to_zero_until_a_sign_flips(
+            self, sweep_complexes):
+        flips = 0
+        for name, cx in sweep_complexes:
+            for k in range(1, cx.spec.rank):
+                low, high = cx.boundary(k), cx.boundary(k + 1)
+                assert product_is_zero(low, high), (name, k)
+                live = {j for _, j in low.entries}
+                hit = next(((r, c) for r, c in sorted(high.entries)
+                            if r in live), None)
+                if hit is None:
+                    continue
+                entries = dict(high.entries)
+                entries[hit] = -entries[hit]
+                flipped = IntMatrix(high.nrows, high.ncols, entries)
+                assert not product_is_zero(low, flipped), (name, k, hit)
+                flips += 1
+        assert flips > 0
 
     @settings(max_examples=150, deadline=None)
     @given(chain_complexes())
