@@ -12,6 +12,7 @@ from .groups import CosetRep, CoxeterSpec, min_coset_reps
 from .systems import (
     T_VARIANTS,
     LocalSystem,
+    RelationError,
     companion_t_matrix,
     t_local_system,
     trivial_system,
@@ -26,6 +27,7 @@ __all__ = [
     "CoxeterSpec",
     "DEFAULT_CONVENTION",
     "LocalSystem",
+    "RelationError",
     "T_VARIANTS",
     "build_complex",
     "companion_t_matrix",

@@ -27,6 +27,7 @@ composition raises :class:`BoundaryError` naming the offending blocks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -88,7 +89,7 @@ class ChainComplex:
     def rank(self, k: int) -> int:
         if not 0 <= k <= self.spec.rank:
             return 0
-        return len(_subsets_colex(self.spec.rank, k)) * self.dimension
+        return math.comb(self.spec.rank, k) * self.dimension
 
     def boundary(self, k: int) -> IntMatrix:
         """The map from degree-k chains to degree-(k-1) chains."""

@@ -1,24 +1,49 @@
-"""Matrix local systems over Artin groups of types A and B."""
+"""Matrix local systems over Artin groups of types A and B.
+
+:class:`LocalSystem` is the one check of a generator system: its Artin
+relations, then the unimodularity of each generator.  The braid action on
+the curve classes (:mod:`superbraid.surface_rep`) is built on it, and this
+layer imports nothing from there.
+"""
 
 from __future__ import annotations
 
 from ..exact_linalg import IntMatrix, snf
-from ..surface_rep.twists import RelationError
 from .groups import CoxeterSpec
 
 
+class RelationError(ValueError):
+    """A generator system violates a required identity.
+
+    The offending identity is carried in ``identity`` for diagnostics, with
+    the generators named T1, T2, ...: for example ``T1 T2 T1 = T2 T1 T2``
+    or ``det T1 = +-1``.
+    """
+
+    def __init__(self, identity: str):
+        super().__init__(identity)
+        self.identity = identity
+
+
 def _alternating(x: IntMatrix, y: IntMatrix, m: int) -> IntMatrix:
-    out = IntMatrix.identity(x.nrows)
-    for i in range(m):
+    """The product x y x ... of m >= 1 alternating factors."""
+    out = x
+    for i in range(1, m):
         out = out * (x if i % 2 == 0 else y)
     return out
+
+
+def _word(i: int, j: int, m: int) -> str:
+    return " ".join(f"T{(i, j)[step % 2] + 1}" for step in range(m))
 
 
 class LocalSystem:
     """An integer matrix representation of the Artin generators.
 
     The defining Artin relations (length m(s, s') alternating products
-    agree) and unimodularity of each generator are hard postconditions.
+    agree) and unimodularity of each generator are hard postconditions,
+    checked in that order; a violation raises :class:`RelationError` naming
+    the failed identity, with generator s_g written T(g+1).
     """
 
     def __init__(self, spec: CoxeterSpec, actions, dimension: int | None = None):
@@ -36,18 +61,17 @@ class LocalSystem:
         self._check()
 
     def _check(self):
-        for g, m in enumerate(self.actions):
-            s = snf(m)
-            if s.rank != self.dimension or any(v != 1 for v in s.divisors):
-                raise RelationError(f"rho(s{g}) is not invertible over the integers")
         for i in range(len(self.actions)):
             for j in range(i + 1, len(self.actions)):
                 m = self.spec.coxeter_m(i, j)
                 lhs = _alternating(self.actions[i], self.actions[j], m)
                 rhs = _alternating(self.actions[j], self.actions[i], m)
                 if lhs != rhs:
-                    raise RelationError(
-                        f"Artin relation of order {m} fails for (s{i}, s{j})")
+                    raise RelationError(f"{_word(i, j, m)} = {_word(j, i, m)}")
+        for g, m in enumerate(self.actions):
+            s = snf(m)
+            if s.rank != self.dimension or any(v != 1 for v in s.divisors):
+                raise RelationError(f"det T{g + 1} = +-1")
 
     def action(self, g: int) -> IntMatrix:
         return self.actions[g]

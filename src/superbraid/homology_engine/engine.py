@@ -20,6 +20,7 @@ from ..coxeter_complex import (
     DEFAULT_CONVENTION,
     CoxeterSpec,
     LocalSystem,
+    RelationError,
     T_VARIANTS,
     build_complex,
     t_local_system,
@@ -27,7 +28,7 @@ from ..coxeter_complex import (
 )
 from ..exact_linalg import AbelianGroup, rank_mod_p, require_prime, snf
 from ..reference import UNKNOWN, fixture
-from ..surface_rep import RelationError, build_rep
+from ..surface_rep import build_rep
 from .cache import cache_root, load, store
 from .limits import charge
 
@@ -56,10 +57,7 @@ def parse_coeff(coeff: str) -> tuple[str, int | None]:
 def braid_system(n: int, d: int, construction: str, order: str) -> LocalSystem:
     """The n-strand braid generators acting on the curve classes, as a
     local system on the type-A Salvetti complex."""
-    rep = build_rep(n, d, construction=construction, order=order)
-    spec = CoxeterSpec("A", n - 1)
-    return LocalSystem(spec, [rep.generator(k) for k in range(1, n)],
-                       dimension=rep.dim)
+    return build_rep(n, d, construction=construction, order=order).system
 
 
 def homology(cx, coeff: str) -> list[AbelianGroup]:
@@ -111,8 +109,8 @@ def _twisted_rows(n: int, d: int, construction: str, order: str,
     never read off the integral divisors, so the universal-coefficient check
     stays a check.
     """
-    spec = CoxeterSpec("A", n - 1)
-    cx = build_complex(spec, braid_system(n, d, construction, order))
+    rho = braid_system(n, d, construction, order)
+    cx = build_complex(rho.spec, rho)
     return {coeff: homology(cx, coeff) for coeff in coeffs}
 
 
@@ -347,7 +345,6 @@ def compute_table(d: int, n_max: int, coeff: str = "z",
 # part, and the even-n reference polynomials concern the reduced part.
 
 _T_VARIANT: list = []
-_T_OUTCOMES: list = []
 
 
 def _betti_gate_odd(n: int) -> list[int]:
@@ -423,6 +420,5 @@ def calibrate_t_variant() -> int:
         outcomes.append((v, verdict))
         if verdict == "match":
             _T_VARIANT.append(v)
-            _T_OUTCOMES.extend(outcomes)
             return v
     raise CalibrationError(f"no sign variant fits the type-B gates: {outcomes}")

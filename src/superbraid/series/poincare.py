@@ -2,13 +2,9 @@
 
 from __future__ import annotations
 
+from ..exact_linalg import require_prime
 from ..homology_engine.laws import Report
 from .bivariate import BivariateSeries
-
-
-def _check_prime(p: int):
-    if p < 2 or any(p % q == 0 for q in range(2, int(p**0.5) + 1)):
-        raise ValueError(f"{p} is not prime")
 
 
 def q_analog(m: int, at: BivariateSeries) -> BivariateSeries:
@@ -29,7 +25,7 @@ def local_series(p: int, max_q: int, max_t: int) -> BivariateSeries:
     The infinite product is truncated at the first factor whose numerator
     t-degree 2p^j exceeds max_t; later factors are 1 within the window.
     """
-    _check_prime(p)
+    require_prime(p)
     if max_q < 1 or max_t < 1:
         raise ValueError("truncation orders must be >= 1")
 
@@ -80,7 +76,7 @@ def stable_series(p: int, max_q: int) -> BivariateSeries:
     the window; its denominator contributes from twice that degree on and
     truncates automatically.
     """
-    _check_prime(p)
+    require_prime(p)
     if max_q < 1:
         raise ValueError("truncation order must be >= 1")
 

@@ -16,26 +16,21 @@ The constructions genuinely differ (at n = 2 they are negatives of each
 other), and only B is symplectic for n >= 3; :func:`convention_audit`
 reports the comparison.  Downstream homology selects a construction by
 calibrating against known answers.
+
+A :class:`SurfaceRep` is a type-A local system
+(:class:`~superbraid.coxeter_complex.LocalSystem`), which checks the braid
+relations and unimodularity; the representation itself checks only what
+belongs to the curve, that construction B preserves the intersection form.
 """
 
 from __future__ import annotations
 
+from ..coxeter_complex import CoxeterSpec, LocalSystem, RelationError
 from ..exact_linalg import IntMatrix, product_is_zero, snf
 from .basis import IntersectionForm, SurfaceBasis
 
 ORDERS = ("left_to_right", "right_to_left")
 CONSTRUCTIONS = ("A", "B")
-
-
-class RelationError(ValueError):
-    """A generator system violates a required identity.
-
-    The offending identity is carried in ``identity`` for diagnostics.
-    """
-
-    def __init__(self, identity: str):
-        super().__init__(identity)
-        self.identity = identity
 
 
 def _column_matrix(dim: int, columns: list[dict[int, int]]) -> IntMatrix:
@@ -113,30 +108,14 @@ def twist_matrix(n: int, d: int, k: int, construction: str = "B",
     raise ValueError(f"construction must be one of {CONSTRUCTIONS}")
 
 
-def _is_unimodular(m: IntMatrix) -> bool:
-    if m.nrows != m.ncols:
-        return False
-    s = snf(m)
-    return s.rank == m.nrows and all(v == 1 for v in s.divisors)
-
-
-def _braid_violation(ts: list[IntMatrix]) -> str | None:
-    for a in range(len(ts)):
-        for b in range(a + 1, len(ts)):
-            if b == a + 1:
-                if ts[a] * ts[b] * ts[a] != ts[b] * ts[a] * ts[b]:
-                    return f"T{a + 1} T{b + 1} T{a + 1} = T{b + 1} T{a + 1} T{b + 1}"
-            elif ts[a] * ts[b] != ts[b] * ts[a]:
-                return f"T{a + 1} T{b + 1} = T{b + 1} T{a + 1}"
-    return None
-
-
 class SurfaceRep:
     """The homology representation of the braid group on n strands.
 
-    Braid relations, unimodularity, and (for construction B) preservation
-    of the intersection form are hard postconditions; a violation raises
-    :class:`RelationError` naming the failed identity.
+    ``system`` is the checked local system on the type-A Artin group of
+    rank n - 1, which enforces the braid relations and unimodularity.  For
+    construction B, preservation of the intersection form is checked here
+    as well.  A violation raises :class:`RelationError` naming the failed
+    identity.
     """
 
     def __init__(self, n: int, d: int, construction: str = "B",
@@ -153,6 +132,8 @@ class SurfaceRep:
         self.basis = self.form.basis
         self.matrices = [twist_matrix(n, d, k, construction, order)
                          for k in range(1, n)]
+        self.system = LocalSystem(CoxeterSpec("A", n - 1), self.matrices,
+                                  dimension=self.dim)
         self._check()
 
     @property
@@ -173,15 +154,12 @@ class SurfaceRep:
         return all(t.transpose() * omega * t == omega for t in self.matrices)
 
     def _check(self):
-        violation = _braid_violation(self.matrices)
-        if violation is not None:
-            raise RelationError(violation)
+        if self.construction != "B" or self.dim == 0:
+            return
+        omega = self.form.omega
         for k, t in enumerate(self.matrices, start=1):
-            if not _is_unimodular(t):
-                raise RelationError(f"det T{k} = +-1")
-            if self.construction == "B" and self.dim > 0:
-                if t.transpose() * self.form.omega * t != self.form.omega:
-                    raise RelationError(f"T{k}^t Omega T{k} = Omega")
+            if t.transpose() * omega * t != omega:
+                raise RelationError(f"T{k}^t Omega T{k} = Omega")
 
 
 def build_rep(n: int, d: int, construction: str = "B",

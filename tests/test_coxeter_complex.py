@@ -16,6 +16,7 @@ from superbraid.coxeter_complex import (
     BoundaryError,
     CoxeterSpec,
     LocalSystem,
+    RelationError,
     T_VARIANTS,
     build_complex,
     companion_t_matrix,
@@ -26,7 +27,7 @@ from superbraid.coxeter_complex import (
 from superbraid.coxeter_complex import complexes
 from superbraid.coxeter_complex.complexes import _boundaries, _subsets_colex
 from superbraid.exact_linalg import AbelianGroup, IntMatrix, snf
-from superbraid.surface_rep import RelationError, build_rep
+from superbraid.surface_rep import build_rep
 
 
 def group(rank, *torsion):
@@ -63,9 +64,8 @@ def enumerate_group(spec, generators=None):
 
 def surface_system(n, d):
     """Braid generators acting on curve classes, packaged as a local system."""
-    rep = build_rep(n, d, construction="B", order="left_to_right")
-    spec = CoxeterSpec("A", n - 1)
-    return spec, LocalSystem(spec, [rep.generator(k) for k in range(1, n)])
+    rho = build_rep(n, d, construction="B", order="left_to_right").system
+    return rho.spec, rho
 
 
 def reference_boundary(spec, rho, k, convention):
@@ -250,15 +250,39 @@ class TestLocalSystems:
 
     def test_rejects_non_invertible_action(self):
         spec = CoxeterSpec("A", 1)
-        with pytest.raises(RelationError):
+        with pytest.raises(RelationError) as err:
             LocalSystem(spec, [IntMatrix.from_dense([[2]])])
+        assert err.value.identity == "det T1 = +-1"
 
     def test_rejects_braid_relation_failure(self):
         spec = CoxeterSpec("A", 2)
         swap = IntMatrix.from_dense([[0, 1], [1, 0]])
         flip = IntMatrix.from_dense([[1, 0], [0, -1]])
-        with pytest.raises(RelationError):
+        with pytest.raises(RelationError) as err:
             LocalSystem(spec, [swap, flip])
+        assert err.value.identity == "T1 T2 T1 = T2 T1 T2"
+
+    def test_rejects_far_generators_that_do_not_commute(self):
+        swap = IntMatrix.from_dense([[0, 1], [1, 0]])
+        flip = IntMatrix.from_dense([[1, 0], [0, -1]])
+        # T1 and T2 braid (they are equal), but T1 and T3 do not commute.
+        with pytest.raises(RelationError) as err:
+            LocalSystem(CoxeterSpec("A", 3), [swap, swap, flip])
+        assert err.value.identity == "T1 T3 = T3 T1"
+
+    def test_rejects_order_four_relation_failure(self):
+        x = IntMatrix.from_dense([[1, 1], [0, 1]])
+        y = IntMatrix.from_dense([[1, 0], [1, 1]])
+        with pytest.raises(RelationError) as err:
+            LocalSystem(CoxeterSpec("B", 2), [x, y])
+        assert err.value.identity == "T1 T2 T1 T2 = T2 T1 T2 T1"
+
+    def test_relations_are_checked_before_unimodularity(self):
+        doubled = IntMatrix.from_dense([[2, 0], [0, 1]])
+        swap = IntMatrix.from_dense([[0, 1], [1, 0]])
+        with pytest.raises(RelationError) as err:
+            LocalSystem(CoxeterSpec("A", 2), [doubled, swap])
+        assert err.value.identity == "T1 T2 T1 = T2 T1 T2"
 
     def test_rejects_wrong_count_and_mixed_dimensions(self):
         spec = CoxeterSpec("A", 2)

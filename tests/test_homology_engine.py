@@ -17,6 +17,7 @@ from superbraid.coxeter_complex import (
     t_local_system,
     trivial_system,
 )
+from superbraid.coxeter_complex import systems
 from superbraid.exact_linalg import (
     AbelianGroup,
     IntMatrix,
@@ -60,6 +61,7 @@ from superbraid.homology_engine import (
 from superbraid.homology_engine import engine
 from superbraid.homology_engine.cache import decode_groups, load, store
 from superbraid.homology_engine.limits import charge
+from superbraid.surface_rep import basis, twists
 
 
 def group(rank, *torsion):
@@ -176,6 +178,39 @@ class TestTwistedHomology:
             braid_twisted_homology(0, 2)
         with pytest.raises(ValueError):
             braid_twisted_homology(3, 2, coeff="f:6")
+
+
+class TestBraidSystem:
+    @pytest.mark.parametrize("n,d,construction",
+                             [(2, 3, "B"), (4, 2, "B"), (5, 4, "B"),
+                              (4, 3, "A")])
+    def test_is_the_local_system_of_the_rep(self, monkeypatch, n, d,
+                                            construction):
+        real_build_rep, reps = engine.build_rep, []
+
+        def build_rep(*args, **kwargs):
+            reps.append(real_build_rep(*args, **kwargs))
+            return reps[-1]
+
+        monkeypatch.setattr(engine, "build_rep", build_rep)
+        rho = engine.braid_system(n, d, construction, "left_to_right")
+        (rep,) = reps
+        assert rho is rep.system
+        assert rho.actions == tuple(rep.matrices)
+        assert rho.spec == CoxeterSpec("A", n - 1)
+        assert rho.dimension == rep.dim
+
+    def test_unimodularity_is_checked_once_per_generator(self, monkeypatch):
+        n = 5
+        calls = []
+        for module in (systems, basis, twists):
+            def counted(m, *args, _real=module.snf, **kwargs):
+                calls.append(m)
+                return _real(m, *args, **kwargs)
+
+            monkeypatch.setattr(module, "snf", counted)
+        engine.braid_system(n, 3, "B", "left_to_right")
+        assert len(calls) == n - 1
 
 
 class TestTrivialAndProductGroups:

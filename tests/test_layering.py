@@ -1,5 +1,6 @@
-"""Layering: no module imports a private name from another subpackage, and
-nothing outside the command-line front end imports it."""
+"""Layering: no module imports a private name from another subpackage,
+nothing outside the command-line front end imports it, and the local systems
+of coxeter_complex do not import the curve representation built on them."""
 
 from __future__ import annotations
 
@@ -40,17 +41,24 @@ def cross_private_imports(source: str, package: tuple[str, ...]) -> list[str]:
     return found
 
 
+def imports_reaching(source: str, package: tuple[str, ...],
+                     subpackage: str) -> list[str]:
+    """Imports in source, read as a module of package, that reach
+    superbraid.<subpackage>."""
+    found = []
+    for line, target, names in _imports(source, package):
+        reached = [target] + [target + (name,) for name in names]
+        if any(t[:2] == ("superbraid", subpackage) for t in reached):
+            found.append(f"line {line}: {'.'.join(target)}")
+    return found
+
+
 def cli_imports(source: str, package: tuple[str, ...]) -> list[str]:
     """Imports in source, read as a module of package, that reach
     superbraid.cli from outside it."""
     if package[:2] == ("superbraid", "cli"):
         return []
-    found = []
-    for line, target, names in _imports(source, package):
-        reached = [target] + [target + (name,) for name in names]
-        if any(t[:2] == ("superbraid", "cli") for t in reached):
-            found.append(f"line {line}: {'.'.join(target)}")
-    return found
+    return imports_reaching(source, package, "cli")
 
 
 def _modules():
@@ -100,3 +108,18 @@ def test_checker_flags_imports_of_the_front_end():
                            ("superbraid", "cli"))
     assert not cli_imports("from ..reference import fixture",
                            ("superbraid", "cli"))
+
+
+def test_local_systems_do_not_import_the_curve_representation():
+    """coxeter_complex sits below surface_rep, which builds its braid action
+    as a coxeter_complex.LocalSystem; an import back would be a cycle."""
+    violations = [f"{rel}: {hit}" for rel, source, package in _modules()
+                  if package[:2] == ("superbraid", "coxeter_complex")
+                  for hit in imports_reaching(source, package, "surface_rep")]
+    assert not violations, "\n".join(violations)
+    cx = ("superbraid", "coxeter_complex")
+    assert imports_reaching("from ..surface_rep.twists import RelationError",
+                            cx, "surface_rep")
+    assert imports_reaching("from .. import surface_rep", cx, "surface_rep")
+    assert not imports_reaching("from .groups import CoxeterSpec", cx,
+                                "surface_rep")

@@ -189,11 +189,20 @@ def test_rep_degenerate_cases():
 
 
 def test_reverse_order_fails_braid_relations_for_deep_chains():
-    with pytest.raises(RelationError):
+    with pytest.raises(RelationError) as err:
         build_rep(3, 3, "B", "right_to_left")
+    assert err.value.identity == "T1 T2 T1 = T2 T1 T2"
     # with a single transvection per twist the two orders coincide
     rep = build_rep(4, 2, "B", "right_to_left")
     assert rep.matrices == build_rep(4, 2, "B", "left_to_right").matrices
+
+
+def test_relation_error_is_the_local_system_error():
+    import superbraid.coxeter_complex
+    import superbraid.surface_rep
+
+    assert (superbraid.surface_rep.RelationError
+            is superbraid.coxeter_complex.RelationError)
 
 
 def test_root_check_d2():
