@@ -17,7 +17,8 @@ either coset side and for both families.  The block is therefore
 representatives of (-1)^length(beta) rho(lift(beta)); one build computes
 each B(R, tau) once.  Lifts are int64 products checked against 2^62 before
 each product and each sum; a block whose check fails is computed in exact
-integer arithmetic instead.
+integer arithmetic instead.  Each boundary is held as int64 coordinate
+arrays (a CooMatrix), or as an IntMatrix if some entry is past int64.
 
 The coset side and the sign base are free conventions; candidates are
 enumerated in the documented order and the shipped default is the first
@@ -33,7 +34,7 @@ from itertools import combinations
 
 import numpy as np
 
-from ..exact_linalg import IntMatrix, product_is_zero
+from ..exact_linalg import CooMatrix, IntMatrix, exact, product_is_zero
 from ..exact_linalg.matrix import INT64_SAFE
 from .groups import CoxeterSpec, min_coset_reps
 from .systems import LocalSystem
@@ -79,7 +80,7 @@ class ChainComplex:
     """Ranks and boundary matrices, with degree-k rank C(rank, k) * dim."""
 
     def __init__(self, spec: CoxeterSpec, dimension: int,
-                 boundaries: dict[int, IntMatrix],
+                 boundaries: dict[int, CooMatrix | IntMatrix],
                  convention: BoundaryConvention):
         self.spec = spec
         self.dimension = dimension
@@ -91,7 +92,7 @@ class ChainComplex:
             return 0
         return math.comb(self.spec.rank, k) * self.dimension
 
-    def boundary(self, k: int) -> IntMatrix:
+    def boundary(self, k: int) -> CooMatrix | IntMatrix:
         """The map from degree-k chains to degree-(k-1) chains."""
         if k in self.boundaries:
             return self.boundaries[k]
@@ -127,6 +128,7 @@ def _run_block_int64(reps, gens: np.ndarray, gen_max: int,
                      side: str) -> np.ndarray | None:
     """B(R, tau) on int64, or None once an entry bound reaches 2^62.
 
+    gens holds the run's generators, indexed by the letters of reps.
     Representatives come in breadth-first order, so each length forms one
     contiguous level whose parents all lie in the level before; a level is
     lifted by one stacked product and added to the block with its sign.
@@ -164,30 +166,39 @@ def _run_block_int64(reps, gens: np.ndarray, gen_max: int,
     return block
 
 
-def _run_block_exact(reps, rho: LocalSystem, side: str) -> IntMatrix:
-    """B(R, tau) in exact integer arithmetic."""
-    block = IntMatrix.zero(rho.dimension, rho.dimension)
+def _run_block_exact(reps, actions: tuple[IntMatrix, ...], dim: int,
+                     side: str) -> IntMatrix:
+    """B(R, tau) in exact integer arithmetic; actions are the run's
+    generators, indexed by the letters of reps."""
+    block = IntMatrix.zero(dim, dim)
     lifted: list[IntMatrix] = []
     for rep in reps:
         if rep.parent < 0:
-            m = IntMatrix.identity(rho.dimension)
+            m = IntMatrix.identity(dim)
         elif side == "left":
-            m = lifted[rep.parent] * rho.action(rep.letter)
+            m = lifted[rep.parent] * actions[rep.letter]
         else:
-            m = rho.action(rep.letter) * lifted[rep.parent]
+            m = actions[rep.letter] * lifted[rep.parent]
         lifted.append(m)
         block = block - m if rep.length % 2 else block + m
     return block
 
 
 class _RunBlocks:
-    """B(R, tau) as (row, col, value) triples, computed once per (run, tau)."""
+    """B(R, tau) as nonzero arrays, computed once per (run, tau).
+
+    The coset representatives come from the standalone parabolic of the
+    run's shape, A_L or, for a type-B run holding s_0, B_L, whose
+    generator i is the run's generator run[0] + i.  So every run of one
+    shape shares one enumeration (min_coset_reps keeps it), and a
+    representative's letters index the run's slice of the generators.
+    """
 
     def __init__(self, spec: CoxeterSpec, rho: LocalSystem, side: str):
         self.spec = spec
         self.rho = rho
         self.side = side
-        self.blocks: dict[tuple, list[tuple[int, int, int]]] = {}
+        self.blocks: dict[tuple, tuple[np.ndarray, ...]] = {}
         dim = rho.dimension
         self.gens = np.zeros((spec.rank, dim, dim), dtype=np.int64)
         try:
@@ -197,43 +208,92 @@ class _RunBlocks:
             self.gens = None
         self.gen_max = max((a.max_abs() for a in rho.actions), default=0)
 
-    def triples(self, run: tuple[int, ...], tau: int):
+    def block(self, run: tuple[int, ...], tau: int) -> tuple[np.ndarray, ...]:
+        """Rows, columns and values of B(run, tau)'s nonzeros, row-major.
+
+        The values are int64 when every |value| < 2^63, else Python ints
+        in an object array.
+        """
         key = (run, tau)
         if key not in self.blocks:
-            reps = min_coset_reps(self.spec, run,
-                                  tuple(g for g in run if g != tau), self.side)
+            first, size = run[0], len(run)
+            family = "B" if self.spec.family == "B" and first == 0 else "A"
+            reps = min_coset_reps(CoxeterSpec(family, size),
+                                  tuple(range(size)),
+                                  tuple(g - first for g in run if g != tau),
+                                  self.side)
             block = None
             if self.gens is not None:
-                block = _run_block_int64(reps, self.gens, self.gen_max,
-                                         self.side)
+                block = _run_block_int64(reps, self.gens[first:first + size],
+                                         self.gen_max, self.side)
             if block is None:
-                exact = _run_block_exact(reps, self.rho, self.side)
-                self.blocks[key] = exact.triples()
+                exact_block = _run_block_exact(
+                    reps, self.rho.actions[first:first + size],
+                    self.rho.dimension, self.side)
+                t = exact_block.triples()
+                fits = exact_block.max_abs() < 1 << 63
+                self.blocks[key] = (
+                    np.array([r for r, _, _ in t], dtype=np.int64),
+                    np.array([c for _, c, _ in t], dtype=np.int64),
+                    np.array([v for _, _, v in t],
+                             dtype=np.int64 if fits else object))
             else:
                 rr, cc = np.nonzero(block)
-                self.blocks[key] = list(zip(rr.tolist(), cc.tolist(),
-                                            block[rr, cc].tolist()))
+                self.blocks[key] = (rr.astype(np.int64, copy=False),
+                                    cc.astype(np.int64, copy=False),
+                                    block[rr, cc])
         return self.blocks[key]
 
 
 def _boundary_matrix(spec: CoxeterSpec, dim: int, k: int, blocks: _RunBlocks,
-                     mu_base: int) -> IntMatrix:
+                     mu_base: int) -> CooMatrix | IntMatrix:
+    """The boundary d_k, as a CooMatrix unless some entry is past int64.
+
+    The nonzeros are stored with Gamma in colex order, then tau ascending
+    in Gamma, then each block (-1)^(mu + mu_base) B(run, tau), at row
+    block Gamma - tau and column block Gamma, row-major.  The elimination
+    loads them in that order, which fixes its pivots.  Each distinct
+    block is held once and expanded over the (Gamma, tau) pairs that use
+    it by np.repeat offsets.
+    """
     cols = _subsets_colex(spec.rank, k)
     rows = {g: i for i, g in enumerate(_subsets_colex(spec.rank, k - 1))}
-    out = IntMatrix.zero(len(rows) * dim, len(cols) * dim)
-    ent = out.entries
+    index: dict[tuple, int] = {}  # (run, tau) -> position in parts
+    parts = []
+    use, r0, c0, sign = [], [], [], []
     for ci, gamma in enumerate(cols):
-        c0 = ci * dim
         for mu, tau in enumerate(gamma):
-            r0 = rows[tuple(g for g in gamma if g != tau)] * dim
-            sign = -1 if (mu + mu_base) % 2 else 1
-            for r, c, v in blocks.triples(_run_of(gamma, tau), tau):
-                ent[(r0 + r, c0 + c)] = sign * v
-    return out
+            key = (_run_of(gamma, tau), tau)
+            if key not in index:
+                index[key] = len(parts)
+                parts.append(blocks.block(*key))
+            use.append(index[key])
+            r0.append(rows[tuple(g for g in gamma if g != tau)] * dim)
+            c0.append(ci * dim)
+            sign.append(-1 if (mu + mu_base) % 2 else 1)
+    sizes = np.array([len(part[2]) for part in parts], dtype=np.int64)
+    br, bc, bv = (np.concatenate([part[i] for part in parts])
+                  for i in range(3))
+    count = sizes[use]
+    # Position in br, bc, bv of each output entry: its pair's block start
+    # plus its offset inside the block.
+    at = np.arange(count.sum()) + np.repeat(
+        (np.cumsum(sizes) - sizes)[use] - (np.cumsum(count) - count), count)
+    out_rows = np.repeat(r0, count) + br[at]
+    out_cols = np.repeat(c0, count) + bc[at]
+    out_vals = np.repeat(sign, count) * bv[at]
+    nrows, ncols = len(rows) * dim, len(cols) * dim
+    if out_vals.dtype == object:  # some block entry is past int64
+        out = IntMatrix(nrows, ncols)
+        out.entries = dict(zip(zip(out_rows.tolist(), out_cols.tolist()),
+                               out_vals.tolist()))
+        return out
+    return CooMatrix(nrows, ncols, out_rows, out_cols, out_vals)
 
 
 def _boundaries(spec: CoxeterSpec, rho: LocalSystem,
-                convention: BoundaryConvention) -> dict[int, IntMatrix]:
+                convention: BoundaryConvention
+                ) -> dict[int, CooMatrix | IntMatrix]:
     """Every boundary of the complex, before the composition check."""
     blocks = _RunBlocks(spec, rho, convention.side)
     return {k: _boundary_matrix(spec, rho.dimension, k, blocks,
@@ -241,9 +301,9 @@ def _boundaries(spec: CoxeterSpec, rho: LocalSystem,
             for k in range(1, spec.rank + 1)}
 
 
-def _locate_failure(d_low: IntMatrix, d_high: IntMatrix, k: int,
-                    spec: CoxeterSpec, dim: int) -> BoundaryError:
-    product = d_low * d_high
+def _locate_failure(d_low, d_high, k: int, spec: CoxeterSpec,
+                    dim: int) -> BoundaryError:
+    product = exact(d_low) * exact(d_high)
     (r, c, _) = product.triples()[0]
     gamma = _subsets_colex(spec.rank, k + 1)[c // dim]
     gamma2 = _subsets_colex(spec.rank, k - 1)[r // dim]

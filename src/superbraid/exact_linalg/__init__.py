@@ -1,12 +1,14 @@
 """Exact integer linear algebra: sparse matrices, Smith form, modular ranks,
 and the primality of the moduli."""
 
-from .matrix import IntMatrix, product_is_zero
+from .matrix import CooMatrix, IntMatrix, exact, product_is_zero
 from .primes import require_prime
 from .snf import AbelianGroup, SmithForm, rank_mod_p, snf
 
 __all__ = [
+    "CooMatrix",
     "IntMatrix",
+    "exact",
     "product_is_zero",
     "AbelianGroup",
     "SmithForm",

@@ -1,4 +1,10 @@
-"""Sparse integer matrices with exact arbitrary-precision entries."""
+"""Sparse integer matrices: exact Python-int maps and int64 coordinate arrays.
+
+Both types expose the same read-only members, so the elimination kernel and
+the composition check each load either one the same way: nrows and ncols,
+nnz, max_abs, without_rows, stored (the nonzeros in storage order), coo
+(the same as int64 arrays) and triples (sorted).
+"""
 
 from __future__ import annotations
 
@@ -88,6 +94,21 @@ class IntMatrix:
 
     def triples(self) -> list[tuple[int, int, int]]:
         return sorted((i, j, v) for (i, j), v in self.entries.items())
+
+    def stored(self):
+        """(row, col, value) of every nonzero, in storage order."""
+        return ((i, j, v) for (i, j), v in self.entries.items())
+
+    def coo(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Rows, columns and values in storage order, as int64 arrays.
+
+        Raises OverflowError if an entry does not fit in int64.
+        """
+        n = len(self.entries)
+        ij = np.fromiter(chain.from_iterable(self.entries), dtype=np.int64,
+                         count=2 * n).reshape(n, 2)
+        v = np.fromiter(self.entries.values(), dtype=np.int64, count=n)
+        return ij[:, 0], ij[:, 1], v
 
     def without_rows(self, rows) -> "IntMatrix":
         """The same shape with every entry in the named rows dropped."""
@@ -190,17 +211,66 @@ class IntMatrix:
         return out
 
 
-def _coo(m: IntMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rows, columns and values of m's entries as int64 arrays."""
-    n = len(m.entries)
-    ij = np.fromiter(chain.from_iterable(m.entries), dtype=np.int64,
-                     count=2 * n).reshape(n, 2)
-    v = np.fromiter(m.entries.values(), dtype=np.int64, count=n)
-    return ij[:, 0], ij[:, 1], v
+class CooMatrix:
+    """Integer matrix held as three int64 arrays: the row, column and value
+    of each nonzero, in the order the entries were written.
+
+    No (row, col) repeats, no value is zero, and every |value| < 2^63, so
+    abs and negation cannot wrap; a matrix with a larger entry is an
+    IntMatrix.  The arrays are shared, never written after construction.
+    """
+
+    __slots__ = ("nrows", "ncols", "rows", "cols", "vals")
+
+    def __init__(self, nrows: int, ncols: int, rows: np.ndarray,
+                 cols: np.ndarray, vals: np.ndarray):
+        self.nrows = nrows
+        self.ncols = ncols
+        self.rows = rows
+        self.cols = cols
+        self.vals = vals
+
+    def nnz(self) -> int:
+        return len(self.vals)
+
+    def max_abs(self) -> int:
+        return int(np.abs(self.vals).max(initial=0))
+
+    def without_rows(self, rows) -> "CooMatrix":
+        """The same shape with every entry in the named rows dropped."""
+        keep = ~np.isin(self.rows, np.fromiter(rows, dtype=np.int64))
+        return CooMatrix(self.nrows, self.ncols, self.rows[keep],
+                         self.cols[keep], self.vals[keep])
+
+    def stored(self):
+        """(row, col, value) of every nonzero, in storage order."""
+        return zip(self.rows.tolist(), self.cols.tolist(), self.vals.tolist())
+
+    def coo(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Rows, columns and values in storage order."""
+        return self.rows, self.cols, self.vals
+
+    def triples(self) -> list[tuple[int, int, int]]:
+        order = np.lexsort((self.cols, self.rows))
+        return list(zip(self.rows[order].tolist(), self.cols[order].tolist(),
+                        self.vals[order].tolist()))
+
+    def __repr__(self):
+        return f"CooMatrix({self.nrows}x{self.ncols}, nnz={self.nnz()})"
 
 
-def product_is_zero(a: IntMatrix, b: IntMatrix) -> bool:
-    """Exact test a*b == 0.
+def exact(m: IntMatrix | CooMatrix) -> IntMatrix:
+    """m as an IntMatrix, for exact arithmetic; m itself if it is one."""
+    if isinstance(m, IntMatrix):
+        return m
+    out = IntMatrix(m.nrows, m.ncols)
+    out.entries = {(i, j): v for i, j, v in m.stored()}
+    return out
+
+
+def product_is_zero(a: IntMatrix | CooMatrix,
+                    b: IntMatrix | CooMatrix) -> bool:
+    """Exact test a*b == 0, for either matrix type on either side.
 
     When every sum of products fits in int64 (ncols * max|a| * max|b| <
     2^62) and every output key i * b.ncols + j does too, a's entries are
@@ -214,15 +284,15 @@ def product_is_zero(a: IntMatrix, b: IntMatrix) -> bool:
     """
     if a.ncols != b.nrows:
         raise ValueError("shape mismatch")
-    if not a.entries or not b.entries:
+    if not a.nnz() or not b.nnz():
         return True
     if (a.ncols * a.max_abs() * b.max_abs() >= INT64_SAFE
             or a.nrows * b.ncols >= 1 << 63):
-        return (a * b).is_zero()
-    ai, ak, av = _coo(a)
+        return (exact(a) * exact(b)).is_zero()
+    ai, ak, av = a.coo()
     by_row = np.argsort(ai, kind="stable")
     ai, ak, av = ai[by_row], ak[by_row], av[by_row]
-    bk, bj, bv = _coo(b)
+    bk, bj, bv = b.coo()
     by_k = np.argsort(bk, kind="stable")
     bk, bj, bv = bk[by_k], bj[by_k], bv[by_k]
     first = np.searchsorted(bk, ak, side="left")
@@ -230,7 +300,7 @@ def product_is_zero(a: IntMatrix, b: IntMatrix) -> bool:
     # Cumulative term count at the end of each row of a; slices cut there.
     row_end = np.flatnonzero(np.append(ai[1:] != ai[:-1], True)) + 1
     done = np.cumsum(terms)[row_end - 1]
-    budget = len(a.entries) + len(b.entries)
+    budget = a.nnz() + b.nnz()
     lo = r = 0  # entry and row where the next slice starts
     while r < len(row_end):
         base = done[r - 1] if r else 0

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .matrix import IntMatrix
+from .matrix import CooMatrix, IntMatrix
 from .primes import require_prime
 
 
@@ -53,12 +53,21 @@ def _primary_parts(q: int) -> list[int]:
     return sorted(out)
 
 
+def _prime_of(q: int) -> int:
+    """The prime of a prime power q > 1, by trial division up to sqrt(q)."""
+    f = 2
+    while f * f <= q:
+        if q % f == 0:
+            return f
+        f += 1
+    return q
+
+
 def _invariant_chain(primary: tuple[int, ...]) -> list[int]:
     """Invariant factors q_1 | q_2 | ... rebuilt from prime-power parts."""
     by_prime: dict[int, list[int]] = {}
     for q in primary:  # ascending, so each prime's powers ascend
-        p = next(f for f in range(2, q + 1) if q % f == 0)
-        by_prime.setdefault(p, []).append(q)
+        by_prime.setdefault(_prime_of(q), []).append(q)
     chain: list[int] = []
     for powers in by_prime.values():
         for k, q in enumerate(reversed(powers)):
@@ -216,7 +225,7 @@ def _dense_snf(a: list[list[int]]) -> list[int]:
 
 
 def _unit_pivot_phase(
-    m: IntMatrix, skip_rows=frozenset(), p: int = 0,
+    m: IntMatrix | CooMatrix, skip_rows=frozenset(), p: int = 0,
 ) -> tuple[list[int], list[list[int]]]:
     """Eliminate unit pivots sparsely; over Z when p == 0, else over F_p.
 
@@ -226,12 +235,14 @@ def _unit_pivot_phase(
     back empty and the pivot count is the rank.  Rows in skip_rows are
     dropped first.  Returns (the column of each pivot, one per unit
     invariant factor peeled off, dense remainder).  Pivot choice
-    approximates minimal Markowitz fill among unit entries.
+    approximates minimal Markowitz fill among unit entries, scanning the
+    units in the order they were found; the entries load in m's storage
+    order (m.stored()), so that order fixes every pivot and the remainder.
     """
     rows: dict[int, dict[int, int]] = {}
     cols: dict[int, set[int]] = {}  # r in cols[j] iff j in rows[r]
     units: dict[tuple[int, int], None] = {}
-    for (i, j), v in m.entries.items():
+    for i, j, v in m.stored():
         if i in skip_rows:
             continue
         if p:
@@ -317,7 +328,7 @@ def _unit_pivot_phase(
 # ---------------------------------------------------------------------------
 
 
-def snf(m: IntMatrix, *, skip_rows=()) -> SmithForm:
+def snf(m: IntMatrix | CooMatrix, *, skip_rows=()) -> SmithForm:
     """Smith normal form with an ascending divisor chain.
 
     Peels +-1 pivots sparsely, then finishes the remainder densely.
@@ -334,7 +345,7 @@ def snf(m: IntMatrix, *, skip_rows=()) -> SmithForm:
                      pivot_cols=tuple(pivot_cols))
 
 
-def rank_mod_p(m: IntMatrix, p: int) -> SmithForm:
+def rank_mod_p(m: IntMatrix | CooMatrix, p: int) -> SmithForm:
     """Smith form of the matrix over the prime field F_p.
 
     p must be a certified prime below 2^64 (see require_prime); anything

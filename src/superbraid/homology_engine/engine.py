@@ -139,35 +139,32 @@ def _zero_group() -> AbelianGroup:
     return AbelianGroup.from_divisors(0, ())
 
 
-def _gate_mismatch(d: int, rows: dict) -> str | None:
-    """First gate cell the computed rows get wrong, or None.
+def _gate_mismatch(d: int, n: int, row: list[AbelianGroup]) -> str | None:
+    """First gate cell of row n that the computed row gets wrong, or None.
 
     Row n=3 gates only the printed i=1 cell; rows n=4 and n=5 are compared
     in full, with unprinted cells in degrees >= 1 required to vanish.
     """
     fix = fixture(d)
-    want = fix.cell(3, 1)
-    if rows[3][1] != want:
-        return (f"(n=3, i=1): computed {rows[3][1].describe()}, "
-                f"table has {want.describe()}")
-    for n in (4, 5):
-        for i in range(1, n):
-            want = fix.cell(n, i)
-            if want is UNKNOWN:
-                continue
-            if want is None:
-                want = _zero_group()
-            if rows[n][i] != want:
-                return (f"(n={n}, i={i}): computed {rows[n][i].describe()}, "
-                        f"table has {want.describe()}")
+    for i in (1,) if n == 3 else range(1, n):
+        want = fix.cell(n, i)
+        if want is UNKNOWN:
+            continue
+        if want is None:
+            want = _zero_group()
+        if row[i] != want:
+            return (f"(n={n}, i={i}): computed {row[i].describe()}, "
+                    f"table has {want.describe()}")
     return None
 
 
 def calibrate(d: int) -> CalibrationResult:
     """Select the construction/order pair that reproduces the reference rows.
 
-    For d = 1 the coefficient module is zero and every configuration agrees,
-    so the first grid entry is returned without gating.
+    A candidate's gate rows are computed in turn, n = 3, 4, 5, and the
+    first mismatching row ends it.  For d = 1 the coefficient module is
+    zero and every configuration agrees, so the first grid entry is
+    returned without gating.
     """
     if d < 1:
         raise ValueError("d must be >= 1")
@@ -187,13 +184,20 @@ def calibrate(d: int) -> CalibrationResult:
     outcomes = []
     matches = []
     for construction, order in CALIBRATION_GRID:
+        # Every gate representation is built, and its relations checked,
+        # before any row, so a rejection outranks a mismatch.
         try:
-            rows = {n: _twisted_rows(n, d, construction, order, ("z",))["z"]
-                    for n in GATE_ROWS}
+            systems = {n: braid_system(n, d, construction, order)
+                       for n in GATE_ROWS}
         except RelationError as err:
             outcomes.append((construction, order, f"rejected: {err}"))
             continue
-        why = _gate_mismatch(d, rows)
+        rows = {}
+        for n, rho in systems.items():
+            rows[n] = homology(build_complex(rho.spec, rho), "z")
+            why = _gate_mismatch(d, n, rows[n])
+            if why is not None:
+                break
         if why is None:
             outcomes.append((construction, order, "match"))
             matches.append(((construction, order), rows))

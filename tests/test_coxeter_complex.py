@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -24,9 +26,10 @@ from superbraid.coxeter_complex import (
     t_local_system,
     trivial_system,
 )
-from superbraid.coxeter_complex import complexes
+from superbraid.coxeter_complex import complexes, groups
 from superbraid.coxeter_complex.complexes import _boundaries, _subsets_colex
-from superbraid.exact_linalg import AbelianGroup, IntMatrix, snf
+from superbraid.exact_linalg import (
+    AbelianGroup, CooMatrix, IntMatrix, exact, rank_mod_p, snf)
 from superbraid.surface_rep import build_rep
 
 
@@ -92,12 +95,17 @@ def reference_boundary(spec, rho, k, convention):
 
 
 def assert_reference_boundaries(spec, rho):
+    """Every boundary under every convention equals the reference; returns
+    the matrix types the boundaries were built as."""
+    kinds = set()
     for convention in CONVENTION_CANDIDATES:
         got = _boundaries(spec, rho, convention)
         assert sorted(got) == list(range(1, spec.rank + 1))
         for k, b in got.items():
-            assert b == reference_boundary(spec, rho, k, convention), (
+            assert exact(b) == reference_boundary(spec, rho, k, convention), (
                 convention, k)
+            kinds.add(type(b))
+    return kinds
 
 
 class TestCoxeterSpec:
@@ -397,7 +405,7 @@ class TestChainComplexes:
         plain = build_complex(spec, sys, BoundaryConvention("left", 0))
         flipped = build_complex(spec, sys, BoundaryConvention("left", 1))
         for k in range(1, spec.rank + 1):
-            assert flipped.boundary(k) == -plain.boundary(k)
+            assert exact(flipped.boundary(k)) == -exact(plain.boundary(k))
 
     def test_homology_independent_of_passing_convention(self):
         spec = CoxeterSpec("B", 3)
@@ -426,7 +434,7 @@ class TestChainComplexes:
                 cx.boundary(int(k)).nrows, cx.boundary(int(k)).ncols,
                 [tuple(t) for t in triples])
             for k, triples in blob["boundaries"].items()}
-        assert rebuilt == cx.boundaries
+        assert rebuilt == {k: exact(b) for k, b in cx.boundaries.items()}
         json.dumps(blob)
 
 
@@ -436,35 +444,128 @@ class TestRunBlocks:
     @pytest.mark.parametrize("d", [2, 3, 4])
     @pytest.mark.parametrize("n", [4, 5, 6])
     def test_braid_systems(self, n, d):
-        assert_reference_boundaries(*surface_system(n, d))
+        assert assert_reference_boundaries(*surface_system(n, d)) == {
+            CooMatrix}
 
     @pytest.mark.parametrize("variant", [0, 1, 2, 3])
     def test_t_systems(self, variant):
         rho = t_local_system(4, 3, variant=variant)
-        assert_reference_boundaries(rho.spec, rho)
+        assert assert_reference_boundaries(rho.spec, rho) == {CooMatrix}
 
     def test_trivial_systems(self):
         for spec in (CoxeterSpec("A", 4), CoxeterSpec("B", 3)):
-            assert_reference_boundaries(spec, trivial_system(spec, 2))
+            assert assert_reference_boundaries(
+                spec, trivial_system(spec, 2)) == {CooMatrix}
+
+    @staticmethod
+    def conjugated(shift):
+        """The n = 4, d = 2 braid system conjugated by an elementary matrix
+        with entry 2^shift, so its blocks grow with shift."""
+        spec, rho = surface_system(4, 2)
+        dim = rho.dimension
+        p = IntMatrix(dim, dim, {**IntMatrix.identity(dim).entries,
+                                 (0, 1): 1 << shift})
+        p_inv = IntMatrix(dim, dim, {**IntMatrix.identity(dim).entries,
+                                     (0, 1): -(1 << shift)})
+        return spec, LocalSystem(spec, [p_inv * a * p for a in rho.actions])
 
     def test_exact_fallback_past_the_int64_guard(self, monkeypatch):
         exact_calls = []
-        exact = complexes._run_block_exact
+        exact_block = complexes._run_block_exact
 
         def counted(*args):
             exact_calls.append(args)
-            return exact(*args)
+            return exact_block(*args)
 
         monkeypatch.setattr(complexes, "_run_block_exact", counted)
         spec, rho = surface_system(4, 2)
-        assert_reference_boundaries(spec, rho)
+        assert assert_reference_boundaries(spec, rho) == {CooMatrix}
         assert not exact_calls
-        dim = rho.dimension
-        p = IntMatrix(dim, dim, {**IntMatrix.identity(dim).entries,
-                                 (0, 1): 1 << 20})
-        p_inv = IntMatrix(dim, dim, {**IntMatrix.identity(dim).entries,
-                                     (0, 1): -(1 << 20)})
-        big = LocalSystem(spec, [p_inv * a * p for a in rho.actions])
+        spec, big = self.conjugated(20)
         assert max(a.max_abs() for a in big.actions) >= 1 << 40
-        assert_reference_boundaries(spec, big)
+        # Past the 2^62 guard, but every entry still fits in int64.
+        assert assert_reference_boundaries(spec, big) == {CooMatrix}
         assert exact_calls
+
+    def test_block_entry_past_int64_keeps_the_boundary_exact(self):
+        spec, big = self.conjugated(32)
+        assert IntMatrix in assert_reference_boundaries(spec, big)
+        cx = build_complex(spec, big)
+        assert max(cx.boundary(k).max_abs()
+                   for k in range(1, spec.rank + 1)) >= 1 << 64
+
+    @pytest.mark.parametrize("n, d", [(5, 2), (6, 2), (6, 3), (5, 4)])
+    def test_pivots_follow_the_write_order(self, n, d):
+        """The array boundaries eliminate exactly as an IntMatrix holding
+        the same nonzeros in the order the blocks are written: Gamma colex,
+        tau ascending in Gamma, each block row-major.  Pivots, divisors and
+        the bottom-up sweep's skipped rows all follow that order."""
+        spec, rho = surface_system(n, d)
+        cx = build_complex(spec, rho)
+        dim = rho.dimension
+        paired = {"z": (), 3: ()}
+        for k in range(1, spec.rank + 1):
+            cols = _subsets_colex(spec.rank, k)
+            rows = _subsets_colex(spec.rank, k - 1)
+
+            def write_position(entry):
+                (r, c), _ = entry
+                gamma = cols[c // dim]
+                (tau,) = set(gamma) - set(rows[r // dim])
+                return (c // dim, gamma.index(tau), r, c)
+
+            b = cx.boundary(k)
+            assert isinstance(b, CooMatrix)
+            written = IntMatrix(b.nrows, b.ncols)
+            ref = reference_boundary(spec, rho, k, DEFAULT_CONVENTION)
+            written.entries = dict(sorted(ref.entries.items(),
+                                          key=write_position))
+            assert list(b.stored()) == list(written.stored())
+            assert snf(b) == snf(written)
+            form = snf(b, skip_rows=paired["z"])
+            assert form == snf(written, skip_rows=paired["z"])
+            mod3 = rank_mod_p(b.without_rows(paired[3]), 3)
+            assert mod3 == rank_mod_p(written.without_rows(paired[3]), 3)
+            paired = {"z": form.pivot_cols, 3: mod3.pivot_cols}
+
+    def test_boundaries_keep_few_bytes_per_nonzero(self):
+        """A built complex keeps each boundary nonzero in three int64
+        slots, not in a tuple-keyed dict entry (over 100 bytes each).  The
+        coset memo is emptied before and after the build, so only what the
+        complex itself holds is counted."""
+        spec, rho = surface_system(9, 2)
+        groups._coset_reps.cache_clear()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            cx = build_complex(spec, rho)
+            groups._coset_reps.cache_clear()
+            gc.collect()
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        nnz = sum(cx.boundary(k).nnz() for k in range(1, spec.rank + 1))
+        assert nnz > 5000
+        assert kept < 48 * nnz, kept / nnz
+
+    def test_runs_of_one_shape_share_one_enumeration(self, monkeypatch):
+        """Coset representatives are asked of the standalone parabolic of
+        each run's shape (A_L, or B_L for a type-B run holding s_0), so
+        runs of one shape ask the same question."""
+        asked = []
+
+        def recording(spec, gamma, gamma_prime, side="left"):
+            asked.append((spec, tuple(gamma), tuple(gamma_prime), side))
+            return min_coset_reps(spec, gamma, gamma_prime, side)
+
+        monkeypatch.setattr(complexes, "min_coset_reps", recording)
+        for spec, rho in (surface_system(6, 2),
+                          (CoxeterSpec("B", 4),
+                           t_local_system(4, 3, variant=2))):
+            asked.clear()
+            _boundaries(spec, rho, DEFAULT_CONVENTION)
+            for shape, gamma, _, _ in asked:
+                assert gamma == tuple(range(shape.rank))
+            families = {shape.family for shape, _, _, _ in asked}
+            assert families == ({"A"} if spec.family == "A" else {"A", "B"})
+            assert len(set(asked)) < len(asked)

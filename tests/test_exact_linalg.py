@@ -1,9 +1,17 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import superbraid
 from superbraid.exact_linalg import (
     AbelianGroup,
+    CooMatrix,
     IntMatrix,
+    exact,
     product_is_zero,
     rank_mod_p,
     require_prime,
@@ -70,6 +78,22 @@ def test_abelian_group_describe():
     assert AbelianGroup(0).describe() == "0"
     assert AbelianGroup(2, (2, 6)).describe() == "Z^2 + Z_2 + Z_6"
     assert AbelianGroup(1).describe() == "Z"
+
+
+def test_describe_large_prime_torsion_promptly():
+    """Each prime-power part finds its prime by trial division up to its
+    square root, so a cached Z_(2^31 - 1) prints at once.  Run in a child
+    process, so a scan up to the prime itself fails by timeout instead of
+    stalling the suite."""
+    code = ("from superbraid.exact_linalg import AbelianGroup as G\n"
+            "print(G(0, (100000007,)).describe())\n"
+            "print(G(1, (2, 2 * (2**31 - 1), 3**19)).describe())\n")
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(superbraid.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env, timeout=20, check=True).stdout
+    assert out.splitlines() == [
+        "Z_100000007", f"Z + Z_2 + Z_{2 * (2**31 - 1) * 3**19}"]
 
 
 def test_equal_groups_describe_alike():
@@ -213,6 +237,57 @@ def product_pairs(draw):
 def test_product_is_zero_agrees_with_exact(pair):
     a, b = pair
     assert product_is_zero(a, b) == (a * b).is_zero()
+
+
+def as_coo(m):
+    """m's nonzeros as a CooMatrix, in m's storage order."""
+    return CooMatrix(m.nrows, m.ncols, *m.coo())
+
+
+@settings(max_examples=200, deadline=None)
+@given(product_pairs(), st.booleans(), st.booleans())
+def test_product_is_zero_on_arrays_agrees_with_exact(pair, coo_a, coo_b):
+    """Either side may be a CooMatrix: both are in the composition check,
+    and --inject-fault passes an array boundary and a tampered IntMatrix.
+    A matrix with an entry past int64 stays an IntMatrix."""
+    a, b = pair
+    x = as_coo(a) if coo_a and a.max_abs() < 1 << 63 else a
+    y = as_coo(b) if coo_b and b.max_abs() < 1 << 63 else b
+    assert product_is_zero(x, y) == (a * b).is_zero()
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrices, st.data())
+def test_coo_matrix_members_match_int_matrix(rows, data):
+    m = IntMatrix.from_dense(rows)
+    c = as_coo(m)
+    assert (c.nrows, c.ncols, c.nnz(), c.max_abs()) == (
+        m.nrows, m.ncols, m.nnz(), m.max_abs())
+    assert c.triples() == m.triples()
+    assert list(c.stored()) == list(m.stored())
+    drop = data.draw(st.sets(st.integers(0, m.nrows - 1)))
+    assert (list(c.without_rows(drop).stored())
+            == list(m.without_rows(drop).stored()))
+    assert exact(c) == m
+    assert snf(c) == snf(m)
+    assert rank_mod_p(c, 3) == rank_mod_p(m, 3)
+
+
+def test_pivots_follow_the_storage_order():
+    """The kernel scans the unit entries in the order they are stored, so
+    a diagonal stored bottom-up pivots bottom-up.  The array boundaries
+    keep the order the dict boundaries were written in, and with it every
+    pivot."""
+    m = IntMatrix(5, 5)
+    m.entries = {(i, i): 1 for i in reversed(range(5))}
+    for x in (m, as_coo(m)):
+        assert snf(x).pivot_cols == (4, 3, 2, 1, 0)
+        assert rank_mod_p(x, 3).pivot_cols == (4, 3, 2, 1, 0)
+
+
+def test_int64_arrays_refuse_an_entry_past_int64():
+    with pytest.raises(OverflowError):
+        IntMatrix(1, 2, {(0, 0): 1, (0, 1): 1 << 63}).coo()
 
 
 def test_product_is_zero_cancels_across_row_slices():

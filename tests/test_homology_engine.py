@@ -21,6 +21,7 @@ from superbraid.coxeter_complex import systems
 from superbraid.exact_linalg import (
     AbelianGroup,
     IntMatrix,
+    exact,
     product_is_zero,
     rank_mod_p,
     snf,
@@ -142,6 +143,38 @@ class TestCalibration:
 
     def test_calibration_is_memoized(self):
         assert calibrate(4) is calibrate(4)
+
+    @pytest.mark.parametrize("d", [2, 4])
+    def test_losing_candidate_stops_at_its_first_mismatching_row(
+            self, monkeypatch, d):
+        """Each candidate's gate rows are computed in turn, and the first
+        mismatching row ends it: A/left_to_right mismatches at n = 3, so
+        only its n = 3 complex is built.  B/right_to_left is rejected at
+        d >= 3 while its representations are built, before any complex."""
+        monkeypatch.delitem(engine._CALIBRATIONS, d, raising=False)
+        real_build_rep, real_build_complex = (engine.build_rep,
+                                              engine.build_complex)
+        config_of, built = {}, {}
+
+        def build_rep(n, d, construction, order):
+            rep = real_build_rep(n, d, construction=construction, order=order)
+            config_of[id(rep.system)] = f"{construction}/{order}"
+            return rep
+
+        def build_complex(spec, rho, *args):
+            built.setdefault(config_of[id(rho)], []).append(spec.rank + 1)
+            return real_build_complex(spec, rho, *args)
+
+        monkeypatch.setattr(engine, "build_rep", build_rep)
+        monkeypatch.setattr(engine, "build_complex", build_complex)
+        outcomes = calibrate(d).outcomes
+        expected = {"B/left_to_right": [3, 4, 5], "A/left_to_right": [3]}
+        if d == 2:
+            expected["B/right_to_left"] = [3, 4, 5]
+        assert built == expected
+        assert [msg.split(":")[0] for _, _, msg in outcomes] == (
+            ["match", "match", "mismatch at (n=3, i=1)"] if d == 2 else
+            ["match", "rejected", "mismatch at (n=3, i=1)"])
 
 
 class TestTwistedHomology:
@@ -849,7 +882,8 @@ class TestBottomUpSweep:
             lower = ()
             for k, (m, form) in enumerate(calls, start=1):
                 b = cx.boundary(k)
-                assert m == b.without_rows(lower), (name, k)
+                assert (list(m.stored())
+                        == list(b.without_rows(lower).stored())), (name, k)
                 dropped += b.nnz() - m.nnz()
                 lower = form.pivot_cols
         assert dropped > 0
@@ -861,7 +895,8 @@ class TestBottomUpSweep:
             for k in range(1, cx.spec.rank):
                 low, high = cx.boundary(k), cx.boundary(k + 1)
                 assert product_is_zero(low, high), (name, k)
-                live = {j for _, j in low.entries}
+                high = exact(high)
+                live = {j for _, j, _ in low.stored()}
                 hit = next(((r, c) for r, c in sorted(high.entries)
                             if r in live), None)
                 if hit is None:
