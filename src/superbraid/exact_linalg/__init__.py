@@ -2,13 +2,14 @@
 and the primality of the moduli."""
 
 from .matrix import CooMatrix, IntMatrix, exact, product_is_zero
-from .primes import require_prime
+from .primes import prime_power_base, require_prime
 from .snf import AbelianGroup, SmithForm, rank_mod_p, snf
 
 __all__ = [
     "CooMatrix",
     "IntMatrix",
     "exact",
+    "prime_power_base",
     "product_is_zero",
     "AbelianGroup",
     "SmithForm",

@@ -1,17 +1,23 @@
 """Smith normal form, modular ranks, and finitely generated abelian groups.
 
-One sparse Markowitz elimination serves Z and every prime field.  Over Z it
-pivots on +-1 entries and hands what is left to a dense Smith elimination.
-Over F_p it pivots on any nonzero residue, so the remainder is empty, every
-invariant factor is 1 and the pivot count is the rank.
+One sparse elimination serves Z and every prime field.  Over Z it pivots
+on +-1 entries and hands what is left to a dense Smith elimination.  Over
+F_p it pivots on any nonzero residue, so the remainder is empty, every
+invariant factor is 1 and the pivot count is the rank.  The elimination
+first peels, in numpy, the units alone in their row or column, which is
+pure deletion (the elementary reduction of Kaczynski, Mrozek and
+Slusarek, Comput. Math. Appl. 35 (1998)); a Markowitz elimination over
+Python dicts then takes the core that is left.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .matrix import CooMatrix, IntMatrix
-from .primes import require_prime
+from .primes import prime_power_base, require_prime
 
 
 @dataclass(frozen=True)
@@ -35,39 +41,47 @@ class SmithForm:
         return len(self.divisors)
 
 
+def _least_prime(n: int, f: int = 2) -> int:
+    """The least prime factor of n > 1, given that it is at least f.
+
+    Trial division, cut short once f reaches 64: if n is a power of a
+    prime that require_prime certifies, that prime is the answer, so a
+    large prime part costs one certificate, not sqrt(n) divisions.
+    """
+    certify = True
+    while f * f <= n:
+        if n % f == 0:
+            return f
+        if f >= 64 and certify:
+            certify = False
+            try:
+                return prime_power_base(n)
+            except ValueError:
+                pass
+        f += 1
+    return n
+
+
 def _primary_parts(q: int) -> list[int]:
     """Prime-power factors of q > 1, e.g. 12 -> [4, 3]."""
     out = []
     n = q
     f = 2
-    while f * f <= n:
-        if n % f == 0:
-            pk = 1
-            while n % f == 0:
-                pk *= f
-                n //= f
-            out.append(pk)
-        f += 1
-    if n > 1:
-        out.append(n)
+    while n > 1:
+        f = _least_prime(n, f)
+        pk = 1
+        while n % f == 0:
+            pk *= f
+            n //= f
+        out.append(pk)
     return sorted(out)
-
-
-def _prime_of(q: int) -> int:
-    """The prime of a prime power q > 1, by trial division up to sqrt(q)."""
-    f = 2
-    while f * f <= q:
-        if q % f == 0:
-            return f
-        f += 1
-    return q
 
 
 def _invariant_chain(primary: tuple[int, ...]) -> list[int]:
     """Invariant factors q_1 | q_2 | ... rebuilt from prime-power parts."""
     by_prime: dict[int, list[int]] = {}
     for q in primary:  # ascending, so each prime's powers ascend
-        by_prime.setdefault(_prime_of(q), []).append(q)
+        by_prime.setdefault(_least_prime(q), []).append(q)
     chain: list[int] = []
     for powers in by_prime.values():
         for k, q in enumerate(reversed(powers)):
@@ -224,36 +238,104 @@ def _dense_snf(a: list[list[int]]) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
+def _ring_entries(m: IntMatrix | CooMatrix, p: int):
+    """Rows, columns and values of m's stored entries, in storage order,
+    with the values reduced mod p when p > 0.
+
+    Rows and columns are int64 arrays.  The values are int64 too, unless
+    an entry or a residue does not fit: then they are exact Python ints in
+    an object array (an IntMatrix entry past int64, or a prime past 2^63).
+    """
+    try:
+        rows, cols, vals = m.coo()
+    except OverflowError:  # an IntMatrix entry past int64: keep it exact
+        stored = list(m.stored())
+        rows = np.array([i for i, _, _ in stored], dtype=np.int64)
+        cols = np.array([j for _, j, _ in stored], dtype=np.int64)
+        vals = np.array([v for _, _, v in stored], dtype=object)
+    if p >= 1 << 63:
+        vals = vals.astype(object)
+    return rows, cols, vals % p if p else vals
+
+
+def _peel_unit_singletons(rows, cols, unit):
+    """Pivot on the units alone in their row or column, round by round.
+
+    rows and cols locate the live entries, unit flags the units among
+    them.  Removing such a pivot (i, j) is pure deletion of row i and
+    column j: alone in its column, it needs no row update; alone in its
+    row, it only clears the rest of its column.  Each round counts the
+    live entries per row and per column, keeps of the unit singletons the
+    first per row, then the first per column, in storage order, and drops
+    their rows and columns.  Those pivots lie in distinct rows and
+    columns, and deleting one leaves every other a singleton, so taken
+    together they are a valid sequence of unit pivots.  Rounds repeat
+    until one finds none.  Returns (the pivot columns in the order taken,
+    the indices of the entries left).
+    """
+    live = np.arange(len(rows))
+    pivot_cols: list[int] = []
+    while live.size:
+        r, c = rows[live], cols[live]
+        in_row, in_col = np.bincount(r), np.bincount(c)
+        found = np.flatnonzero(unit[live]
+                               & ((in_row[r] == 1) | (in_col[c] == 1)))
+        if not found.size:
+            break
+        for line, size in ((r, in_row.size), (c, in_col.size)):
+            at = line[found]
+            first = np.full(size, live.size)  # least candidate per line
+            np.minimum.at(first, at, found)
+            found = found[first[at] == found]
+        pivot_cols.extend(c[found].tolist())
+        dead_rows = np.zeros(in_row.size, dtype=bool)
+        dead_rows[r[found]] = True
+        dead_cols = np.zeros(in_col.size, dtype=bool)
+        dead_cols[c[found]] = True
+        live = live[~(dead_rows[r] | dead_cols[c])]
+    return pivot_cols, live
+
+
 def _unit_pivot_phase(
     m: IntMatrix | CooMatrix, skip_rows=frozenset(), p: int = 0,
 ) -> tuple[list[int], list[list[int]]]:
     """Eliminate unit pivots sparsely; over Z when p == 0, else over F_p.
 
     Over Z the units are the +-1 entries and the row operations are
-    unimodular.  Over F_p the entries are reduced mod p as they load, zeros
-    are dropped, and every stored residue is a unit, so the remainder comes
+    unimodular.  Over F_p the entries are reduced mod p, zeros are
+    dropped, and every stored residue is a unit, so the remainder comes
     back empty and the pivot count is the rank.  Rows in skip_rows are
     dropped first.  Returns (the column of each pivot, one per unit
-    invariant factor peeled off, dense remainder).  Pivot choice
-    approximates minimal Markowitz fill among unit entries, scanning the
-    units in the order they were found; the entries load in m's storage
-    order (m.stored()), so that order fixes every pivot and the remainder.
+    invariant factor peeled off, dense remainder).
+
+    Two stages, one path for every ring and matrix type.  First numpy
+    peels the units alone in their row or column (_peel_unit_singletons),
+    which costs no arithmetic.  Then the entries left, the core, load in
+    m's storage order into row and column maps, and a Markowitz
+    elimination pivots on the units: it approximates minimal fill,
+    scanning the units in the order they were found.  m's storage order
+    (m.stored()) thus fixes every pivot and the remainder.
     """
+    row_of, col_of, vals = _ring_entries(m, p)
+    skip = np.fromiter(skip_rows, dtype=np.int64, count=len(skip_rows))
+    skipped = np.zeros(m.nrows, dtype=bool)
+    skipped[skip[(skip >= 0) & (skip < m.nrows)]] = True  # m's rows only
+    kept = np.flatnonzero((vals != 0) & ~skipped[row_of])
+    # Over F_p every kept residue is a unit; over Z only +-1 is.
+    unit = (np.ones(kept.size, dtype=bool) if p
+            else np.abs(vals[kept]) == 1)
+    pivot_cols, core = _peel_unit_singletons(
+        row_of[kept], col_of[kept], unit)
+    core = kept[core]
     rows: dict[int, dict[int, int]] = {}
     cols: dict[int, set[int]] = {}  # r in cols[j] iff j in rows[r]
     units: dict[tuple[int, int], None] = {}
-    for i, j, v in m.stored():
-        if i in skip_rows:
-            continue
-        if p:
-            v %= p
-            if not v:
-                continue
+    for i, j, v in zip(row_of[core].tolist(), col_of[core].tolist(),
+                       vals[core].tolist()):
         rows.setdefault(i, {})[j] = v
         cols.setdefault(j, set()).add(i)
         if p or v == 1 or v == -1:
             units[(i, j)] = None
-    pivot_cols: list[int] = []
     while units:
         best_key = None
         best_score = None

@@ -14,7 +14,7 @@ import os
 import tempfile
 from pathlib import Path
 
-from ..exact_linalg import AbelianGroup
+from ..exact_linalg import AbelianGroup, prime_power_base
 
 CACHE_VERSION = 1
 _FIELDS = frozenset({"fingerprint", "groups", "version"})
@@ -56,11 +56,19 @@ def encode_groups(groups) -> list[dict]:
 
 
 def decode_groups(payload) -> list[AbelianGroup]:
+    """The groups of a cache payload.  Each torsion entry must be a prime
+    power p^k with p certified by require_prime, as encode_groups writes
+    them; anything else raises ValueError, so a corrupt entry can never
+    send the group arithmetic into a long factorisation."""
     out = [None] * len(payload)
     for item in payload:
         i = item["i"]
         if not 0 <= i < len(out) or out[i] is not None:
             raise ValueError("cache payload has missing or duplicate degrees")
+        for q in item["torsion"]:
+            if type(q) is not int:
+                raise ValueError(f"torsion entry {q!r} is not an integer")
+            prime_power_base(q)
         out[i] = AbelianGroup.from_divisors(item["rank"], item["torsion"])
     return out
 

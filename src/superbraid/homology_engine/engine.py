@@ -9,12 +9,15 @@ them.  Every cached result records the winning fingerprint.
 A row is computed over every coefficient ring a caller needs from one
 build of its complex: the representation, the Salvetti complex and its
 square-zero check do not depend on the ring.  The engine holds one complex
-at a time and keeps none after the row is done.
+at a time and keeps none after the row is done, except the winning
+configuration's gate complexes (n = 3, 4, 5; under 2 000 nonzeros each
+for d <= 6): each calibration keeps them with their integral rows, and the
+rows n = 3, 4, 5 of its d are served from them rather than built again.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from ..coxeter_complex import (
     DEFAULT_CONVENTION,
@@ -101,27 +104,37 @@ def homology(cx, coeff: str) -> list[AbelianGroup]:
             for k in range(top + 1)]
 
 
-def _twisted_rows(n: int, d: int, construction: str, order: str,
+def _twisted_rows(n: int, cal: CalibrationResult,
                   coeffs) -> dict[str, list[AbelianGroup]]:
-    """One twisted row per ring in coeffs, all from one build of the complex.
+    """One twisted row per ring in coeffs, all from one build of the complex,
+    or from the gate complex and integral row the calibration kept.
 
     Every F_p row is ranked mod p on its own boundaries and its own pivots,
     never read off the integral divisors, so the universal-coefficient check
     stays a check.
     """
-    rho = braid_system(n, d, construction, order)
-    cx = build_complex(rho.spec, rho)
-    return {coeff: homology(cx, coeff) for coeff in coeffs}
+    if n in cal.gates:
+        cx, z_row = cal.gates[n]
+    else:
+        rho = braid_system(n, cal.d, cal.construction, cal.order)
+        cx, z_row = build_complex(rho.spec, rho), None
+    return {coeff: list(z_row) if coeff == "z" and z_row is not None
+            else homology(cx, coeff) for coeff in coeffs}
 
 
 @dataclass(frozen=True)
 class CalibrationResult:
-    """The configuration selected for one d, with the full grid record."""
+    """The configuration selected for one d, with the full grid record.
+
+    gates maps each gate row n to the winning configuration's complex and
+    its integral row, as the calibration computed them.
+    """
 
     d: int
     construction: str
     order: str
     outcomes: tuple[tuple[str, str, str], ...]
+    gates: dict = field(default_factory=dict, compare=False, repr=False)
 
     def fingerprint(self) -> dict:
         return {
@@ -192,29 +205,31 @@ def calibrate(d: int) -> CalibrationResult:
         except RelationError as err:
             outcomes.append((construction, order, f"rejected: {err}"))
             continue
-        rows = {}
+        rows, complexes = {}, {}
         for n, rho in systems.items():
-            rows[n] = homology(build_complex(rho.spec, rho), "z")
+            complexes[n] = build_complex(rho.spec, rho)
+            rows[n] = homology(complexes[n], "z")
             why = _gate_mismatch(d, n, rows[n])
             if why is not None:
                 break
         if why is None:
             outcomes.append((construction, order, "match"))
-            matches.append(((construction, order), rows))
+            matches.append(((construction, order), rows, complexes))
         else:
             outcomes.append((construction, order, f"mismatch at {why}"))
     if not matches:
         detail = "; ".join(f"{c}/{o}: {msg}" for c, o, msg in outcomes)
         raise CalibrationError(
             f"no configuration reproduces the d={d} reference rows ({detail})")
-    (first_config, first_rows) = matches[0]
-    for config, rows in matches[1:]:
+    (first_config, first_rows, first_complexes) = matches[0]
+    for config, rows, _ in matches[1:]:
         if rows != first_rows:
             raise CalibrationError(
                 f"calibration for d={d} is ambiguous: {first_config} and "
                 f"{config} both match the gates with different results")
+    gates = {n: (first_complexes[n], first_rows[n]) for n in GATE_ROWS}
     result = CalibrationResult(d, first_config[0], first_config[1],
-                               tuple(outcomes))
+                               tuple(outcomes), gates)
     _CALIBRATIONS[d] = result
     return result
 
@@ -227,7 +242,8 @@ def braid_twisted_rows(n: int, d: int, coeffs=("z",),
     Returns {coeff: row}, one group per degree i = 0..n-1 in each row.  Over
     a prime field the groups carry dimensions only (empty torsion).  Every
     ring found in the cache is loaded; the complex is built once, and only
-    if some ring misses, and each computed row is stored.
+    if some ring misses (a gate row's complex and integral row come from
+    the calibration), and each computed row is stored.
     """
     if n < 1 or d < 1:
         raise ValueError("need n >= 1 and d >= 1")
@@ -244,7 +260,7 @@ def braid_twisted_rows(n: int, d: int, coeffs=("z",),
                 rows[coeff] = hit
     missing = [coeff for coeff in coeffs if coeff not in rows]
     if missing:
-        fresh = _twisted_rows(n, d, cal.construction, cal.order, missing)
+        fresh = _twisted_rows(n, cal, missing)
         if root is not None:
             for coeff, row in fresh.items():
                 store(root, "A", n, d, coeff, fp, row)

@@ -353,6 +353,46 @@ class TestExitCodes:
         assert err.startswith("cache error: ")
         assert err.count("\n") == 1
 
+    @staticmethod
+    def _cached_row(tmp_path, torsion):
+        """A cache file for row (3, 2) over Z whose H_1 has this torsion,
+        written by hand, as a corrupt or foreign cache would hold it."""
+        from superbraid.homology_engine import calibrate
+
+        blob = {"n": 3, "d": 2, "coeff": "z", "version": 1,
+                "fingerprint": calibrate(2).fingerprint(),
+                "groups": [{"i": 0, "rank": 0, "torsion": []},
+                           {"i": 1, "rank": 0, "torsion": torsion},
+                           {"i": 2, "rank": 0, "torsion": []}]}
+        (tmp_path / "h_A_3_2_z.json").write_text(json.dumps(blob))
+
+    def test_warm_run_reads_large_prime_torsion_promptly(self, tmp_path):
+        """A cached Z_(2^61 - 1), or its square, is settled by a primality
+        certificate, not by trial division up to its square root (about
+        200 s).  The run is a child process with a timeout, so a stall
+        fails instead of hanging the suite."""
+        p = 2**61 - 1
+        self._cached_row(tmp_path, [p, p**2])
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(superbraid.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "superbraid.cli.main", "homology",
+             "--n", "3", "--d", "2", "--cache-dir", str(tmp_path)],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[1] == f"H_1 = Z_{p} + Z_{p**2}"
+
+    @pytest.mark.parametrize("torsion", [[6], [1], [2.0]])
+    def test_cached_torsion_beyond_certified_prime_powers_maps_to_two(
+            self, capsys, tmp_path, torsion):
+        self._cached_row(tmp_path, torsion)
+        code, out, err = run(capsys, "homology", "--n", "3", "--d", "2",
+                             "--cache-dir", str(tmp_path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("cache error: ")
+        assert "unreadable groups" in err
+
     def test_console_script_smoke(self):
         """The declared console script resolves and lists the subcommands.
 

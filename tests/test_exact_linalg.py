@@ -81,9 +81,9 @@ def test_abelian_group_describe():
 
 
 def test_describe_large_prime_torsion_promptly():
-    """Each prime-power part finds its prime by trial division up to its
-    square root, so a cached Z_(2^31 - 1) prints at once.  Run in a child
-    process, so a scan up to the prime itself fails by timeout instead of
+    """Each prime-power part finds its prime by a short trial division
+    and a primality certificate, so a cached Z_(2^31 - 1) prints at once.
+    Run in a child process, so a long scan fails by timeout instead of
     stalling the suite."""
     code = ("from superbraid.exact_linalg import AbelianGroup as G\n"
             "print(G(0, (100000007,)).describe())\n"
@@ -285,6 +285,94 @@ def test_pivots_follow_the_storage_order():
         assert rank_mod_p(x, 3).pivot_cols == (4, 3, 2, 1, 0)
 
 
+@st.composite
+def singleton_rich(draw):
+    """(rows, m): a sparse matrix, mostly +-1, so many entries are alone
+    in their row or column, some after others are peeled; its non-units
+    (2, 3, 6) are sometimes scaled past 2^64.  m holds its nonzeros in a
+    drawn storage order, as an IntMatrix, or as a CooMatrix if it fits."""
+    r, c = draw(st.integers(1, 10)), draw(st.integers(1, 10))
+    scale = draw(st.sampled_from([1, 1, 2**64]))
+    value = st.sampled_from([1, -1, 1, -1, 1, -1, 2, -2, 3, 6]).map(
+        lambda v: v if v in (1, -1) else v * scale)
+    cells = draw(st.lists(st.tuples(st.integers(0, r - 1),
+                                    st.integers(0, c - 1), value),
+                          max_size=2 * (r + c)))
+    rows = [[0] * c for _ in range(r)]
+    for i, j, v in cells:
+        rows[i][j] = v
+    order = draw(st.permutations(
+        [(i, j) for i in range(r) for j in range(c) if rows[i][j]]))
+    m = IntMatrix(r, c)
+    m.entries = {(i, j): rows[i][j] for i, j in order}
+    if scale == 1 and draw(st.booleans()):
+        m = as_coo(m)
+    return rows, m
+
+
+def columns(rows, cols):
+    return [[row[j] for j in cols] for row in rows]
+
+
+@settings(max_examples=200, deadline=None)
+@given(singleton_rich(), st.data())
+def test_peeled_smith_form_matches_sympy(case, data):
+    """Over Z, with and without skipped rows.  The pivot columns are
+    distinct, one per unit divisor peeled, and each is a unit pivot: on
+    the kept rows they span a lattice with every Smith divisor 1."""
+    rows, m = case
+    skip = data.draw(st.sets(st.integers(0, len(rows) - 1)))
+    for skipped in (set(), skip):
+        kept = [row for i, row in enumerate(rows) if i not in skipped]
+        form = snf(m, skip_rows=skipped)
+        assert list(form.divisors) == sympy_divisors(kept)
+        cols = form.pivot_cols
+        assert len(set(cols)) == len(cols) <= form.divisors.count(1)
+        assert sympy_divisors(columns(kept, cols)) == [1] * len(cols)
+
+
+@settings(max_examples=200, deadline=None)
+@given(singleton_rich(), st.sampled_from([2, 3, 7, 2**64 - 59]))
+def test_peeled_rank_mod_p_matches_sympy_gf(case, p):
+    """p = 2 and 3 divide some entries; 7 and 2^64 - 59 (past int64)
+    exceed every entry below 2^64."""
+    rows, m = case
+    form = rank_mod_p(m, p)
+    assert form.rank == gf_rank(rows, p)
+    cols = form.pivot_cols
+    assert len(set(cols)) == len(cols) == form.rank
+    if cols:
+        assert gf_rank(columns(rows, cols), p) == len(cols)
+
+
+@pytest.mark.parametrize("rows, divisors", [
+    ([[2]], (2,)),
+    # the 2 is alone in its column; its row and the two above hold units
+    ([[1, 0, 0], [0, 1, 0], [1, 1, 2]], (1, 1, 2)),
+    ([[0, 1, 0], [-2, 0, 0], [0, 0, 1], [0, 1, 0]], (1, 1, 2)),
+])
+def test_non_unit_singletons_are_never_peeled(rows, divisors):
+    m = IntMatrix.from_dense(rows)
+    for x in (m, as_coo(m)):
+        form = snf(x)
+        assert form.divisors == divisors
+        assert len(form.pivot_cols) == divisors.count(1)
+        assert rank_mod_p(x, 2).rank == divisors.count(1)
+        assert rank_mod_p(x, 3).rank == len(divisors)
+
+
+def test_entry_past_int64_beside_unit_singletons():
+    rows = [[2**64, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [6, 0, 0, 4],
+            [0, 1, 0, 0]]
+    m = IntMatrix.from_dense(rows)
+    form = snf(m)
+    assert list(form.divisors) == sympy_divisors(rows) == [1, 1, 2, 2**65]
+    assert sorted(form.pivot_cols) == [1, 2]
+    assert snf(exact(m), skip_rows={4}) == form
+    for p in (2, 3, 2**61 - 1, 2**64 - 59):
+        assert rank_mod_p(m, p).rank == gf_rank(rows, p)
+
+
 def test_int64_arrays_refuse_an_entry_past_int64():
     with pytest.raises(OverflowError):
         IntMatrix(1, 2, {(0, 0): 1, (0, 1): 1 << 63}).coo()
@@ -350,6 +438,8 @@ def test_skip_rows_drops_rows_before_eliminating():
     assert snf(m).divisors == (1, 1)
     assert snf(m, skip_rows={2}).divisors == (1, 2)
     assert snf(m, skip_rows=[0, 2]).divisors == (2,)
+    # rows m does not have are not dropped from it
+    assert snf(m, skip_rows={-1, 3}).divisors == (1, 1)
 
 
 

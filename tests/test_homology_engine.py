@@ -321,25 +321,33 @@ class TestSeveralRings:
             assert together[coeff] == compute_table(d, 6, coeff)
 
     def test_verify_builds_each_complex_once(self, monkeypatch, capsys):
+        """Counting the calibrations too: the winner's gate rows n = 3, 4, 5
+        are built while calibrating and served from there to the tables."""
         from superbraid.cli.main import main
 
-        # Warm the memoized calibrations, so every build counted below
-        # happens outside them.
-        for d in (1, 2, 3, 6):
-            calibrate(d)
+        calibrate(1)
         calibrate_t_variant()
+        for d in (2, 3, 6):
+            monkeypatch.delitem(engine._CALIBRATIONS, d, raising=False)
         builds = count_builds(monkeypatch)
         assert main(["verify", "--window", "2:5,3:5,6:5",
                      "--format", "json"]) == 0
         capsys.readouterr()
-        assert builds == Counter({(n, d, "B", "left_to_right"): 1
-                                  for d in (1, 2, 3, 6) for n in range(1, 6)})
+        winner = {key: count for key, count in builds.items()
+                  if key[2:] == ("B", "left_to_right")}
+        assert winner == {(n, d, "B", "left_to_right"): 1
+                          for d in (1, 2, 3, 6) for n in range(1, 6)}
+        assert set(builds.values()) == {1}
 
-    def test_cache_serves_what_it_holds(self, tmp_path, monkeypatch):
-        expected = {coeff: braid_twisted_homology(4, 3, coeff)
+    @staticmethod
+    def fill_from_cache(tmp_path, monkeypatch, n):
+        """Cache row (n, 3) over Z, then ask for every ring: the cache
+        serves Z, the three F_p rows are computed and stored, and a second
+        call computes nothing.  Returns the builds of the first call."""
+        expected = {coeff: braid_twisted_homology(n, 3, coeff)
                     for coeff in RINGS}
-        braid_twisted_homology(4, 3, "z", cache_dir=tmp_path)
-        assert [p.name for p in tmp_path.iterdir()] == ["h_A_4_3_z.json"]
+        braid_twisted_homology(n, 3, "z", cache_dir=tmp_path)
+        assert [p.name for p in tmp_path.iterdir()] == [f"h_A_{n}_3_z.json"]
         builds = count_builds(monkeypatch)
         computed = []
         real_homology = engine.homology
@@ -349,16 +357,24 @@ class TestSeveralRings:
             return real_homology(cx, coeff)
 
         monkeypatch.setattr(engine, "homology", homology)
-        assert braid_twisted_rows(4, 3, RINGS, tmp_path) == expected
-        assert builds == Counter({(4, 3, "B", "left_to_right"): 1})
+        assert braid_twisted_rows(n, 3, RINGS, tmp_path) == expected
+        first = Counter(builds)
         assert computed == ["f:2", "f:3", "f:5"]
         assert sorted(p.name for p in tmp_path.iterdir()) == [
-            "h_A_4_3_f2.json", "h_A_4_3_f3.json", "h_A_4_3_f5.json",
-            "h_A_4_3_z.json"]
+            f"h_A_{n}_3_{tag}.json" for tag in ("f2", "f3", "f5", "z")]
         builds.clear()
         computed.clear()
-        assert braid_twisted_rows(4, 3, RINGS, tmp_path) == expected
+        assert braid_twisted_rows(n, 3, RINGS, tmp_path) == expected
         assert not builds and not computed
+        return first
+
+    def test_cache_serves_what_it_holds(self, tmp_path, monkeypatch):
+        assert self.fill_from_cache(tmp_path, monkeypatch, 6) == Counter(
+            {(6, 3, "B", "left_to_right"): 1})
+
+    def test_gate_row_misses_use_the_calibrated_complex(self, tmp_path,
+                                                        monkeypatch):
+        assert self.fill_from_cache(tmp_path, monkeypatch, 4) == Counter()
 
 
 class TestCache:
@@ -458,6 +474,18 @@ class TestCache:
     def test_decode_rejects_missing_degrees(self):
         with pytest.raises(ValueError, match="missing or duplicate degrees"):
             decode_groups([{"i": 1, "rank": 0, "torsion": []}])
+
+    @pytest.mark.parametrize("q", [
+        6, 12, 1, 0, -2, 2**89 - 1, (2**61 - 1) * (2**31 - 1), 2.0, "2",
+        True])
+    def test_decode_rejects_torsion_beyond_certified_prime_powers(self, q):
+        with pytest.raises(ValueError):
+            decode_groups([{"i": 0, "rank": 0, "torsion": [q]}])
+
+    def test_decode_accepts_powers_of_certified_primes(self):
+        torsion = [2, 4, 3**5, 2**200, 2**61 - 1, (2**64 - 59)**3]
+        [g] = decode_groups([{"i": 0, "rank": 1, "torsion": torsion}])
+        assert (g.rank, g.torsion) == (1, tuple(torsion))
 
     def test_concurrent_writers_agree(self, tmp_path):
         errors = []
