@@ -322,7 +322,11 @@ class TestSeveralRings:
 
     def test_verify_builds_each_complex_once(self, monkeypatch, capsys):
         """Counting the calibrations too: the winner's gate rows n = 3, 4, 5
-        are built while calibrating and served from there to the tables."""
+        are built while calibrating and served from there to the tables.
+        Besides the winner, only the calibrations' other candidates build:
+        for d = 2 the second match B/right_to_left builds every gate row,
+        A/left_to_right stops at its mismatch on n = 3 for each d, and
+        B/right_to_left is rejected before any build for d = 3, 6."""
         from superbraid.cli.main import main
 
         calibrate(1)
@@ -333,11 +337,12 @@ class TestSeveralRings:
         assert main(["verify", "--window", "2:5,3:5,6:5",
                      "--format", "json"]) == 0
         capsys.readouterr()
-        winner = {key: count for key, count in builds.items()
-                  if key[2:] == ("B", "left_to_right")}
-        assert winner == {(n, d, "B", "left_to_right"): 1
-                          for d in (1, 2, 3, 6) for n in range(1, 6)}
-        assert set(builds.values()) == {1}
+        winner = Counter({(n, d, "B", "left_to_right"): 1
+                          for d in (1, 2, 3, 6) for n in range(1, 6)})
+        losers = Counter(
+            [(n, 2, "B", "right_to_left") for n in engine.GATE_ROWS]
+            + [(3, d, "A", "left_to_right") for d in (2, 3, 6)])
+        assert builds == winner + losers
 
     @staticmethod
     def fill_from_cache(tmp_path, monkeypatch, n):
