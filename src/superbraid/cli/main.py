@@ -50,6 +50,13 @@ def _prime(text: str) -> int:
     return require_prime(int(text))
 
 
+def _positive(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text} is not a positive integer")
+    return value
+
+
 def _window(text: str) -> dict[int, int]:
     out = {}
     if not text.strip():
@@ -336,16 +343,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     twist = sub.add_parser("twist", help="print one twist matrix")
-    twist.add_argument("--n", type=int, required=True)
-    twist.add_argument("--d", type=int, required=True)
+    twist.add_argument("--n", type=_positive, required=True)
+    twist.add_argument("--d", type=_positive, required=True)
     twist.add_argument("--k", type=int, required=True)
     twist.add_argument("--construction", choices=("A", "B"), default="B")
     twist.add_argument("--format", choices=("text", "json"), default="text")
     twist.set_defaults(func=cmd_twist)
 
     hom = sub.add_parser("homology", help="homology groups for one (n, d)")
-    hom.add_argument("--n", type=int, required=True)
-    hom.add_argument("--d", type=int, default=2)
+    hom.add_argument("--n", type=_positive, required=True)
+    hom.add_argument("--d", type=_positive, default=2)
     hom.add_argument("--coeff", type=_coeff, default="z")
     hom.add_argument("--trivial", action="store_true",
                      help="use trivial coefficients instead of the twist")
@@ -355,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     table = sub.add_parser("table", help="compute a table and diff it "
                                          "against the reference")
-    table.add_argument("--d", type=int, required=True)
+    table.add_argument("--d", type=_positive, required=True)
     table.add_argument("--n-max", type=int, required=True)
     table.add_argument("--cache-dir", default=None)
     table.add_argument("--format", choices=("text", "csv", "json"),
@@ -366,8 +373,8 @@ def build_parser() -> argparse.ArgumentParser:
     series.add_argument("--p", type=_prime, required=True)
     series.add_argument("--mode", choices=("local", "stable"),
                         default="stable")
-    series.add_argument("--max-q", type=int, default=11)
-    series.add_argument("--max-t", type=int, default=9)
+    series.add_argument("--max-q", type=_positive, default=11)
+    series.add_argument("--max-t", type=_positive, default=9)
     series.add_argument("--format", choices=("text", "json"), default="text")
     series.set_defaults(func=cmd_series)
 

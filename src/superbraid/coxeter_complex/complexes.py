@@ -15,10 +15,11 @@ W_{R minus tau} in W_R, where R is the run of Gamma containing tau, on
 either coset side and for both families.  The block is therefore
 (-1)^(mu + mu_base) B(R, tau), with B(R, tau) the sum over those
 representatives of (-1)^length(beta) rho(lift(beta)); one build computes
-each B(R, tau) once.  Lifts are int64 products checked against 2^62 before
-each product and each sum; a block whose check fails is computed in exact
-integer arithmetic instead.  Each boundary is held as int64 coordinate
-arrays (a CooMatrix), or as an IntMatrix if some entry is past int64.
+each B(R, tau) once.  Lifts are stacked products in the dtype of the
+generators: int64, checked against 2^62 before each product and each sum,
+and a block whose check fails is lifted once more in exact Python ints (an
+object array).  Each boundary is a CooMatrix whose values are int64, or
+exact Python ints once some entry is past int64.
 
 The coset side and the sign base are free conventions; candidates are
 enumerated in the documented order and the shipped default is the first
@@ -34,7 +35,7 @@ from itertools import combinations
 
 import numpy as np
 
-from ..exact_linalg import CooMatrix, IntMatrix, exact, product_is_zero
+from ..exact_linalg import CooMatrix, exact, product_is_zero
 from ..exact_linalg.matrix import INT64_SAFE
 from .groups import CoxeterSpec, min_coset_reps
 from .systems import LocalSystem
@@ -80,7 +81,7 @@ class ChainComplex:
     """Ranks and boundary matrices, with degree-k rank C(rank, k) * dim."""
 
     def __init__(self, spec: CoxeterSpec, dimension: int,
-                 boundaries: dict[int, CooMatrix | IntMatrix],
+                 boundaries: dict[int, CooMatrix],
                  convention: BoundaryConvention):
         self.spec = spec
         self.dimension = dimension
@@ -92,11 +93,12 @@ class ChainComplex:
             return 0
         return math.comb(self.spec.rank, k) * self.dimension
 
-    def boundary(self, k: int) -> CooMatrix | IntMatrix:
+    def boundary(self, k: int) -> CooMatrix:
         """The map from degree-k chains to degree-(k-1) chains."""
         if k in self.boundaries:
             return self.boundaries[k]
-        return IntMatrix.zero(self.rank(k - 1), self.rank(k))
+        return CooMatrix(self.rank(k - 1), self.rank(k),
+                         *np.zeros((3, 0), dtype=np.int64))
 
     def to_json(self) -> dict:
         return {
@@ -124,20 +126,23 @@ def _run_of(gamma: tuple[int, ...], tau: int) -> tuple[int, ...]:
     return tuple(range(lo, hi + 1))
 
 
-def _run_block_int64(reps, gens: np.ndarray, gen_max: int,
-                     side: str) -> np.ndarray | None:
-    """B(R, tau) on int64, or None once an entry bound reaches 2^62.
+def _run_block(reps, gens: np.ndarray, gen_max: int,
+               side: str) -> np.ndarray | None:
+    """B(R, tau) in the dtype of gens; None if gens are int64 and an entry
+    bound reaches 2^62.
 
     gens holds the run's generators, indexed by the letters of reps.
     Representatives come in breadth-first order, so each length forms one
     contiguous level whose parents all lie in the level before; a level is
     lifted by one stacked product and added to the block with its sign.
-    A product is taken only if dim * max|parent| * max|generator| < 2^62,
-    and a level is added only if the running bound on the block's entries
-    plus (level size) * max|level| stays below 2^62.
+    On int64, a product is taken only if dim * max|parent| * max|generator|
+    < 2^62, and a level is added only if the running bound on the block's
+    entries plus (level size) * max|level| stays below 2^62.  Exact Python
+    ints (an object array) need no bound.
     """
+    limit = INT64_SAFE if gens.dtype == np.int64 else math.inf
     dim = gens.shape[1]
-    lifts = np.empty((len(reps), dim, dim), dtype=np.int64)
+    lifts = np.empty((len(reps), dim, dim), dtype=gens.dtype)
     lifts[0] = np.eye(dim, dtype=np.int64)
     block = lifts[0].copy()
     total = 1  # bounds max |entry| of every partial sum of the block
@@ -148,14 +153,14 @@ def _run_block_int64(reps, gens: np.ndarray, gen_max: int,
         end = start
         while end < len(reps) and reps[end].length == length:
             end += 1
-        if dim * top * gen_max >= INT64_SAFE:
+        if dim * top * gen_max >= limit:
             return None
         parents = lifts[[r.parent for r in reps[start:end]]]
         letters = gens[[r.letter for r in reps[start:end]]]
         level = parents @ letters if side == "left" else letters @ parents
         top = int(np.abs(level).max(initial=0))
         total += (end - start) * top
-        if total >= INT64_SAFE:
+        if total >= limit:
             return None
         lifts[start:end] = level
         if length % 2:
@@ -163,24 +168,6 @@ def _run_block_int64(reps, gens: np.ndarray, gen_max: int,
         else:
             block += level.sum(axis=0)
         start = end
-    return block
-
-
-def _run_block_exact(reps, actions: tuple[IntMatrix, ...], dim: int,
-                     side: str) -> IntMatrix:
-    """B(R, tau) in exact integer arithmetic; actions are the run's
-    generators, indexed by the letters of reps."""
-    block = IntMatrix.zero(dim, dim)
-    lifted: list[IntMatrix] = []
-    for rep in reps:
-        if rep.parent < 0:
-            m = IntMatrix.identity(dim)
-        elif side == "left":
-            m = lifted[rep.parent] * actions[rep.letter]
-        else:
-            m = actions[rep.letter] * lifted[rep.parent]
-        lifted.append(m)
-        block = block - m if rep.length % 2 else block + m
     return block
 
 
@@ -196,17 +183,15 @@ class _RunBlocks:
 
     def __init__(self, spec: CoxeterSpec, rho: LocalSystem, side: str):
         self.spec = spec
-        self.rho = rho
         self.side = side
         self.blocks: dict[tuple, tuple[np.ndarray, ...]] = {}
         dim = rho.dimension
-        self.gens = np.zeros((spec.rank, dim, dim), dtype=np.int64)
-        try:
-            for g, a in enumerate(rho.actions):
-                self.gens[g] = a.to_numpy()
-        except OverflowError:  # every block takes the exact path
-            self.gens = None
         self.gen_max = max((a.max_abs() for a in rho.actions), default=0)
+        self.gens = np.zeros((spec.rank, dim, dim), dtype=np.int64
+                             if self.gen_max < INT64_SAFE else object)
+        for g, a in enumerate(rho.actions):
+            for (i, j), v in a.entries.items():
+                self.gens[g, i, j] = v
 
     def block(self, run: tuple[int, ...], tau: int) -> tuple[np.ndarray, ...]:
         """Rows, columns and values of B(run, tau)'s nonzeros, row-major.
@@ -222,32 +207,23 @@ class _RunBlocks:
                                   tuple(range(size)),
                                   tuple(g - first for g in run if g != tau),
                                   self.side)
-            block = None
-            if self.gens is not None:
-                block = _run_block_int64(reps, self.gens[first:first + size],
-                                         self.gen_max, self.side)
-            if block is None:
-                exact_block = _run_block_exact(
-                    reps, self.rho.actions[first:first + size],
-                    self.rho.dimension, self.side)
-                t = exact_block.triples()
-                fits = exact_block.max_abs() < 1 << 63
-                self.blocks[key] = (
-                    np.array([r for r, _, _ in t], dtype=np.int64),
-                    np.array([c for _, c, _ in t], dtype=np.int64),
-                    np.array([v for _, _, v in t],
-                             dtype=np.int64 if fits else object))
-            else:
-                rr, cc = np.nonzero(block)
-                self.blocks[key] = (rr.astype(np.int64, copy=False),
-                                    cc.astype(np.int64, copy=False),
-                                    block[rr, cc])
+            gens = self.gens[first:first + size]
+            block = _run_block(reps, gens, self.gen_max, self.side)
+            if block is None:  # past the int64 guard: lift in exact ints
+                block = _run_block(reps, gens.astype(object), self.gen_max,
+                                   self.side)
+            rr, cc = np.nonzero(block)
+            vals = block[rr, cc]
+            if vals.dtype == object and np.abs(vals).max(initial=0) < 1 << 63:
+                vals = vals.astype(np.int64)
+            self.blocks[key] = (rr.astype(np.int64, copy=False),
+                                cc.astype(np.int64, copy=False), vals)
         return self.blocks[key]
 
 
 def _boundary_matrix(spec: CoxeterSpec, dim: int, k: int, blocks: _RunBlocks,
-                     mu_base: int) -> CooMatrix | IntMatrix:
-    """The boundary d_k, as a CooMatrix unless some entry is past int64.
+                     mu_base: int) -> CooMatrix:
+    """The boundary d_k, with exact Python-int values if a block has any.
 
     The nonzeros are stored with Gamma in colex order, then tau ascending
     in Gamma, then each block (-1)^(mu + mu_base) B(run, tau), at row
@@ -282,18 +258,13 @@ def _boundary_matrix(spec: CoxeterSpec, dim: int, k: int, blocks: _RunBlocks,
     out_rows = np.repeat(r0, count) + br[at]
     out_cols = np.repeat(c0, count) + bc[at]
     out_vals = np.repeat(sign, count) * bv[at]
-    nrows, ncols = len(rows) * dim, len(cols) * dim
-    if out_vals.dtype == object:  # some block entry is past int64
-        out = IntMatrix(nrows, ncols)
-        out.entries = dict(zip(zip(out_rows.tolist(), out_cols.tolist()),
-                               out_vals.tolist()))
-        return out
-    return CooMatrix(nrows, ncols, out_rows, out_cols, out_vals)
+    return CooMatrix(len(rows) * dim, len(cols) * dim, out_rows, out_cols,
+                     out_vals)
 
 
 def _boundaries(spec: CoxeterSpec, rho: LocalSystem,
                 convention: BoundaryConvention
-                ) -> dict[int, CooMatrix | IntMatrix]:
+                ) -> dict[int, CooMatrix]:
     """Every boundary of the complex, before the composition check."""
     blocks = _RunBlocks(spec, rho, convention.side)
     return {k: _boundary_matrix(spec, rho.dimension, k, blocks,

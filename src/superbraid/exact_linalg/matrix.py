@@ -1,9 +1,10 @@
-"""Sparse integer matrices: exact Python-int maps and int64 coordinate arrays.
+"""Sparse integer matrices: exact Python-int maps and coordinate arrays.
 
 Both types expose the same read-only members, so the elimination kernel and
 the composition check each load either one the same way: nrows and ncols,
-nnz, max_abs, without_rows, stored (the nonzeros in storage order), coo
-(the same as int64 arrays) and triples (sorted).
+nnz, max_abs, coo (the nonzeros in storage order as arrays) and triples
+(sorted).  Values are int64 while every |value| < 2^63, and exact Python
+ints in an object array otherwise: one array path, two dtypes.
 """
 
 from __future__ import annotations
@@ -84,39 +85,19 @@ class IntMatrix:
             out[i][j] = v
         return out
 
-    def to_numpy(self) -> np.ndarray:
-        if self.max_abs() >= INT64_SAFE:
-            raise OverflowError("entries too large for int64 view")
-        a = np.zeros((self.nrows, self.ncols), dtype=np.int64)
-        for (i, j), v in self.entries.items():
-            a[i, j] = v
-        return a
-
     def triples(self) -> list[tuple[int, int, int]]:
         return sorted((i, j, v) for (i, j), v in self.entries.items())
 
-    def stored(self):
-        """(row, col, value) of every nonzero, in storage order."""
-        return ((i, j, v) for (i, j), v in self.entries.items())
-
     def coo(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Rows, columns and values in storage order, as int64 arrays.
-
-        Raises OverflowError if an entry does not fit in int64.
-        """
+        """Rows and columns in storage order as int64 arrays, and the values
+        as int64 if every |value| < 2^63, else as exact Python ints in an
+        object array."""
         n = len(self.entries)
         ij = np.fromiter(chain.from_iterable(self.entries), dtype=np.int64,
                          count=2 * n).reshape(n, 2)
-        v = np.fromiter(self.entries.values(), dtype=np.int64, count=n)
+        dtype = np.int64 if self.max_abs() < 1 << 63 else object
+        v = np.fromiter(self.entries.values(), dtype=dtype, count=n)
         return ij[:, 0], ij[:, 1], v
-
-    def without_rows(self, rows) -> "IntMatrix":
-        """The same shape with every entry in the named rows dropped."""
-        drop = frozenset(rows)
-        out = IntMatrix(self.nrows, self.ncols)
-        out.entries = {k: v for k, v in self.entries.items()
-                       if k[0] not in drop}
-        return out
 
     def rows_map(self) -> dict[int, dict[int, int]]:
         rows: dict[int, dict[int, int]] = {}
@@ -212,12 +193,14 @@ class IntMatrix:
 
 
 class CooMatrix:
-    """Integer matrix held as three int64 arrays: the row, column and value
-    of each nonzero, in the order the entries were written.
+    """Integer matrix held as three arrays: the row, column and value of
+    each nonzero, in the order the entries were written.
 
-    No (row, col) repeats, no value is zero, and every |value| < 2^63, so
-    abs and negation cannot wrap; a matrix with a larger entry is an
-    IntMatrix.  The arrays are shared, never written after construction.
+    Rows and columns are int64.  No (row, col) repeats and no value is
+    zero.  The values are int64 with every |value| < 2^63, so abs and
+    negation cannot wrap, or, once some entry is past that, exact Python
+    ints in an object array.  The arrays are shared, never written after
+    construction.
     """
 
     __slots__ = ("nrows", "ncols", "rows", "cols", "vals")
@@ -272,26 +255,27 @@ def product_is_zero(a: IntMatrix | CooMatrix,
                     b: IntMatrix | CooMatrix) -> bool:
     """Exact test a*b == 0, for either matrix type on either side.
 
-    When every sum of products fits in int64 (ncols * max|a| * max|b| <
-    2^62) and every output key i * b.ncols + j does too, a's entries are
-    joined to b's rows in numpy: the product terms of each entry of a are
-    expanded with np.repeat, keyed by output cell, sorted, and summed per
-    key.  a's rows go through in slices of at most nnz(a) + nnz(b) terms
-    (one row that is longer on its own makes its own slice), and the test
-    stops at the first slice with a nonzero sum.  A slice holds whole rows
-    of a, so each sum is a full output entry.  Otherwise the exact
-    IntMatrix product decides.
+    a's entries are joined to b's rows in numpy: the product terms of each
+    entry of a are expanded with np.repeat, keyed by output cell
+    i * b.ncols + j, sorted, and summed per key.  a's rows go through in
+    slices of at most nnz(a) + nnz(b) terms (one row that is longer on its
+    own makes its own slice), and the test stops at the first slice with a
+    nonzero sum.  A slice holds whole rows of a, so each sum is a full
+    output entry.  The sums are int64 when ncols * max|a| * max|b| < 2^62
+    and the keys when nrows * ncols < 2^63; past either bound, a's values
+    or rows are cast to exact Python ints first.
     """
     if a.ncols != b.nrows:
         raise ValueError("shape mismatch")
     if not a.nnz() or not b.nnz():
         return True
-    if (a.ncols * a.max_abs() * b.max_abs() >= INT64_SAFE
-            or a.nrows * b.ncols >= 1 << 63):
-        return (exact(a) * exact(b)).is_zero()
     ai, ak, av = a.coo()
     by_row = np.argsort(ai, kind="stable")
     ai, ak, av = ai[by_row], ak[by_row], av[by_row]
+    if a.ncols * a.max_abs() * b.max_abs() >= INT64_SAFE:
+        av = av.astype(object)
+    if a.nrows * b.ncols >= 1 << 63:
+        ai = ai.astype(object)
     bk, bj, bv = b.coo()
     by_k = np.argsort(bk, kind="stable")
     bk, bj, bv = bk[by_k], bj[by_k], bv[by_k]

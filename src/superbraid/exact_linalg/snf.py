@@ -7,7 +7,9 @@ invariant factor is 1 and the pivot count is the rank.  The elimination
 first peels, in numpy, the units alone in their row or column, which is
 pure deletion (the elementary reduction of Kaczynski, Mrozek and
 Slusarek, Comput. Math. Appl. 35 (1998)); a Markowitz elimination over
-Python dicts then takes the core that is left.
+Python dicts then takes the core that is left.  It reads every matrix as
+coordinate arrays (m.coo()), whose values are int64 or exact Python ints
+in an object array, so an entry past int64 takes the same path.
 """
 
 from __future__ import annotations
@@ -242,17 +244,11 @@ def _ring_entries(m: IntMatrix | CooMatrix, p: int):
     """Rows, columns and values of m's stored entries, in storage order,
     with the values reduced mod p when p > 0.
 
-    Rows and columns are int64 arrays.  The values are int64 too, unless
-    an entry or a residue does not fit: then they are exact Python ints in
-    an object array (an IntMatrix entry past int64, or a prime past 2^63).
+    Rows and columns are int64 arrays.  The values keep m's dtype (int64,
+    or exact Python ints in an object array), and are cast to object when
+    p is past 2^63, so every residue stays exact.
     """
-    try:
-        rows, cols, vals = m.coo()
-    except OverflowError:  # an IntMatrix entry past int64: keep it exact
-        stored = list(m.stored())
-        rows = np.array([i for i, _, _ in stored], dtype=np.int64)
-        cols = np.array([j for _, j, _ in stored], dtype=np.int64)
-        vals = np.array([v for _, _, v in stored], dtype=object)
+    rows, cols, vals = m.coo()
     if p >= 1 << 63:
         vals = vals.astype(object)
     return rows, cols, vals % p if p else vals
@@ -314,7 +310,7 @@ def _unit_pivot_phase(
     m's storage order into row and column maps, and a Markowitz
     elimination pivots on the units: it approximates minimal fill,
     scanning the units in the order they were found.  m's storage order
-    (m.stored()) thus fixes every pivot and the remainder.
+    (m.coo()) thus fixes every pivot and the remainder.
     """
     row_of, col_of, vals = _ring_entries(m, p)
     skip = np.fromiter(skip_rows, dtype=np.int64, count=len(skip_rows))

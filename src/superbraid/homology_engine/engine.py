@@ -328,15 +328,6 @@ class HomologyTable:
             ],
         }
 
-    @classmethod
-    def from_json(cls, blob: dict) -> "HomologyTable":
-        cells = {
-            (item["n"], item["i"]): AbelianGroup.from_divisors(
-                item["rank"], item["torsion"])
-            for item in blob["cells"]
-        }
-        return cls(blob["d"], blob["coeff"], dict(blob["fingerprint"]), cells)
-
 
 def compute_tables(d: int, n_max: int, coeffs=("z",),
                    cache_dir=None) -> dict[str, HomologyTable]:
@@ -403,8 +394,14 @@ def artinB_trivial_betti(n: int) -> list[int]:
 def artinB_reduced_betti(n: int, d: int,
                          variant: int | None = None) -> list[int]:
     """Betti numbers of the module minus its one-dimensional trivial summand."""
-    full = artinB_betti(n, d, variant=variant)
-    plain = artinB_trivial_betti(n)
+    return _split_trivial(n, d, artinB_betti(n, d, variant=variant),
+                          artinB_trivial_betti(n))
+
+
+def _split_trivial(n: int, d: int, full: list[int],
+                   plain: list[int]) -> list[int]:
+    """full minus the trivial-coefficient Betti numbers plain, or
+    ArithmeticError if the trivial summand does not split off."""
     reduced = [a - b for a, b in zip(full, plain)]
     if any(x < 0 for x in reduced):
         raise ArithmeticError(
@@ -422,6 +419,7 @@ def calibrate_t_variant() -> int:
     """
     if _T_VARIANT:
         return _T_VARIANT[0]
+    plain = artinB_trivial_betti(2)  # the same for every gate tried
     outcomes = []
     for v in range(len(T_VARIANTS)):
         verdict = "match"
@@ -430,7 +428,8 @@ def calibrate_t_variant() -> int:
                 if artinB_betti(3, d, variant=v) != _betti_gate_odd(3):
                     verdict = f"mismatch: full Betti gate at (n=3, d={d})"
                     break
-                reduced = artinB_reduced_betti(2, d, variant=v)
+                reduced = _split_trivial(
+                    2, d, artinB_betti(2, d, variant=v), plain)
             except (RelationError, ArithmeticError) as err:
                 verdict = f"rejected: {err}"
                 break

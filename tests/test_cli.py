@@ -112,6 +112,23 @@ class TestHomology:
         assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv, option", [
+    (["homology", "--n", "0"], "--n"),
+    (["homology", "--n", "3", "--d", "0"], "--d"),
+    (["twist", "--n", "3", "--d", "0", "--k", "1"], "--d"),
+    (["table", "--d", "0", "--n-max", "3"], "--d"),
+    (["series", "--p", "2", "--max-q", "0"], "--max-q"),
+    (["series", "--p", "2", "--mode", "local", "--max-t", "0"], "--max-t"),
+])
+def test_non_positive_size_is_a_usage_error(argv, option, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {option}: 0 is not a positive integer" in err
+    assert "Traceback" not in err
+
+
 class TestPrimeArguments:
     """Prime moduli are certified quickly or refused with a usage error."""
 

@@ -30,6 +30,7 @@ from superbraid.coxeter_complex import complexes, groups
 from superbraid.coxeter_complex.complexes import _boundaries, _subsets_colex
 from superbraid.exact_linalg import (
     AbelianGroup, CooMatrix, IntMatrix, exact, rank_mod_p, snf)
+from superbraid.homology_engine import engine
 from superbraid.surface_rep import build_rep
 
 
@@ -96,7 +97,7 @@ def reference_boundary(spec, rho, k, convention):
 
 def assert_reference_boundaries(spec, rho):
     """Every boundary under every convention equals the reference; returns
-    the matrix types the boundaries were built as."""
+    the (matrix type, value dtype name) pairs the boundaries were built as."""
     kinds = set()
     for convention in CONVENTION_CANDIDATES:
         got = _boundaries(spec, rho, convention)
@@ -104,8 +105,11 @@ def assert_reference_boundaries(spec, rho):
         for k, b in got.items():
             assert exact(b) == reference_boundary(spec, rho, k, convention), (
                 convention, k)
-            kinds.add(type(b))
+            kinds.add((type(b), b.vals.dtype.name))
     return kinds
+
+
+INT64_COO = {(CooMatrix, "int64")}
 
 
 class TestCoxeterSpec:
@@ -444,18 +448,17 @@ class TestRunBlocks:
     @pytest.mark.parametrize("d", [2, 3, 4])
     @pytest.mark.parametrize("n", [4, 5, 6])
     def test_braid_systems(self, n, d):
-        assert assert_reference_boundaries(*surface_system(n, d)) == {
-            CooMatrix}
+        assert assert_reference_boundaries(*surface_system(n, d)) == INT64_COO
 
     @pytest.mark.parametrize("variant", [0, 1, 2, 3])
     def test_t_systems(self, variant):
         rho = t_local_system(4, 3, variant=variant)
-        assert assert_reference_boundaries(rho.spec, rho) == {CooMatrix}
+        assert assert_reference_boundaries(rho.spec, rho) == INT64_COO
 
     def test_trivial_systems(self):
         for spec in (CoxeterSpec("A", 4), CoxeterSpec("B", 3)):
             assert assert_reference_boundaries(
-                spec, trivial_system(spec, 2)) == {CooMatrix}
+                spec, trivial_system(spec, 2)) == INT64_COO
 
     @staticmethod
     def conjugated(shift):
@@ -470,36 +473,64 @@ class TestRunBlocks:
         return spec, LocalSystem(spec, [p_inv * a * p for a in rho.actions])
 
     def test_exact_fallback_past_the_int64_guard(self, monkeypatch):
-        exact_calls = []
-        exact_block = complexes._run_block_exact
+        """A block whose int64 guard trips is lifted once more in exact
+        ints (an object array); its values return to int64 if they fit."""
+        lifted = []
+        run_block = complexes._run_block
 
-        def counted(*args):
-            exact_calls.append(args)
-            return exact_block(*args)
+        def counted(reps, gens, *args):
+            lifted.append(gens.dtype.name)
+            return run_block(reps, gens, *args)
 
-        monkeypatch.setattr(complexes, "_run_block_exact", counted)
+        monkeypatch.setattr(complexes, "_run_block", counted)
         spec, rho = surface_system(4, 2)
-        assert assert_reference_boundaries(spec, rho) == {CooMatrix}
-        assert not exact_calls
+        assert assert_reference_boundaries(spec, rho) == INT64_COO
+        assert set(lifted) == {"int64"}
+        lifted.clear()
         spec, big = self.conjugated(20)
         assert max(a.max_abs() for a in big.actions) >= 1 << 40
         # Past the 2^62 guard, but every entry still fits in int64.
-        assert assert_reference_boundaries(spec, big) == {CooMatrix}
-        assert exact_calls
+        assert assert_reference_boundaries(spec, big) == INT64_COO
+        assert "object" in lifted
+        # Each retry follows one int64 attempt of the same block.
+        retries = [i for i, name in enumerate(lifted) if name == "object"]
+        assert all(i > 0 and lifted[i - 1] == "int64" for i in retries)
 
     def test_block_entry_past_int64_keeps_the_boundary_exact(self):
         spec, big = self.conjugated(32)
-        assert IntMatrix in assert_reference_boundaries(spec, big)
+        assert (CooMatrix, "object") in assert_reference_boundaries(spec, big)
         cx = build_complex(spec, big)
-        assert max(cx.boundary(k).max_abs()
-                   for k in range(1, spec.rank + 1)) >= 1 << 64
+        for k in range(1, spec.rank + 1):
+            b = cx.boundary(k)
+            assert isinstance(b, CooMatrix)
+            assert exact(b) == reference_boundary(spec, big, k,
+                                                  DEFAULT_CONVENTION)
+        exact_valued = [cx.boundary(k) for k in range(1, spec.rank + 1)
+                        if cx.boundary(k).vals.dtype == object]
+        assert max(b.max_abs() for b in exact_valued) >= 1 << 64
+
+    @pytest.mark.parametrize("shift", [32, 70])
+    def test_conjugated_system_keeps_its_homology(self, shift):
+        """Conjugating by a unimodular matrix gives an isomorphic module,
+        so the exact-valued complex has the homology of the plain one: its
+        object values go through the blocks, the assembly, the composition
+        check, the unit-pivot kernel and the dense Smith form."""
+        plain = build_complex(*surface_system(4, 2))
+        spec, big = self.conjugated(shift)
+        cx = build_complex(spec, big)
+        assert any(cx.boundary(k).max_abs() >= 1 << 64
+                   for k in range(1, spec.rank + 1))
+        for coeff in ("z", "f:2", "f:3", f"f:{2**64 - 59}"):
+            assert engine.homology(cx, coeff) == engine.homology(plain,
+                                                                 coeff)
 
     @pytest.mark.parametrize("n, d", [(5, 2), (6, 2), (6, 3), (5, 4)])
     def test_pivots_follow_the_write_order(self, n, d):
-        """The array boundaries eliminate exactly as an IntMatrix holding
-        the same nonzeros in the order the blocks are written: Gamma colex,
-        tau ascending in Gamma, each block row-major.  Pivots, divisors and
-        the bottom-up sweep's skipped rows all follow that order."""
+        """The array boundaries eliminate exactly as a CooMatrix holding
+        the reference nonzeros in the order the blocks are written: Gamma
+        colex, tau ascending in Gamma, each block row-major.  Pivots,
+        divisors and the bottom-up sweep's skipped rows all follow that
+        order."""
         spec, rho = surface_system(n, d)
         cx = build_complex(spec, rho)
         dim = rho.dimension
@@ -516,10 +547,9 @@ class TestRunBlocks:
 
             b = cx.boundary(k)
             assert isinstance(b, CooMatrix)
-            written = IntMatrix(b.nrows, b.ncols)
             ref = reference_boundary(spec, rho, k, DEFAULT_CONVENTION)
-            written.entries = dict(sorted(ref.entries.items(),
-                                          key=write_position))
+            ref.entries = dict(sorted(ref.entries.items(), key=write_position))
+            written = CooMatrix(b.nrows, b.ncols, *ref.coo())
             assert list(b.stored()) == list(written.stored())
             assert snf(b) == snf(written)
             form = snf(b, skip_rows=skip_z)

@@ -3,6 +3,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -196,12 +197,12 @@ def test_rank_mod_p_pivot_cols_are_independent_columns(case):
 @given(matrices, st.data())
 def test_without_rows_keeps_shape_and_drops_named_rows(rows, data):
     drop = data.draw(st.sets(st.integers(0, len(rows) + 1)))
-    m = IntMatrix.from_dense(rows)
+    m = as_coo(IntMatrix.from_dense(rows))
     out = m.without_rows(drop)
     assert (out.nrows, out.ncols) == (m.nrows, m.ncols)
-    assert out.to_dense() == [[0] * m.ncols if i in drop else row
-                              for i, row in enumerate(rows)]
-    assert m == IntMatrix.from_dense(rows)
+    assert exact(out).to_dense() == [[0] * m.ncols if i in drop else row
+                                     for i, row in enumerate(rows)]
+    assert exact(m) == IntMatrix.from_dense(rows)
 
 
 @st.composite
@@ -249,25 +250,25 @@ def as_coo(m):
 def test_product_is_zero_on_arrays_agrees_with_exact(pair, coo_a, coo_b):
     """Either side may be a CooMatrix: both are in the composition check,
     and --inject-fault passes an array boundary and a tampered IntMatrix.
-    A matrix with an entry past int64 stays an IntMatrix."""
+    A side with an entry past int64 holds exact ints in an object array."""
     a, b = pair
-    x = as_coo(a) if coo_a and a.max_abs() < 1 << 63 else a
-    y = as_coo(b) if coo_b and b.max_abs() < 1 << 63 else b
+    x = as_coo(a) if coo_a else a
+    y = as_coo(b) if coo_b else b
     assert product_is_zero(x, y) == (a * b).is_zero()
 
 
 @settings(max_examples=100, deadline=None)
-@given(matrices, st.data())
-def test_coo_matrix_members_match_int_matrix(rows, data):
-    m = IntMatrix.from_dense(rows)
+@given(matrices, st.sampled_from([1, 2**64]), st.data())
+def test_coo_matrix_members_match_int_matrix(rows, scale, data):
+    m = IntMatrix.from_dense([[v * scale for v in row] for row in rows])
     c = as_coo(m)
     assert (c.nrows, c.ncols, c.nnz(), c.max_abs()) == (
         m.nrows, m.ncols, m.nnz(), m.max_abs())
     assert c.triples() == m.triples()
-    assert list(c.stored()) == list(m.stored())
+    assert list(c.stored()) == [(i, j, v) for (i, j), v in m.entries.items()]
     drop = data.draw(st.sets(st.integers(0, m.nrows - 1)))
-    assert (list(c.without_rows(drop).stored())
-            == list(m.without_rows(drop).stored()))
+    assert list(c.without_rows(drop).stored()) == [
+        (i, j, v) for (i, j), v in m.entries.items() if i not in drop]
     assert exact(c) == m
     assert snf(c) == snf(m)
     assert rank_mod_p(c, 3) == rank_mod_p(m, 3)
@@ -290,7 +291,7 @@ def singleton_rich(draw):
     """(rows, m): a sparse matrix, mostly +-1, so many entries are alone
     in their row or column, some after others are peeled; its non-units
     (2, 3, 6) are sometimes scaled past 2^64.  m holds its nonzeros in a
-    drawn storage order, as an IntMatrix, or as a CooMatrix if it fits."""
+    drawn storage order, as an IntMatrix or as a CooMatrix."""
     r, c = draw(st.integers(1, 10)), draw(st.integers(1, 10))
     scale = draw(st.sampled_from([1, 1, 2**64]))
     value = st.sampled_from([1, -1, 1, -1, 1, -1, 2, -2, 3, 6]).map(
@@ -305,7 +306,7 @@ def singleton_rich(draw):
         [(i, j) for i in range(r) for j in range(c) if rows[i][j]]))
     m = IntMatrix(r, c)
     m.entries = {(i, j): rows[i][j] for i, j in order}
-    if scale == 1 and draw(st.booleans()):
+    if draw(st.booleans()):
         m = as_coo(m)
     return rows, m
 
@@ -373,9 +374,17 @@ def test_entry_past_int64_beside_unit_singletons():
         assert rank_mod_p(m, p).rank == gf_rank(rows, p)
 
 
-def test_int64_arrays_refuse_an_entry_past_int64():
-    with pytest.raises(OverflowError):
-        IntMatrix(1, 2, {(0, 0): 1, (0, 1): 1 << 63}).coo()
+def test_coo_keeps_an_entry_past_int64_exact():
+    """The values are int64 while every |value| < 2^63, and exact Python
+    ints in an object array once one is not."""
+    _, _, fits = IntMatrix(1, 2, {(0, 0): 1, (0, 1): (1 << 63) - 1}).coo()
+    assert fits.dtype == np.int64
+    rows, cols, vals = IntMatrix(1, 2, {(0, 1): -(1 << 63),
+                                        (0, 0): 1 << 64}).coo()
+    assert vals.dtype == object
+    assert (rows.tolist(), cols.tolist(), vals.tolist()) == (
+        [0, 0], [1, 0], [-(1 << 63), 1 << 64])
+    assert all(type(v) is int for v in vals)
 
 
 def test_product_is_zero_cancels_across_row_slices():
@@ -397,6 +406,16 @@ def test_product_is_zero_keys_past_int64():
     a = IntMatrix(2**40 + 1, 1, {(0, 0): 1, (2**40, 0): -1})
     b = IntMatrix(1, 2**24, {(0, 0): 1})
     assert not product_is_zero(a, b)
+
+
+def test_product_is_zero_sums_past_int64():
+    # Every entry fits in int64, but 2^62 * 4 and 2^62 * 2 + 2^62 * 2 are
+    # 2^64, which int64 arithmetic would wrap to 0.
+    a = IntMatrix(1, 2, {(0, 0): 1 << 62, (0, 1): 1 << 62})
+    for x in (a, as_coo(a)):
+        assert not product_is_zero(x, IntMatrix(2, 1, {(0, 0): 4}))
+        assert not product_is_zero(x, IntMatrix.from_dense([[2], [2]]))
+        assert product_is_zero(x, IntMatrix.from_dense([[4], [-4]]))
 
 
 def test_matrix_roundtrips():

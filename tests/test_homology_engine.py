@@ -273,15 +273,6 @@ class TestHomologyTable:
         assert table.cell(4, 1) == group(0, 2, 2)
         assert table.cell(9, 9) is None
 
-    def test_json_round_trip(self):
-        table = compute_table(3, 4)
-        blob = table.to_json()
-        again = HomologyTable.from_json(json.loads(json.dumps(blob)))
-        assert again.d == table.d
-        assert again.coeff == table.coeff
-        assert again.fingerprint == table.fingerprint
-        assert again.cells == table.cells
-
     def test_json_cells_are_sorted(self):
         blob = compute_table(2, 4).to_json()
         keys = [(item["n"], item["i"]) for item in blob["cells"]]
@@ -727,6 +718,24 @@ class TestUniversalCoefficients:
 class TestSignedPermutationSide:
     def test_variant_selection(self):
         assert calibrate_t_variant() == 2
+
+    def test_variant_selection_builds_the_trivial_b2_complex_once(
+            self, monkeypatch):
+        """Every reduced gate subtracts the same trivial-coefficient Betti
+        numbers of B_2, so one call builds that complex once."""
+        monkeypatch.setattr(engine, "_T_VARIANT", [])
+        trivial_b2 = []
+        real_build = engine.build_complex
+
+        def build_complex(spec, rho, *args, **kwargs):
+            if spec == CoxeterSpec("B", 2) and rho.dimension == 1:
+                trivial_b2.append(rho)
+            return real_build(spec, rho, *args, **kwargs)
+
+        monkeypatch.setattr(engine, "build_complex", build_complex)
+        assert calibrate_t_variant() == 2
+        assert len(trivial_b2) == 1
+        assert all(a == IntMatrix.identity(1) for a in trivial_b2[0].actions)
 
     def test_full_betti_gates_odd_n(self):
         for d in (2, 3, 4, 5, 6):
