@@ -9,7 +9,7 @@ import json
 import sys
 
 from ..coxeter_complex import CoxeterSpec, build_complex
-from ..exact_linalg import IntMatrix, product_is_zero, require_prime
+from ..exact_linalg import CooMatrix, product_is_zero, require_prime
 from ..homology_engine import (
     CacheConflictError,
     CalibrationError,
@@ -29,9 +29,9 @@ from ..homology_engine import (
     verify_unstable_free,
 )
 from ..homology_engine.laws import Report
+from ..reference import FIXTURES, UNKNOWN, fixture
 from ..series import compare_local, local_series, stable_series
 from ..surface_rep import build_rep
-from .fixtures import FIXTURES, UNKNOWN, fixture
 
 GATING_WINDOW = "2:10,3:10,4:9,5:9,6:8"
 
@@ -224,11 +224,12 @@ def _injected_fault_report() -> Report:
     cx = build_complex(spec, braid_system(4, 2, "B", "left_to_right"))
     for k in range(spec.rank, 1, -1):
         low, high = cx.boundary(k - 1), cx.boundary(k)
-        for (r, c, v) in high.triples():
-            flipped = [(rr, cc, -vv if (rr, cc) == (r, c) else vv)
-                       for (rr, cc, vv) in high.triples()]
-            tampered = IntMatrix.from_triples(high.nrows, high.ncols,
-                                              flipped)
+        for r, c, at in sorted(zip(high.rows.tolist(), high.cols.tolist(),
+                                   range(high.nnz()))):
+            vals = high.vals.copy()
+            vals[at] = -vals[at]
+            tampered = CooMatrix(high.nrows, high.ncols, high.rows,
+                                 high.cols, vals)
             if not product_is_zero(low, tampered):
                 return Report(
                     "injected-fault self-test", False, 1,
@@ -363,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     table = sub.add_parser("table", help="compute a table and diff it "
                                          "against the reference")
     table.add_argument("--d", type=_positive, required=True)
-    table.add_argument("--n-max", type=int, required=True)
+    table.add_argument("--n-max", type=_positive, required=True)
     table.add_argument("--cache-dir", default=None)
     table.add_argument("--format", choices=("text", "csv", "json"),
                        default="text")

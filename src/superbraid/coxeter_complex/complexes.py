@@ -35,7 +35,7 @@ from itertools import combinations
 
 import numpy as np
 
-from ..exact_linalg import CooMatrix, exact, product_is_zero
+from ..exact_linalg import CooMatrix, first_nonzero_product, product_is_zero
 from ..exact_linalg.matrix import INT64_SAFE
 from .groups import CoxeterSpec, min_coset_reps
 from .systems import LocalSystem
@@ -274,8 +274,7 @@ def _boundaries(spec: CoxeterSpec, rho: LocalSystem,
 
 def _locate_failure(d_low, d_high, k: int, spec: CoxeterSpec,
                     dim: int) -> BoundaryError:
-    product = exact(d_low) * exact(d_high)
-    (r, c, _) = product.triples()[0]
+    r, c = first_nonzero_product(d_low, d_high)
     gamma = _subsets_colex(spec.rank, k + 1)[c // dim]
     gamma2 = _subsets_colex(spec.rank, k - 1)[r // dim]
     return BoundaryError(k, gamma, gamma2)

@@ -1,7 +1,8 @@
 """Exact integer linear algebra: sparse matrices, Smith form, modular ranks,
 and the primality of the moduli."""
 
-from .matrix import CooMatrix, IntMatrix, exact, product_is_zero
+from .matrix import (CooMatrix, IntMatrix, exact, first_nonzero_product,
+                     product_is_zero)
 from .primes import prime_power_base, require_prime
 from .snf import AbelianGroup, SmithForm, rank_mod_p, snf
 
@@ -9,6 +10,7 @@ __all__ = [
     "CooMatrix",
     "IntMatrix",
     "exact",
+    "first_nonzero_product",
     "prime_power_base",
     "product_is_zero",
     "AbelianGroup",

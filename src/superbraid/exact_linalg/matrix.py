@@ -251,24 +251,25 @@ def exact(m: IntMatrix | CooMatrix) -> IntMatrix:
     return out
 
 
-def product_is_zero(a: IntMatrix | CooMatrix,
-                    b: IntMatrix | CooMatrix) -> bool:
-    """Exact test a*b == 0, for either matrix type on either side.
+def first_nonzero_product(a: IntMatrix | CooMatrix,
+                          b: IntMatrix | CooMatrix) -> tuple[int, int] | None:
+    """The least (row, col) at which a*b is nonzero, or None if a*b == 0.
 
-    a's entries are joined to b's rows in numpy: the product terms of each
-    entry of a are expanded with np.repeat, keyed by output cell
-    i * b.ncols + j, sorted, and summed per key.  a's rows go through in
-    slices of at most nnz(a) + nnz(b) terms (one row that is longer on its
-    own makes its own slice), and the test stops at the first slice with a
-    nonzero sum.  A slice holds whole rows of a, so each sum is a full
-    output entry.  The sums are int64 when ncols * max|a| * max|b| < 2^62
-    and the keys when nrows * ncols < 2^63; past either bound, a's values
-    or rows are cast to exact Python ints first.
+    Exact, for either matrix type on either side.  a's entries are joined
+    to b's rows in numpy: the product terms of each entry of a are expanded
+    with np.repeat, keyed by output cell i * b.ncols + j, sorted, and
+    summed per key.  a's rows go through in ascending slices of at most
+    nnz(a) + nnz(b) terms (one row that is longer on its own makes its own
+    slice), and the search stops at the first slice with a nonzero sum.  A
+    slice holds whole rows of a, so each sum is a full output entry.  The
+    sums are int64 when ncols * max|a| * max|b| < 2^62 and the keys when
+    nrows * ncols < 2^63; past either bound, a's values or rows are cast
+    to exact Python ints first.
     """
     if a.ncols != b.nrows:
         raise ValueError("shape mismatch")
     if not a.nnz() or not b.nnz():
-        return True
+        return None
     ai, ak, av = a.coo()
     by_row = np.argsort(ai, kind="stable")
     ai, ak, av = ai[by_row], ak[by_row], av[by_row]
@@ -300,7 +301,14 @@ def product_is_zero(a: IntMatrix | CooMatrix,
             order = np.argsort(keys)
             keys, vals = keys[order], vals[order]
             cells = np.flatnonzero(np.append(True, keys[1:] != keys[:-1]))
-            if np.add.reduceat(vals, cells).any():
-                return False
+            hit = np.flatnonzero(np.add.reduceat(vals, cells))
+            if hit.size:
+                return divmod(int(keys[cells[hit[0]]]), b.ncols)
         lo = hi
-    return True
+    return None
+
+
+def product_is_zero(a: IntMatrix | CooMatrix,
+                    b: IntMatrix | CooMatrix) -> bool:
+    """Exact test a*b == 0 (see first_nonzero_product)."""
+    return first_nonzero_product(a, b) is None

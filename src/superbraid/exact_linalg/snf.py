@@ -9,7 +9,9 @@ pure deletion (the elementary reduction of Kaczynski, Mrozek and
 Slusarek, Comput. Math. Appl. 35 (1998)); a Markowitz elimination over
 Python dicts then takes the core that is left.  It reads every matrix as
 coordinate arrays (m.coo()), whose values are int64 or exact Python ints
-in an object array, so an entry past int64 takes the same path.
+in an object array, so an entry past int64 takes the same path.  It
+eliminates every stored entry: a caller that drops rows, as the bottom-up
+sweep of engine.homology does, hands it m.without_rows(...).
 """
 
 from __future__ import annotations
@@ -292,17 +294,16 @@ def _peel_unit_singletons(rows, cols, unit):
     return pivot_cols, live
 
 
-def _unit_pivot_phase(
-    m: IntMatrix | CooMatrix, skip_rows=frozenset(), p: int = 0,
-) -> tuple[list[int], list[list[int]]]:
+def _unit_pivot_phase(m: IntMatrix | CooMatrix,
+                      p: int = 0) -> tuple[list[int], list[list[int]]]:
     """Eliminate unit pivots sparsely; over Z when p == 0, else over F_p.
 
     Over Z the units are the +-1 entries and the row operations are
     unimodular.  Over F_p the entries are reduced mod p, zeros are
     dropped, and every stored residue is a unit, so the remainder comes
-    back empty and the pivot count is the rank.  Rows in skip_rows are
-    dropped first.  Returns (the column of each pivot, one per unit
-    invariant factor peeled off, dense remainder).
+    back empty and the pivot count is the rank.  Returns (the column of
+    each pivot, one per unit invariant factor peeled off, dense
+    remainder).
 
     Two stages, one path for every ring and matrix type.  First numpy
     peels the units alone in their row or column (_peel_unit_singletons),
@@ -313,10 +314,7 @@ def _unit_pivot_phase(
     (m.coo()) thus fixes every pivot and the remainder.
     """
     row_of, col_of, vals = _ring_entries(m, p)
-    skip = np.fromiter(skip_rows, dtype=np.int64, count=len(skip_rows))
-    skipped = np.zeros(m.nrows, dtype=bool)
-    skipped[skip[(skip >= 0) & (skip < m.nrows)]] = True  # m's rows only
-    kept = np.flatnonzero((vals != 0) & ~skipped[row_of])
+    kept = np.flatnonzero(vals != 0)  # mod p, some residues are zero
     # Over F_p every kept residue is a unit; over Z only +-1 is.
     unit = (np.ones(kept.size, dtype=bool) if p
             else np.abs(vals[kept]) == 1)
@@ -406,17 +404,13 @@ def _unit_pivot_phase(
 # ---------------------------------------------------------------------------
 
 
-def snf(m: IntMatrix | CooMatrix, *, skip_rows=()) -> SmithForm:
+def snf(m: IntMatrix | CooMatrix) -> SmithForm:
     """Smith normal form with an ascending divisor chain.
 
     Peels +-1 pivots sparsely, then finishes the remainder densely.
-
-    skip_rows names rows the sparse phase drops before it eliminates.  The
-    caller vouches that each lies in the integer span of the kept rows, so
-    the row lattice and the divisors are those of m; the engine passes the
-    pivot columns of the boundary one degree below (see engine.homology).
+    pivot_cols serve the bottom-up sweep in engine.homology.
     """
-    pivot_cols, dense = _unit_pivot_phase(m, frozenset(skip_rows))
+    pivot_cols, dense = _unit_pivot_phase(m)
     rest = _dense_snf(dense) if dense and dense[0] else []
     divisors = [1] * len(pivot_cols) + rest
     return SmithForm(tuple(divisors), m.nrows, m.ncols,
@@ -434,6 +428,6 @@ def rank_mod_p(m: IntMatrix | CooMatrix, p: int) -> SmithForm:
     serve the bottom-up sweep in engine.homology.
     """
     require_prime(p)
-    pivot_cols, _ = _unit_pivot_phase(m, p=p)
+    pivot_cols, _ = _unit_pivot_phase(m, p)
     return SmithForm((1,) * len(pivot_cols), m.nrows, m.ncols,
                      pivot_cols=tuple(pivot_cols))

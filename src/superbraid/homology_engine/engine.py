@@ -73,19 +73,21 @@ def homology(cx, coeff: str) -> list[AbelianGroup]:
     not read off the integral divisors.
 
     Precondition: the boundaries compose to zero, which build_complex
-    checks before it returns a complex.  The form of the boundary d_k skips
-    the rows at the columns where the sparse elimination of d_(k-1)
-    pivoted.  That keeps the row space of d_k over the ring (over Z its row
-    lattice, and with it the divisors): if (i, j) is a pivot of A = d_(k-1),
-    a unit of the ring (+-1 over Z, any nonzero residue over F_p), row i of
-    A * d_k = 0 writes row j of d_k as a combination of its other rows with
-    coefficients in the ring.  Eliminating the pivot leaves a Schur
-    complement that still composes to zero with d_k minus row j, whose next
-    pivot is again a unit, so the argument repeats pivot by pivot.  The
-    kept rows of d_k still compose to zero with d_(k+1), so the pivots
-    d_k's own elimination finds on them serve d_(k+1) in turn.
+    checks before it returns a complex.  The boundary d_k is charged whole
+    (see limits.charge); then, in either ring, its rows at the columns
+    where the sparse elimination of d_(k-1) pivoted are dropped
+    (without_rows) before its form is taken.  That keeps the row space of
+    d_k over the ring (over Z its row lattice, and with it the divisors):
+    if (i, j) is a pivot of A = d_(k-1), a unit of the ring (+-1 over Z,
+    any nonzero residue over F_p), row i of A * d_k = 0 writes row j of d_k
+    as a combination of its other rows with coefficients in the ring.
+    Eliminating the pivot leaves a Schur complement that still composes to
+    zero with d_k minus row j, whose next pivot is again a unit, so the
+    argument repeats pivot by pivot.  The kept rows of d_k still compose to
+    zero with d_(k+1), so the pivots d_k's own elimination finds on them
+    serve d_(k+1) in turn.
     """
-    kind, p = parse_coeff(coeff)
+    _, p = parse_coeff(coeff)
     top = cx.spec.rank
     ranks: dict[int, int] = {}
     torsion: dict[int, tuple[int, ...]] = {}
@@ -93,10 +95,8 @@ def homology(cx, coeff: str) -> list[AbelianGroup]:
     for k in range(1, top + 1):
         b = cx.boundary(k)
         charge(b.nrows, b.ncols, b.max_abs())
-        if kind == "f":
-            form = rank_mod_p(b.without_rows(paired), p)
-        else:
-            form = snf(b, skip_rows=paired)
+        b = b.without_rows(paired)
+        form = rank_mod_p(b, p) if p else snf(b)
         ranks[k], torsion[k], paired = form.rank, form.divisors, form.pivot_cols
     return [AbelianGroup.from_divisors(
                 cx.rank(k) - ranks.get(k, 0) - ranks.get(k + 1, 0),

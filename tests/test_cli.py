@@ -119,13 +119,16 @@ class TestHomology:
     (["table", "--d", "0", "--n-max", "3"], "--d"),
     (["series", "--p", "2", "--max-q", "0"], "--max-q"),
     (["series", "--p", "2", "--mode", "local", "--max-t", "0"], "--max-t"),
+    (["table", "--d", "2", "--n-max", "0"], "--n-max"),
+    (["table", "--d", "2", "--n-max", "-3"], "--n-max"),
 ])
 def test_non_positive_size_is_a_usage_error(argv, option, capsys):
+    value = argv[argv.index(option) + 1]
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert f"argument {option}: 0 is not a positive integer" in err
+    assert f"argument {option}: {value} is not a positive integer" in err
     assert "Traceback" not in err
 
 
@@ -319,11 +322,26 @@ class TestVerify:
         assert proc.returncode == 0, proc.stderr
         assert "scipy imported: False" in proc.stderr
 
+    def test_package_import_leaves_numpy_unloaded(self):
+        """import superbraid.cli loads no numerics: the entry point and
+        the reference tables live in modules of their own."""
+        call = ("import sys, superbraid.cli; "
+                "print('numpy imported:', 'numpy' in sys.modules)")
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(superbraid.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", call],
+                              capture_output=True, text=True, env=env,
+                              timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "numpy imported: False\n"
+
     def test_injected_fault_report_shape(self):
         report = _injected_fault_report()
         assert not report.ok
         assert report.checked == 1
-        assert "boundary composition is nonzero" in report.violations[0]
+        assert report.violations == (
+            "injected sign flip at boundary(3)[0,1]: "
+            "boundary composition is nonzero",)
 
     def test_json_reports_variant_and_fingerprints(self, capsys):
         code, out, _ = run(capsys, "verify", "--window", "2:4",

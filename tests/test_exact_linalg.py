@@ -13,6 +13,7 @@ from superbraid.exact_linalg import (
     CooMatrix,
     IntMatrix,
     exact,
+    first_nonzero_product,
     product_is_zero,
     rank_mod_p,
     require_prime,
@@ -135,8 +136,8 @@ def test_snf_divisor_chain(rows):
 def test_snf_with_skip_rows_matches_sympy_on_kept_rows(rows, data):
     skip = data.draw(st.sets(st.integers(0, len(rows) - 1)))
     kept = [row for i, row in enumerate(rows) if i not in skip]
-    m = IntMatrix.from_dense(rows)
-    assert list(snf(m, skip_rows=skip).divisors) == sympy_divisors(kept)
+    m = as_coo(IntMatrix.from_dense(rows))
+    assert list(snf(m.without_rows(skip)).divisors) == sympy_divisors(kept)
 
 
 @settings(max_examples=100, deadline=None)
@@ -240,6 +241,18 @@ def test_product_is_zero_agrees_with_exact(pair):
     assert product_is_zero(a, b) == (a * b).is_zero()
 
 
+@settings(max_examples=200, deadline=None)
+@given(product_pairs(), st.booleans(), st.booleans())
+def test_first_nonzero_product_is_the_least_nonzero_cell(pair, coo_a, coo_b):
+    """Either side may be a CooMatrix; a's entries reach 9 * 2^62, past
+    int64, and a CooMatrix side then holds exact ints."""
+    a, b = pair
+    x = as_coo(a) if coo_a else a
+    y = as_coo(b) if coo_b else b
+    cells = [(i, j) for i, j, _ in (exact(a) * exact(b)).triples()]
+    assert first_nonzero_product(x, y) == min(cells, default=None)
+
+
 def as_coo(m):
     """m's nonzeros as a CooMatrix, in m's storage order."""
     return CooMatrix(m.nrows, m.ncols, *m.coo())
@@ -325,7 +338,7 @@ def test_peeled_smith_form_matches_sympy(case, data):
     skip = data.draw(st.sets(st.integers(0, len(rows) - 1)))
     for skipped in (set(), skip):
         kept = [row for i, row in enumerate(rows) if i not in skipped]
-        form = snf(m, skip_rows=skipped)
+        form = snf(as_coo(m).without_rows(skipped))
         assert list(form.divisors) == sympy_divisors(kept)
         cols = form.pivot_cols
         assert len(set(cols)) == len(cols) <= form.divisors.count(1)
@@ -369,7 +382,7 @@ def test_entry_past_int64_beside_unit_singletons():
     form = snf(m)
     assert list(form.divisors) == sympy_divisors(rows) == [1, 1, 2, 2**65]
     assert sorted(form.pivot_cols) == [1, 2]
-    assert snf(exact(m), skip_rows={4}) == form
+    assert snf(as_coo(m).without_rows({4})) == form
     for p in (2, 3, 2**61 - 1, 2**64 - 59):
         assert rank_mod_p(m, p).rank == gf_rank(rows, p)
 
@@ -406,6 +419,7 @@ def test_product_is_zero_keys_past_int64():
     a = IntMatrix(2**40 + 1, 1, {(0, 0): 1, (2**40, 0): -1})
     b = IntMatrix(1, 2**24, {(0, 0): 1})
     assert not product_is_zero(a, b)
+    assert first_nonzero_product(a, b) == (0, 0)
 
 
 def test_product_is_zero_sums_past_int64():
@@ -449,16 +463,16 @@ def test_pivot_cols_are_distinct_nonzero_columns(rows):
 @given(matrices)
 def test_skip_rows_empty_reproduces_snf(rows):
     m = IntMatrix.from_dense(rows)
-    assert snf(m, skip_rows=()) == snf(m)
+    assert snf(as_coo(m).without_rows(())) == snf(m)
 
 
 def test_skip_rows_drops_rows_before_eliminating():
-    m = IntMatrix.from_dense([[1, 0], [0, 2], [0, 3]])
+    m = as_coo(IntMatrix.from_dense([[1, 0], [0, 2], [0, 3]]))
     assert snf(m).divisors == (1, 1)
-    assert snf(m, skip_rows={2}).divisors == (1, 2)
-    assert snf(m, skip_rows=[0, 2]).divisors == (2,)
+    assert snf(m.without_rows({2})).divisors == (1, 2)
+    assert snf(m.without_rows([0, 2])).divisors == (2,)
     # rows m does not have are not dropped from it
-    assert snf(m, skip_rows={-1, 3}).divisors == (1, 1)
+    assert snf(m.without_rows({-1, 3})).divisors == (1, 1)
 
 
 
