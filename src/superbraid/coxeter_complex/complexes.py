@@ -227,10 +227,10 @@ def _boundary_matrix(spec: CoxeterSpec, dim: int, k: int, blocks: _RunBlocks,
 
     The nonzeros are stored with Gamma in colex order, then tau ascending
     in Gamma, then each block (-1)^(mu + mu_base) B(run, tau), at row
-    block Gamma - tau and column block Gamma, row-major.  The elimination
-    loads them in that order, which fixes its pivots.  Each distinct
-    block is held once and expanded over the (Gamma, tau) pairs that use
-    it by np.repeat offsets.
+    block Gamma - tau and column block Gamma, row-major.  The numpy
+    pre-pass of the elimination reads them in that order, which fixes its
+    pivots.  Each distinct block is held once and expanded over the
+    (Gamma, tau) pairs that use it by np.repeat offsets.
     """
     cols = _subsets_colex(spec.rank, k)
     rows = {g: i for i, g in enumerate(_subsets_colex(spec.rank, k - 1))}

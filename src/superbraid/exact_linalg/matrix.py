@@ -220,8 +220,11 @@ class CooMatrix:
         return int(np.abs(self.vals).max(initial=0))
 
     def without_rows(self, rows) -> "CooMatrix":
-        """The same shape with every entry in the named rows dropped."""
+        """The same shape with every entry in the named rows dropped; the
+        matrix itself when it stores none of them."""
         keep = ~np.isin(self.rows, np.fromiter(rows, dtype=np.int64))
+        if keep.all():
+            return self
         return CooMatrix(self.nrows, self.ncols, self.rows[keep],
                          self.cols[keep], self.vals[keep])
 

@@ -6,8 +6,11 @@ F_p it pivots on any nonzero residue, so the remainder is empty, every
 invariant factor is 1 and the pivot count is the rank.  The elimination
 first peels, in numpy, the units alone in their row or column, which is
 pure deletion (the elementary reduction of Kaczynski, Mrozek and
-Slusarek, Comput. Math. Appl. 35 (1998)); a Markowitz elimination over
-Python dicts then takes the core that is left.  It reads every matrix as
+Slusarek, Comput. Math. Appl. 35 (1998)).  An elimination over Python
+dicts then takes the core that is left, each pivot from the column with
+fewest entries (Markowitz, Management Science 3 (1957), restricted to
+the columns of least count as in Zlatev, SIAM J. Numer. Anal. 17
+(1980)), found in a heap of column counts.  It reads every matrix as
 coordinate arrays (m.coo()), whose values are int64 or exact Python ints
 in an object array, so an entry past int64 takes the same path.  It
 eliminates every stored entry: a caller that drops rows, as the bottom-up
@@ -16,6 +19,8 @@ sweep of engine.homology does, hands it m.without_rows(...).
 
 from __future__ import annotations
 
+import heapq
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,23 +50,64 @@ class SmithForm:
         return len(self.divisors)
 
 
+def _rho_factor(n: int) -> int | None:
+    """A proper factor of the odd n, found by Pollard's rho method in
+    Brent's form (Brent, BIT 20 (1980)), or None.
+
+    The least prime factor p of n is found in about sqrt(p) <= n^(1/4)
+    steps, so each of three polynomials x^2 + c gets a few times n^(1/4)
+    steps.  None means that none of them split n, as for a prime n.
+    """
+    budget = 4 * math.isqrt(math.isqrt(n)) + 128
+    for c in (1, 2, 3):
+        y, r, prod, g = 2, 1, 1, 1
+        while g == 1 and r <= budget:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y  # where this batch starts, to retrace it if g == n
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    prod = prod * abs(x - y) % n
+                g = math.gcd(prod, n)
+                k += 128
+            r *= 2
+        if g == n:  # the batch overshot: retrace it one gcd at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(abs(x - ys), n)
+        if 1 < g < n:
+            return g
+    return None
+
+
 def _least_prime(n: int, f: int = 2) -> int:
     """The least prime factor of n > 1, given that it is at least f.
 
-    Trial division, cut short once f reaches 64: if n is a power of a
-    prime that require_prime certifies, that prime is the answer, so a
-    large prime part costs one certificate, not sqrt(n) divisions.
+    Trial division, cut short once f reaches 64.  If n is a power of a
+    prime that require_prime certifies, that prime is the answer;
+    otherwise a Pollard rho step splits n and each part is treated alike.
+    So a large prime part costs one certificate and a product of large
+    primes a few rho steps, not sqrt(n) divisions.  Only a part that no
+    certificate covers and rho does not split, one with a prime factor of
+    2^64 or more, is divided up to its square root.
     """
-    certify = True
+    split = True
     while f * f <= n:
         if n % f == 0:
             return f
-        if f >= 64 and certify:
-            certify = False
+        if f >= 64 and split:
+            split = False
             try:
                 return prime_power_base(n)
             except ValueError:
                 pass
+            d = _rho_factor(n)
+            if d:
+                return min(_least_prime(d, f), _least_prime(n // d, f))
         f += 1
     return n
 
@@ -307,11 +353,15 @@ def _unit_pivot_phase(m: IntMatrix | CooMatrix,
 
     Two stages, one path for every ring and matrix type.  First numpy
     peels the units alone in their row or column (_peel_unit_singletons),
-    which costs no arithmetic.  Then the entries left, the core, load in
-    m's storage order into row and column maps, and a Markowitz
-    elimination pivots on the units: it approximates minimal fill,
-    scanning the units in the order they were found.  m's storage order
-    (m.coo()) thus fixes every pivot and the remainder.
+    which costs no arithmetic; m's storage order (m.coo()) fixes which.
+    Then the entries left, the core, load into row and column maps, and a
+    heap of (entry count, column) picks each pivot: the sparsest live
+    column, and in it the unit in the shortest row, the lower index
+    breaking ties.  Counts go stale as rows are updated, so a popped
+    column whose count changed is pushed back with its current count.
+    Over Z a column with no +-1 is set aside, and pushed back when a row
+    update writes a +-1 into it.  The heap empties when no unit is left:
+    over Z the remainder holds no +-1, over F_p it is empty.
     """
     row_of, col_of, vals = _ring_entries(m, p)
     kept = np.flatnonzero(vals != 0)  # mod p, some residues are zero
@@ -323,39 +373,27 @@ def _unit_pivot_phase(m: IntMatrix | CooMatrix,
     core = kept[core]
     rows: dict[int, dict[int, int]] = {}
     cols: dict[int, set[int]] = {}  # r in cols[j] iff j in rows[r]
-    units: dict[tuple[int, int], None] = {}
     for i, j, v in zip(row_of[core].tolist(), col_of[core].tolist(),
                        vals[core].tolist()):
         rows.setdefault(i, {})[j] = v
         cols.setdefault(j, set()).add(i)
-        if p or v == 1 or v == -1:
-            units[(i, j)] = None
-    while units:
-        best_key = None
-        best_score = None
-        scanned = 0
-        stale = []
-        for key in units:
-            i, j = key
-            row = rows.get(i)
-            v = row.get(j) if row is not None else None
-            if v is None or not (p or v == 1 or v == -1):
-                stale.append(key)
-                continue
-            score = (len(row) - 1) * (len(cols[j]) - 1)
-            if best_score is None or score < best_score:
-                best_score, best_key = score, key
-                if score == 0:
-                    break
-            scanned += 1
-            if scanned >= 32:
-                break
-        for key in stale:
-            units.pop(key, None)
-        if best_key is None:
+    heap = [(len(col), j) for j, col in cols.items()]
+    heapq.heapify(heap)
+    parked: set[int] = set()  # over Z, the live columns that hold no +-1
+    while heap:
+        count, j = heapq.heappop(heap)
+        col = cols.get(j)
+        if not col:  # pivoted, or emptied by cancellation
             continue
-        units.pop(best_key, None)
-        i, j = best_key
+        if len(col) != count:
+            heapq.heappush(heap, (len(col), j))
+            continue
+        units = [(len(rows[r]), r) for r in col
+                 if p or rows[r][j] in (1, -1)]
+        if not units:
+            parked.add(j)
+            continue
+        _, i = min(units)
         pivot_row = rows.pop(i)
         for jj in pivot_row:
             cols[jj].discard(i)
@@ -374,17 +412,16 @@ def _unit_pivot_phase(m: IntMatrix | CooMatrix,
                     w = -c * vv % p if p else -c * vv
                     row_r[jj] = w
                     cols[jj].add(r)
-                    if p or w == 1 or w == -1:
-                        units[(r, jj)] = None
-                    continue
-                w = (x - c * vv) % p if p else x - c * vv
-                if w:
-                    row_r[jj] = w
-                    if not p and (w == 1 or w == -1):
-                        units[(r, jj)] = None
                 else:
-                    del row_r[jj]
-                    cols[jj].discard(r)
+                    w = (x - c * vv) % p if p else x - c * vv
+                    if not w:
+                        del row_r[jj]
+                        cols[jj].discard(r)
+                        continue
+                    row_r[jj] = w
+                if jj in parked and (w == 1 or w == -1):  # wake it
+                    parked.discard(jj)
+                    heapq.heappush(heap, (len(cols[jj]), jj))
             if not row_r:
                 del rows[r]
         pivot_cols.append(j)

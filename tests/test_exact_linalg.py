@@ -19,6 +19,7 @@ from superbraid.exact_linalg import (
     require_prime,
     snf,
 )
+from superbraid.exact_linalg.snf import _unit_pivot_phase
 
 matrices = st.integers(1, 8).flatmap(
     lambda r: st.integers(1, 8).flatmap(
@@ -96,6 +97,25 @@ def test_describe_large_prime_torsion_promptly():
                          text=True, env=env, timeout=20, check=True).stdout
     assert out.splitlines() == [
         "Z_100000007", f"Z + Z_2 + Z_{2 * (2**31 - 1) * 3**19}"]
+
+
+def test_product_of_two_large_primes_splits_promptly():
+    """A torsion part p * q of two ~40-bit primes is split by a Pollard
+    rho step and each prime certified, instead of a trial division up to
+    sqrt(p * q).  Run in a child process, as above."""
+    import sympy
+
+    p, q = sympy.nextprime(2**40), sympy.nextprime(3 * 2**39)
+    code = ("from superbraid.exact_linalg import AbelianGroup as G\n"
+            f"p, q = {p}, {q}\n"
+            "print(G(0, (p * q,)).primary() == (p, q))\n"
+            "print(G(0, (p * q,)).describe())\n"
+            "print(G(0, (2 * p, 2 * p * q)).primary() == (2, 2, p, p, q))\n")
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(superbraid.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env, timeout=20, check=True).stdout
+    assert out.splitlines() == ["True", f"Z_{p * q}", "True"]
 
 
 def test_equal_groups_describe_alike():
@@ -206,6 +226,16 @@ def test_without_rows_keeps_shape_and_drops_named_rows(rows, data):
     assert exact(m) == IntMatrix.from_dense(rows)
 
 
+def test_without_rows_returns_the_matrix_when_it_drops_nothing():
+    b = as_coo(IntMatrix.from_dense([[1, 0], [0, 2], [0, 0]]))
+    assert b.without_rows(()) is b
+    # row 2 stores nothing; rows -1 and 3 lie outside the matrix
+    assert b.without_rows({2, -1, 3}) is b
+    out = b.without_rows({1, 2})
+    assert out is not b
+    assert exact(out).to_dense() == [[1, 0], [0, 0], [0, 0]]
+
+
 @st.composite
 def product_pairs(draw):
     """(a, b) with a.ncols == b.nrows.  Besides plain random pairs: pairs
@@ -288,10 +318,11 @@ def test_coo_matrix_members_match_int_matrix(rows, scale, data):
 
 
 def test_pivots_follow_the_storage_order():
-    """The kernel scans the unit entries in the order they are stored, so
-    a diagonal stored bottom-up pivots bottom-up.  The array boundaries
-    keep the order the dict boundaries were written in, and with it every
-    pivot."""
+    """The numpy pre-pass takes the unit singletons in the order they are
+    stored, so a diagonal stored bottom-up pivots bottom-up.  The array
+    boundaries keep the order the dict boundaries were written in, and
+    with it every pivot of the pre-pass; the core that follows picks its
+    pivots by column and row counts and indices."""
     m = IntMatrix(5, 5)
     m.entries = {(i, i): 1 for i in reversed(range(5))}
     for x in (m, as_coo(m)):
@@ -357,6 +388,41 @@ def test_peeled_rank_mod_p_matches_sympy_gf(case, p):
     assert len(set(cols)) == len(cols) == form.rank
     if cols:
         assert gf_rank(columns(rows, cols), p) == len(cols)
+
+
+def assert_stops_on_no_unit(m, p):
+    """Run the kernel on m over Z (p = 0) or F_p and check where it
+    stopped: over Z the remainder holds no +-1, over F_p nothing is left,
+    and the pivot columns are distinct.  A +-1 left in the remainder is a
+    pivot the kernel missed; the dense Smith form would still find the
+    right divisors from it, so only this check sees it."""
+    pivot_cols, dense = _unit_pivot_phase(m, p)
+    assert len(set(pivot_cols)) == len(pivot_cols)
+    if p:
+        assert dense == []
+    else:
+        assert not any(v in (1, -1) for row in dense for v in row)
+    return pivot_cols, dense
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(singleton_rich().map(lambda case: case[1]),
+                 matrices.map(IntMatrix.from_dense)))
+def test_elimination_stops_only_when_no_unit_is_left(m):
+    """In a few percent of the dense draws from matrices, a row update
+    writes the first unit into a column the kernel had set aside."""
+    for p in (0, 3):
+        assert_stops_on_no_unit(m, p)
+
+
+def test_a_unit_written_by_a_row_update_is_pivoted():
+    """Column 0 holds no unit until the pivot (0, 1) turns its 3 into
+    3 - 2 = 1.  All three columns hold two entries, so column 0 is looked
+    at first, set aside, and must be taken up again after that update."""
+    m = IntMatrix.from_dense([[2, 1, 1], [3, 1, 1]])
+    for x in (m, as_coo(m)):
+        assert assert_stops_on_no_unit(x, 0) == ([1, 0], [])
+        assert snf(x).divisors == (1, 1)
 
 
 @pytest.mark.parametrize("rows, divisors", [

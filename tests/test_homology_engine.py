@@ -27,6 +27,7 @@ from superbraid.exact_linalg import (
     rank_mod_p,
     snf,
 )
+from superbraid.exact_linalg.snf import _unit_pivot_phase
 from superbraid.homology_engine import (
     CACHE_VERSION,
     CALIBRATION_GRID,
@@ -788,6 +789,38 @@ def _sweep_complexes():
 @pytest.fixture(scope="module")
 def sweep_complexes():
     return list(_sweep_complexes())
+
+
+@pytest.fixture(scope="module")
+def braid_complex_6_3():
+    cal = calibrate(3)
+    return build_complex(CoxeterSpec("A", 5),
+                         engine.braid_system(6, 3, cal.construction, cal.order))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from([0, 3]), st.randoms(use_true_random=False))
+def test_kernel_stops_only_when_no_unit_is_left(braid_complex_6_3, p, rnd):
+    """Every boundary of the n = 6, d = 3 complex, as the sweep hands it
+    to the kernel and in a drawn storage order: over Z the remainder holds
+    no +-1, over F_3 nothing is left, and the pivot columns are distinct.
+    A +-1 left in the remainder is a pivot the kernel missed, which the
+    dense Smith form would hide."""
+    cx = braid_complex_6_3
+    lower = ()
+    for k in range(1, cx.spec.rank + 1):
+        b = cx.boundary(k).without_rows(lower)
+        order = rnd.sample(range(b.nnz()), b.nnz())
+        shuffled = CooMatrix(b.nrows, b.ncols, b.rows[order], b.cols[order],
+                             b.vals[order])
+        for m in (shuffled, b):
+            pivot_cols, dense = _unit_pivot_phase(m, p)
+            assert len(set(pivot_cols)) == len(pivot_cols), k
+            if p:
+                assert dense == [], k
+            else:
+                assert not any(v in (1, -1) for row in dense for v in row), k
+        lower = pivot_cols
 
 
 class _Complex:
