@@ -131,43 +131,41 @@ def _run_block(reps, gens: np.ndarray, gen_max: int,
     """B(R, tau) in the dtype of gens; None if gens are int64 and an entry
     bound reaches 2^62.
 
-    gens holds the run's generators, indexed by the letters of reps.
-    Representatives come in breadth-first order, so each length forms one
-    contiguous level whose parents all lie in the level before; a level is
-    lifted by one stacked product and added to the block with its sign.
-    On int64, a product is taken only if dim * max|parent| * max|generator|
-    < 2^62, and a level is added only if the running bound on the block's
-    entries plus (level size) * max|level| stays below 2^62.  Exact Python
-    ints (an object array) need no bound.
+    reps is a CosetTable whose letters index gens, the run's generators.
+    Its representatives come in breadth-first order, so each length forms
+    one contiguous level whose parents all lie in the level before.  A
+    level is lifted by one stacked product of the previous level's lifts,
+    indexed by parent minus that level's start, and added to the block
+    with its sign; only the previous level's lifts are kept.  On int64, a
+    product is taken only if dim * max|parent| * max|generator| < 2^62,
+    and a level is added only if the running bound on the block's entries
+    plus (level size) * max|level| stays below 2^62.  The bounds are
+    Python ints, so they cannot wrap.  Exact Python ints (an object array)
+    need no bound.
     """
     limit = INT64_SAFE if gens.dtype == np.int64 else math.inf
     dim = gens.shape[1]
-    lifts = np.empty((len(reps), dim, dim), dtype=gens.dtype)
-    lifts[0] = np.eye(dim, dtype=np.int64)
-    block = lifts[0].copy()
+    prev = np.eye(dim, dtype=gens.dtype)[None]
+    block = prev[0].copy()
     total = 1  # bounds max |entry| of every partial sum of the block
     top = 1  # max |entry| over the previous level
-    start = 1
-    while start < len(reps):
-        length = reps[start].length
-        end = start
-        while end < len(reps) and reps[end].length == length:
-            end += 1
+    # Level boundaries: 0, the start of each longer length, len(reps).
+    ends = np.flatnonzero(np.diff(reps.length)) + 1
+    bounds = [0, *ends.tolist(), len(reps)]
+    for length, (start, end) in enumerate(zip(bounds[1:], bounds[2:]), 1):
         if dim * top * gen_max >= limit:
             return None
-        parents = lifts[[r.parent for r in reps[start:end]]]
-        letters = gens[[r.letter for r in reps[start:end]]]
-        level = parents @ letters if side == "left" else letters @ parents
-        top = int(np.abs(level).max(initial=0))
+        parents = prev[reps.parent[start:end] - bounds[length - 1]]
+        letters = gens[reps.letter[start:end]]
+        prev = parents @ letters if side == "left" else letters @ parents
+        top = int(np.abs(prev).max(initial=0))
         total += (end - start) * top
         if total >= limit:
             return None
-        lifts[start:end] = level
         if length % 2:
-            block -= level.sum(axis=0)
+            block -= prev.sum(axis=0)
         else:
-            block += level.sum(axis=0)
-        start = end
+            block += prev.sum(axis=0)
     return block
 
 

@@ -5,16 +5,22 @@ transpositions as generators; type B of rank n is the group of signed
 permutations of n letters, where the extra generator s_0 flips the sign in
 the first position and braids with s_1 through a relation of order 4.
 
-Elements are stored as window tuples (one-line notation); lengths and
-descents are computed combinatorially so that enumeration of minimal coset
-representatives scales to parabolic indices in the thousands.
+Elements are window tuples (one-line notation); lengths and descents are
+computed combinatorially so that enumeration of minimal coset
+representatives scales to parabolic indices in the thousands.  An
+enumeration is kept as a CosetTable of three int64 entries per
+representative (parent, letter, length); element tuples live only in the
+search's seen set, and views with element and word are rebuilt on demand.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -162,7 +168,7 @@ class CoxeterSpec:
 
 @dataclass(frozen=True)
 class CosetRep:
-    """One minimal-length coset representative discovered by the BFS.
+    """One minimal-length coset representative, as a view of a CosetTable.
 
     ``parent`` is the index of the representative this one extends and
     ``letter`` the generator appended (on the side given to the search), so
@@ -179,6 +185,51 @@ class CosetRep:
         return len(self.word)
 
 
+class CosetTable(Sequence):
+    """The minimal coset representatives found by the BFS, as int64 arrays.
+
+    ``parent[i]`` is the index of the representative that i extends (-1 for
+    the identity), ``letter[i]`` the generator it appends on the search
+    side (-1 for the identity) and ``length[i]`` its length.  The order is
+    breadth-first, so each length forms one contiguous level whose parents
+    all lie in the level before.  No element or word is kept: indexing or
+    iterating rebuilds CosetRep views by walking from the identity out to
+    the representative.  With side "left" a view's word appends each
+    letter and its element applies it on the right; with side "right" the
+    word prepends each letter and the element applies it on the left.
+    The table is memoised and shared by every caller, so its arrays are
+    never written after construction.
+    """
+
+    __slots__ = ("spec", "side", "parent", "letter", "length")
+
+    def __init__(self, spec: CoxeterSpec, side: str, parent: np.ndarray,
+                 letter: np.ndarray, length: np.ndarray):
+        self.spec = spec
+        self.side = side
+        self.parent = parent
+        self.letter = letter
+        self.length = length
+
+    def __len__(self) -> int:
+        return len(self.parent)
+
+    def __getitem__(self, i: int) -> CosetRep:
+        i = range(len(self))[i]
+        path = []  # letters from the representative back to the identity
+        j = i
+        while self.parent[j] >= 0:
+            path.append(int(self.letter[j]))
+            j = int(self.parent[j])
+        w = self.spec.identity()
+        for s in reversed(path):
+            w = (self.spec.apply_right(w, s) if self.side == "left"
+                 else self.spec.apply_left(w, s))
+        word = tuple(reversed(path)) if self.side == "left" else tuple(path)
+        return CosetRep(w, word, int(self.parent[i]),
+                        path[0] if path else None)
+
+
 def _validate_subsets(spec, gamma, gamma_prime):
     gamma = tuple(sorted(gamma))
     gamma_prime = tuple(sorted(gamma_prime))
@@ -191,13 +242,12 @@ def _validate_subsets(spec, gamma, gamma_prime):
 
 @functools.cache
 def _coset_reps(family: str, rank: int, gamma: tuple[int, ...],
-                gamma_prime: tuple[int, ...], side: str) -> tuple[CosetRep, ...]:
+                gamma_prime: tuple[int, ...], side: str) -> CosetTable:
     spec = CoxeterSpec(family, rank)
     prime = set(gamma_prime)
-    start = CosetRep(spec.identity(), (), -1, None)
-    reps = [start]
-    seen = {start.element}
-    frontier = [(0, start.element)]
+    parent, letter, length = [-1], [-1], [0]
+    seen = {spec.identity()}
+    frontier = [(0, spec.identity())]
     while frontier:
         new_frontier = []
         for idx, u in frontier:
@@ -221,26 +271,29 @@ def _coset_reps(family: str, rank: int, gamma: tuple[int, ...],
                 if w in seen:
                     continue
                 seen.add(w)
-                word = reps[idx].word + (s,) if side == "left" else (s,) + reps[idx].word
-                reps.append(CosetRep(w, word, idx, s))
-                new_frontier.append((len(reps) - 1, w))
+                new_frontier.append((len(parent), w))
+                parent.append(idx)
+                letter.append(s)
+                length.append(length[idx] + 1)
         frontier = new_frontier
     expected = spec.parabolic_order(gamma) // spec.parabolic_order(gamma_prime)
-    if len(reps) != expected:
+    if len(parent) != expected:
         raise RuntimeError(
-            f"coset enumeration found {len(reps)} representatives of "
+            f"coset enumeration found {len(parent)} representatives of "
             f"W_{gamma_prime} in W_{gamma}, expected {expected}")
-    return tuple(reps)
+    return CosetTable(spec, side, *(np.array(a, dtype=np.int64)
+                                    for a in (parent, letter, length)))
 
 
 def min_coset_reps(spec: CoxeterSpec, gamma, gamma_prime,
-                   side: str = "left") -> tuple[CosetRep, ...]:
+                   side: str = "left") -> CosetTable:
     """All minimal-length representatives of W_gamma' cosets inside W_gamma.
 
     With ``side="left"`` the representatives have no left descent in
     gamma', i.e. they are the minima of the cosets W_gamma' beta; the BFS
     extends words on the right and the set is closed under removing the
-    last letter.  ``side="right"`` is the mirror image.
+    last letter.  ``side="right"`` is the mirror image.  The answer is a
+    CosetTable, kept for the process, whose items are CosetRep views.
     """
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")

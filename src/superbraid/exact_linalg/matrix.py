@@ -16,6 +16,10 @@ import numpy as np
 # Largest |entry| for which int64 products with a given inner dimension are safe.
 INT64_SAFE = 1 << 62
 
+# Most product terms first_nonzero_product expands at once, unless one row
+# of the left factor has more on its own.
+PRODUCT_SLICE_TERMS = 1 << 14
+
 
 class IntMatrix:
     """Integer matrix stored as a {(row, col): value} map plus explicit shape.
@@ -262,9 +266,11 @@ def first_nonzero_product(a: IntMatrix | CooMatrix,
     to b's rows in numpy: the product terms of each entry of a are expanded
     with np.repeat, keyed by output cell i * b.ncols + j, sorted, and
     summed per key.  a's rows go through in ascending slices of at most
-    nnz(a) + nnz(b) terms (one row that is longer on its own makes its own
-    slice), and the search stops at the first slice with a nonzero sum.  A
-    slice holds whole rows of a, so each sum is a full output entry.  The
+    min(nnz(a) + nnz(b), PRODUCT_SLICE_TERMS) terms (one row that is longer
+    on its own makes its own slice), and the search stops at the first
+    slice with a nonzero sum.  So the temporary arrays of a slice stay of
+    fixed size however large the factors are.  A slice holds whole rows of
+    a, so each sum is a full output entry.  The
     sums are int64 when ncols * max|a| * max|b| < 2^62 and the keys when
     nrows * ncols < 2^63; past either bound, a's values or rows are cast
     to exact Python ints first.
@@ -288,7 +294,7 @@ def first_nonzero_product(a: IntMatrix | CooMatrix,
     # Cumulative term count at the end of each row of a; slices cut there.
     row_end = np.flatnonzero(np.append(ai[1:] != ai[:-1], True)) + 1
     done = np.cumsum(terms)[row_end - 1]
-    budget = a.nnz() + b.nnz()
+    budget = min(a.nnz() + b.nnz(), PRODUCT_SLICE_TERMS)
     lo = r = 0  # entry and row where the next slice starts
     while r < len(row_end):
         base = done[r - 1] if r else 0

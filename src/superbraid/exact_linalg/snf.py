@@ -159,10 +159,20 @@ class AbelianGroup:
         object.__setattr__(self, "torsion", tuple(int(q) for q in self.torsion))
 
     def primary(self) -> tuple[int, ...]:
-        out: list[int] = []
-        for q in self.torsion:
-            out.extend(_primary_parts(q))
-        return tuple(sorted(out))
+        """The prime-power parts of the torsion, ascending.
+
+        Each group factors its torsion once and keeps the parts in its
+        instance dict, outside the dataclass fields, so ==, hash and repr
+        are unchanged.
+        """
+        parts = self.__dict__.get("_primary")
+        if parts is None:
+            out: list[int] = []
+            for q in self.torsion:
+                out.extend(_primary_parts(q))
+            parts = tuple(sorted(out))
+            object.__setattr__(self, "_primary", parts)
+        return parts
 
     def p_primary_count(self, p: int) -> int:
         return sum(1 for pk in self.primary() if pk % p == 0)

@@ -29,7 +29,8 @@ from superbraid.coxeter_complex import (
 from superbraid.coxeter_complex import complexes, groups
 from superbraid.coxeter_complex.complexes import _boundaries, _subsets_colex
 from superbraid.exact_linalg import (
-    AbelianGroup, CooMatrix, IntMatrix, exact, rank_mod_p, snf)
+    AbelianGroup, CooMatrix, IntMatrix, exact, first_nonzero_product,
+    rank_mod_p, snf)
 from superbraid.homology_engine import engine
 from superbraid.surface_rep import build_rep
 
@@ -609,3 +610,49 @@ class TestRunBlocks:
             families = {shape.family for shape, _, _, _ in asked}
             assert families == ({"A"} if spec.family == "A" else {"A", "B"})
             assert len(set(asked)) < len(asked)
+
+
+class TestBuildMemory:
+    """What a build holds besides its boundaries stays small."""
+
+    def test_coset_memo_keeps_few_bytes_per_representative(self):
+        """The memo keeps each representative as three int64 entries
+        (parent, letter, length), not as element and word tuples (about
+        400 bytes each)."""
+        groups._coset_reps.cache_clear()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            count = 0
+            for rank in range(1, 12):
+                spec = CoxeterSpec("A", rank)
+                for tau in range(rank):
+                    count += len(min_coset_reps(
+                        spec, tuple(range(rank)),
+                        tuple(g for g in range(rank) if g != tau)))
+            gc.collect()
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+            groups._coset_reps.cache_clear()
+        assert count > 8000
+        assert kept < 64 * count, kept / count
+
+    def test_composition_check_peak_per_nonzero(self):
+        """d_6 . d_7 of row (12, 2), about 52 000 nonzeros between them,
+        is checked in fixed-size slices: its peak is the sorted copies of
+        the two factors, not the expanded product terms (about 97 bytes
+        per nonzero when a slice could hold nnz(a) + nnz(b) terms)."""
+        spec, rho = surface_system(12, 2)
+        bounds = _boundaries(spec, rho, DEFAULT_CONVENTION)
+        low, high = bounds[6], bounds[7]
+        gc.collect()
+        tracemalloc.start()
+        try:
+            assert first_nonzero_product(low, high) is None
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        nnz = low.nnz() + high.nnz()
+        assert nnz > 50000
+        assert peak < 72 * nnz, peak / nnz

@@ -1,7 +1,9 @@
+import importlib
 import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,7 +21,11 @@ from superbraid.exact_linalg import (
     require_prime,
     snf,
 )
+from superbraid.exact_linalg import matrix as matrix_module
 from superbraid.exact_linalg.snf import _unit_pivot_phase
+
+# The package exports the function snf, which hides the module of that name.
+snf_module = importlib.import_module("superbraid.exact_linalg.snf")
 
 matrices = st.integers(1, 8).flatmap(
     lambda r: st.integers(1, 8).flatmap(
@@ -116,6 +122,50 @@ def test_product_of_two_large_primes_splits_promptly():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, env=env, timeout=20, check=True).stdout
     assert out.splitlines() == ["True", f"Z_{p * q}", "True"]
+
+
+def test_primary_parts_are_factored_once_per_group(monkeypatch):
+    """==, hash, describe and p_primary_count all read the primary parts;
+    each group factors each of its torsion entries once between them."""
+    factored = []
+    parts = snf_module._primary_parts
+
+    def counted(q):
+        factored.append(q)
+        return parts(q)
+
+    monkeypatch.setattr(snf_module, "_primary_parts", counted)
+    a = AbelianGroup(1, (2, 12, 360))
+    b = AbelianGroup(1, (8, 9, 5, 2, 12))
+    assert a == b and hash(a) == hash(b)
+    assert a.describe() == b.describe() == "Z + Z_2 + Z_12 + Z_360"
+    assert a.p_primary_count(2) == b.p_primary_count(2) == 3
+    assert a == b and hash(a) == hash(b)
+    assert sorted(factored) == sorted(a.torsion + b.torsion)
+    assert repr(a) == "AbelianGroup(rank=1, torsion=(2, 12, 360))"
+
+
+def test_large_composite_torsion_is_factored_once():
+    """primary() then describe() on Z_(p q), two ~40-bit primes, takes one
+    Pollard rho split, not one per call.  Run in a child process, as
+    above."""
+    import sympy
+
+    p, q = sympy.nextprime(2**40), sympy.nextprime(3 * 2**39)
+    code = ("import importlib\n"
+            "snf = importlib.import_module('superbraid.exact_linalg.snf')\n"
+            "splits = []\n"
+            "rho = snf._rho_factor\n"
+            "snf._rho_factor = lambda n: splits.append(n) or rho(n)\n"
+            f"g = snf.AbelianGroup(0, ({p * q},))\n"
+            "print(g.primary())\n"
+            "print(g.describe())\n"
+            "print(len(splits))\n")
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(superbraid.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env, timeout=20, check=True).stdout
+    assert out.splitlines() == [f"({p}, {q})", f"Z_{p * q}", "1"]
 
 
 def test_equal_groups_describe_alike():
@@ -281,6 +331,21 @@ def test_first_nonzero_product_is_the_least_nonzero_cell(pair, coo_a, coo_b):
     y = as_coo(b) if coo_b else b
     cells = [(i, j) for i, j, _ in (exact(a) * exact(b)).triples()]
     assert first_nonzero_product(x, y) == min(cells, default=None)
+
+
+@settings(max_examples=200, deadline=None)
+@given(product_pairs(), st.booleans(), st.booleans(), st.integers(1, 3))
+def test_tiny_slice_budget_keeps_the_least_nonzero_cell(pair, coo_a, coo_b,
+                                                       budget):
+    """With a slice budget of 1 to 3 terms, a row of a with product terms
+    makes its own slice once it has at least that many, and rows with
+    fewer share one; either way the cell found is the least nonzero one."""
+    a, b = pair
+    x = as_coo(a) if coo_a else a
+    y = as_coo(b) if coo_b else b
+    cells = [(i, j) for i, j, _ in (exact(a) * exact(b)).triples()]
+    with mock.patch.object(matrix_module, "PRODUCT_SLICE_TERMS", budget):
+        assert first_nonzero_product(x, y) == min(cells, default=None)
 
 
 def as_coo(m):
