@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 import threading
 from collections import Counter
+from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -1002,3 +1004,45 @@ class TestBottomUpSweep:
             low, high = exact(cx.boundary(k - 1)), exact(cx.boundary(k))
             assert (low * high).is_zero()
         assert engine.homology(cx, "z") == expected
+
+
+SWEEP_PIVOTS = Path(__file__).resolve().parent / "golden" / "sweep_pivots.json"
+PIVOT_ROWS = ((8, 2), (7, 3), (8, 4))
+
+
+def _swept_pivots(n: int, d: int, coeff: str) -> list[list[int]]:
+    """pivot_cols of each boundary of row (n, d), in degree order, as the
+    bottom-up sweep of engine.homology takes them over coeff."""
+    cal = calibrate(d)
+    cx = build_complex(CoxeterSpec("A", n - 1),
+                       engine.braid_system(n, d, cal.construction, cal.order))
+    forms = []
+    name = "rank_mod_p" if coeff != "z" else "snf"
+    real = getattr(engine, name)
+
+    def recording(*args):
+        forms.append(real(*args))
+        return forms[-1]
+
+    with mock.patch.object(engine, name, recording):
+        engine.homology(cx, coeff)
+    return [list(form.pivot_cols) for form in forms]
+
+
+@pytest.mark.parametrize("coeff", ["z", "f:3"])
+@pytest.mark.parametrize("n, d", PIVOT_ROWS)
+def test_sweep_takes_the_recorded_pivots(n, d, coeff):
+    """The elimination kernel's pivot sequence on every swept boundary is
+    pinned, not only the groups it yields: the pre-pass's storage order
+    and the core's column-count heap, lower index first, fix each pivot.
+    To rewrite tests/golden/sweep_pivots.json after an intended change of
+    pivots, run ``python tests/test_homology_engine.py`` and review it."""
+    recorded = json.loads(SWEEP_PIVOTS.read_text())
+    assert _swept_pivots(n, d, coeff) == recorded[f"{n},{d}"][coeff]
+
+
+if __name__ == "__main__":
+    SWEEP_PIVOTS.write_text(json.dumps(
+        {f"{n},{d}": {coeff: _swept_pivots(n, d, coeff)
+                      for coeff in ("z", "f:3")}
+         for n, d in PIVOT_ROWS}, sort_keys=True) + "\n")
