@@ -4,7 +4,10 @@ Both types expose the same read-only members, so the elimination kernel and
 the composition check each load either one the same way: nrows and ncols,
 nnz, max_abs, coo (the nonzeros in storage order as arrays) and triples
 (sorted).  Values are int64 while every |value| < 2^63, and exact Python
-ints in an object array otherwise: one array path, two dtypes.
+ints in an object array otherwise: one array path, two dtypes.  A
+CooMatrix holds its rows and columns as int32 while both dimensions are
+below 2^31 (int64 otherwise), so code that multiplies or offsets indices
+casts them to int64 first; IntMatrix.coo() hands out int64.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ INT64_SAFE = 1 << 62
 
 # Most product terms first_nonzero_product expands at once, unless one row
 # of the left factor has more on its own.
-PRODUCT_SLICE_TERMS = 1 << 14
+PRODUCT_SLICE_TERMS = 1 << 12
 
 
 class IntMatrix:
@@ -200,21 +203,25 @@ class CooMatrix:
     """Integer matrix held as three arrays: the row, column and value of
     each nonzero, in the order the entries were written.
 
-    Rows and columns are int64.  No (row, col) repeats and no value is
-    zero.  The values are int64 with every |value| < 2^63, so abs and
-    negation cannot wrap, or, once some entry is past that, exact Python
-    ints in an object array.  The arrays are shared, never written after
-    construction.
+    Rows and columns are int32 when both dimensions are below 2^31, and
+    int64 otherwise; the constructor casts them, and this is the only
+    place that chooses.  So an index product or offset, such as a key
+    row * ncols + col, must be taken in int64.  No (row, col) repeats and
+    no value is zero.  The values are int64 with every |value| < 2^63, so
+    abs and negation cannot wrap, or, once some entry is past that, exact
+    Python ints in an object array.  The arrays are shared, never written
+    after construction.
     """
 
     __slots__ = ("nrows", "ncols", "rows", "cols", "vals")
 
     def __init__(self, nrows: int, ncols: int, rows: np.ndarray,
                  cols: np.ndarray, vals: np.ndarray):
+        index = np.int32 if max(nrows, ncols) < 1 << 31 else np.int64
         self.nrows = nrows
         self.ncols = ncols
-        self.rows = rows
-        self.cols = cols
+        self.rows = rows.astype(index, copy=False)
+        self.cols = cols.astype(index, copy=False)
         self.vals = vals
 
     def nnz(self) -> int:
@@ -258,55 +265,86 @@ def exact(m: IntMatrix | CooMatrix) -> IntMatrix:
     return out
 
 
+def _runs(keys: np.ndarray, order: np.ndarray):
+    """The distinct values of keys, ascending, and the end of each one's
+    run in keys[order], for order a stable argsort of keys."""
+    ordered = keys[order]
+    ends = np.append(np.flatnonzero(ordered[1:] != ordered[:-1]) + 1,
+                     ordered.size)
+    return ordered[ends - 1], ends
+
+
 def first_nonzero_product(a: IntMatrix | CooMatrix,
                           b: IntMatrix | CooMatrix) -> tuple[int, int] | None:
     """The least (row, col) at which a*b is nonzero, or None if a*b == 0.
 
-    Exact, for either matrix type on either side.  a's entries are joined
-    to b's rows in numpy: the product terms of each entry of a are expanded
-    with np.repeat, keyed by output cell i * b.ncols + j, sorted, and
-    summed per key.  a's rows go through in ascending slices of at most
-    min(nnz(a) + nnz(b), PRODUCT_SLICE_TERMS) terms (one row that is longer
-    on its own makes its own slice), and the search stops at the first
-    slice with a nonzero sum.  So the temporary arrays of a slice stay of
-    fixed size however large the factors are.  A slice holds whole rows of
-    a, so each sum is a full output entry.  The
-    sums are int64 when ncols * max|a| * max|b| < 2^62 and the keys when
-    nrows * ncols < 2^63; past either bound, a's values or rows are cast
-    to exact Python ints first.
+    Exact, for either matrix type on either side.  Neither factor is
+    copied or sorted: the function holds a stable order of a's entries by
+    row and one of b's by row, with the count of b's entries in each row,
+    and each slice gathers its entries through them.  a's entries are
+    joined to b's rows in numpy: the product terms of each entry of a are
+    expanded with np.repeat, keyed by output cell i * b.ncols + j, sorted,
+    and summed per key.  a's rows go through in ascending slices of at
+    most min(nnz(a) + nnz(b), PRODUCT_SLICE_TERMS) terms (one row that is
+    longer on its own makes its own slice), and the search stops at the
+    first slice with a nonzero sum.  So the temporary arrays of a slice
+    stay of fixed size however large the factors are.  A slice holds whole
+    rows of a, so each sum is a full output entry.  The sums are int64
+    when ncols * max|a| * max|b| < 2^62 and the keys when nrows * ncols <
+    2^63; past either bound, a slice's values or rows are cast to exact
+    Python ints first.  The keys are taken in int64 at least, whatever
+    the index dtype of the factors.
     """
     if a.ncols != b.nrows:
         raise ValueError("shape mismatch")
     if not a.nnz() or not b.nnz():
         return None
     ai, ak, av = a.coo()
-    by_row = np.argsort(ai, kind="stable")
-    ai, ak, av = ai[by_row], ak[by_row], av[by_row]
-    if a.ncols * a.max_abs() * b.max_abs() >= INT64_SAFE:
-        av = av.astype(object)
-    if a.nrows * b.ncols >= 1 << 63:
-        ai = ai.astype(object)
     bk, bj, bv = b.coo()
+    exact_sums = a.ncols * a.max_abs() * b.max_abs() >= INT64_SAFE
+    key_type = object if a.nrows * b.ncols >= 1 << 63 else np.int64
     by_k = np.argsort(bk, kind="stable")
-    bk, bj, bv = bk[by_k], bj[by_k], bv[by_k]
-    first = np.searchsorted(bk, ak, side="left")
-    terms = np.searchsorted(bk, ak, side="right") - first
+    k_ids, k_end = _runs(bk, by_k)
+    k_count = np.diff(k_end, prepend=0)
+    # Each row of b that holds entries, its entry count and its first
+    # entry in by_k; then row b.nrows, past every k, with none.
+    k_ids = np.append(k_ids, b.nrows).astype(bk.dtype)
+    k_start = np.append(k_end - k_count, 0)
+    k_count = np.append(k_count, 0)
+
+    def b_rows(k):
+        """For each k, the position in k_ids of row k of b (if it holds
+        entries) and its entry count."""
+        at = np.searchsorted(k_ids, k)
+        count = k_count[at]
+        count[k_ids[at] != k] = 0
+        return at, count
+
+    by_row = np.argsort(ai, kind="stable")
+    _, row_end = _runs(ai, by_row)
     # Cumulative term count at the end of each row of a; slices cut there.
-    row_end = np.flatnonzero(np.append(ai[1:] != ai[:-1], True)) + 1
-    done = np.cumsum(terms)[row_end - 1]
+    terms = b_rows(ak[by_row])[1]
+    done = np.cumsum(terms, out=terms)[row_end - 1]
+    del terms
     budget = min(a.nnz() + b.nnz(), PRODUCT_SLICE_TERMS)
-    lo = r = 0  # entry and row where the next slice starts
+    lo = r = 0  # entry (in by_row) and row where the next slice starts
     while r < len(row_end):
         base = done[r - 1] if r else 0
         r = max(int(np.searchsorted(done, base + budget, side="right")), r + 1)
         hi = int(row_end[r - 1])
-        count = terms[lo:hi]
         total = int(done[r - 1] - base)
         if total:
+            entries = by_row[lo:hi]
+            line, count = b_rows(ak[entries])
             start = np.cumsum(count) - count
-            at = np.arange(total) + np.repeat(first[lo:hi] - start, count)
-            keys = np.repeat(ai[lo:hi], count) * b.ncols + bj[at]
-            vals = np.repeat(av[lo:hi], count) * bv[at]
+            at = by_k[np.arange(total)
+                      + np.repeat(k_start[line] - start, count)]
+            keys = (np.repeat(ai[entries].astype(key_type), count) * b.ncols
+                    + bj[at])
+            vals = av[entries]
+            if exact_sums:
+                vals = vals.astype(object)
+            vals = np.repeat(vals, count) * bv[at]
             order = np.argsort(keys)
             keys, vals = keys[order], vals[order]
             cells = np.flatnonzero(np.append(True, keys[1:] != keys[:-1]))

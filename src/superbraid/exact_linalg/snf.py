@@ -6,10 +6,13 @@ F_p it pivots on any nonzero residue, so the remainder is empty, every
 invariant factor is 1 and the pivot count is the rank.  The elimination
 first peels, in numpy, the units alone in their row or column, which is
 pure deletion (the elementary reduction of Kaczynski, Mrozek and
-Slusarek, Comput. Math. Appl. 35 (1998)).  An elimination over Python
-dicts then takes the core that is left, each pivot from the column with
-fewest entries (Markowitz, Management Science 3 (1957), restricted to
-the columns of least count as in Zlatev, SIAM J. Numer. Anal. 17
+Slusarek, Comput. Math. Appl. 35 (1998)); over Z it reads the matrix's
+own arrays and copies none.  An elimination over Python objects then
+takes the core that is left: a dict per row, a list per column that may
+still name rows that have left it, and exact column counts, with one int
+object per row and column index.  It takes each pivot from the column
+with fewest entries (Markowitz, Management Science 3 (1957), restricted
+to the columns of least count as in Zlatev, SIAM J. Numer. Anal. 17
 (1980)), found in a heap of column counts.  It reads every matrix as
 coordinate arrays (m.coo()), whose values are int64 or exact Python ints
 in an object array, so an entry past int64 takes the same path.  It
@@ -299,33 +302,43 @@ def _dense_snf(a: list[list[int]]) -> list[int]:
 
 
 def _ring_entries(m: IntMatrix | CooMatrix, p: int):
-    """Rows, columns and values of m's stored entries, in storage order,
-    with the values reduced mod p when p > 0.
+    """Rows, columns and values of m's entries that are nonzero over the
+    ring, in storage order.
 
-    Rows and columns are int64 arrays.  The values keep m's dtype (int64,
-    or exact Python ints in an object array), and are cast to object when
-    p is past 2^63, so every residue stays exact.
+    Over Z these are m's own arrays (m.coo()), not copies.  Over F_p the
+    values are reduced mod p, cast to object first when p is past 2^63 so
+    every residue stays exact, and the three arrays are copied, without
+    the entries whose residue is zero, only when some residue is zero.
+    The rows and columns keep m's index dtype (int32 or int64, see
+    CooMatrix), and the values m's value dtype.
     """
     rows, cols, vals = m.coo()
+    if not p:
+        return rows, cols, vals
     if p >= 1 << 63:
         vals = vals.astype(object)
-    return rows, cols, vals % p if p else vals
+    vals = vals % p
+    kept = vals != 0
+    if kept.all():
+        return rows, cols, vals
+    return rows[kept], cols[kept], vals[kept]
 
 
 def _peel_unit_singletons(rows, cols, unit):
     """Pivot on the units alone in their row or column, round by round.
 
-    rows and cols locate the live entries, unit flags the units among
-    them.  Removing such a pivot (i, j) is pure deletion of row i and
-    column j: alone in its column, it needs no row update; alone in its
-    row, it only clears the rest of its column.  Each round counts the
-    live entries per row and per column, keeps of the unit singletons the
+    rows and cols locate the entries, unit flags the units among them.
+    Removing such a pivot (i, j) is pure deletion of row i and column j:
+    alone in its column, it needs no row update; alone in its row, it
+    only clears the rest of its column.  Each round counts the live
+    entries per row and per column, keeps of the unit singletons the
     first per row, then the first per column, in storage order, and drops
     their rows and columns.  Those pivots lie in distinct rows and
     columns, and deleting one leaves every other a singleton, so taken
     together they are a valid sequence of unit pivots.  Rounds repeat
-    until one finds none.  Returns (the pivot columns in the order taken,
-    the indices of the entries left).
+    until one finds none.  A round holds the live entries' indices, their
+    rows and columns, and byte masks.  Returns (the pivot columns in the
+    order taken, the indices of the entries left).
     """
     live = np.arange(len(rows))
     pivot_cols: list[int] = []
@@ -350,6 +363,11 @@ def _peel_unit_singletons(rows, cols, unit):
     return pivot_cols, live
 
 
+# Core entries the dict stage of _unit_pivot_phase converts to Python
+# objects at once.
+CORE_CHUNK = 1 << 10
+
+
 def _unit_pivot_phase(m: IntMatrix | CooMatrix,
                       p: int = 0) -> tuple[list[int], list[list[int]]]:
     """Eliminate unit pivots sparsely; over Z when p == 0, else over F_p.
@@ -364,40 +382,62 @@ def _unit_pivot_phase(m: IntMatrix | CooMatrix,
     Two stages, one path for every ring and matrix type.  First numpy
     peels the units alone in their row or column (_peel_unit_singletons),
     which costs no arithmetic; m's storage order (m.coo()) fixes which.
-    Then the entries left, the core, load into row and column maps, and a
-    heap of (entry count, column) picks each pivot: the sparsest live
-    column, and in it the unit in the shortest row, the lower index
-    breaking ties.  Counts go stale as rows are updated, so a popped
-    column whose count changed is pushed back with its current count.
-    Over Z a column with no +-1 is set aside, and pushed back when a row
-    update writes a +-1 into it.  The heap empties when no unit is left:
-    over Z the remainder holds no +-1, over F_p it is empty.
+    Then the entries left, the core, load in chunks of CORE_CHUNK into row
+    maps and column lists, with one int object per row and column index,
+    and a heap of (entry count, column) picks each pivot: the sparsest
+    live column, and in it the unit in the shortest row, the lower index
+    breaking ties.  A column's list keeps rows that have left it until the
+    column is popped; its exact entry count is kept beside it.  Counts go
+    stale in the heap as rows are updated, so a popped column whose count
+    changed is pushed back with its current count.  Over Z a column with
+    no +-1 is set aside, and pushed back when a row update writes a +-1
+    into it.  The heap empties when no unit is left: over Z the remainder
+    holds no +-1, over F_p it is empty.
     """
     row_of, col_of, vals = _ring_entries(m, p)
-    kept = np.flatnonzero(vals != 0)  # mod p, some residues are zero
-    # Over F_p every kept residue is a unit; over Z only +-1 is.
-    unit = (np.ones(kept.size, dtype=bool) if p
-            else np.abs(vals[kept]) == 1)
-    pivot_cols, core = _peel_unit_singletons(
-        row_of[kept], col_of[kept], unit)
-    core = kept[core]
+    # Over F_p every residue is a unit; over Z only +-1 is.
+    unit = (np.ones(vals.size, dtype=bool) if p
+            else (vals == 1) | (vals == -1))
+    pivot_cols, core = _peel_unit_singletons(row_of, col_of, unit)
+    del unit
     rows: dict[int, dict[int, int]] = {}
-    cols: dict[int, set[int]] = {}  # r in cols[j] iff j in rows[r]
-    for i, j, v in zip(row_of[core].tolist(), col_of[core].tolist(),
-                       vals[core].tolist()):
-        rows.setdefault(i, {})[j] = v
-        cols.setdefault(j, set()).add(i)
-    heap = [(len(col), j) for j, col in cols.items()]
+    # By column index: the rows of the column, among them perhaps rows that
+    # have left it since, and its exact entry count.
+    members: list[list[int] | None] = [None] * m.ncols
+    count = [0] * m.ncols
+    index: dict[int, int] = {}  # one int object per row and column index
+    for start in range(0, core.size, CORE_CHUNK):
+        at = core[start:start + CORE_CHUNK]
+        for i, j, v in zip(row_of[at].tolist(), col_of[at].tolist(),
+                           vals[at].tolist()):
+            i = index.setdefault(i, i)
+            j = index.setdefault(j, j)
+            row = rows.get(i)
+            if row is None:
+                row = rows[i] = {}
+            row[j] = v
+            col = members[j]
+            if col is None:
+                members[j] = [i]
+            else:
+                col.append(i)
+            count[j] += 1
+    del index, core
+    # Heap keys are count * width + column, which order as (count, column).
+    width = m.ncols
+    heap = [n * width + j for j, n in enumerate(count) if n]
     heapq.heapify(heap)
     parked: set[int] = set()  # over Z, the live columns that hold no +-1
     while heap:
-        count, j = heapq.heappop(heap)
-        col = cols.get(j)
-        if not col:  # pivoted, or emptied by cancellation
+        n, j = divmod(heapq.heappop(heap), width)
+        live = count[j]
+        if live != n:  # the count changed, or the column is gone
+            if live:
+                heapq.heappush(heap, live * width + j)
+            else:  # pivoted, or emptied by cancellation
+                members[j] = None
             continue
-        if len(col) != count:
-            heapq.heappush(heap, (len(col), j))
-            continue
+        col = members[j] = [r for r in members[j] if j in rows.get(r, ())]
         units = [(len(rows[r]), r) for r in col
                  if p or rows[r][j] in (1, -1)]
         if not units:
@@ -406,32 +446,36 @@ def _unit_pivot_phase(m: IntMatrix | CooMatrix,
         _, i = min(units)
         pivot_row = rows.pop(i)
         for jj in pivot_row:
-            cols[jj].discard(i)
+            count[jj] -= 1
+        count[j], members[j] = 0, None
         # Scale the pivot row so the pivot is 1; each row update is then
         # row_r -= c * pivot_row, with c the entry of row_r in column j.
         v = pivot_row.pop(j)
         inv = pow(v, -1, p) if p else v  # over Z, v = +-1 is its own inverse
         others = [(jj, vv * inv % p if p else vv * inv)
                   for jj, vv in pivot_row.items()]
-        for r in cols.pop(j):
-            row_r = rows[r]
-            c = row_r.pop(j)
+        for r in col:
+            row_r = rows.get(r)
+            c = row_r.pop(j, None) if row_r is not None else None
+            if c is None:  # the pivot row, or a row listed twice
+                continue
             for jj, vv in others:
                 x = row_r.get(jj)
                 if x is None:  # fill-in: -c * vv is nonzero, also mod p
                     w = -c * vv % p if p else -c * vv
                     row_r[jj] = w
-                    cols[jj].add(r)
+                    members[jj].append(r)
+                    count[jj] += 1
                 else:
                     w = (x - c * vv) % p if p else x - c * vv
                     if not w:
                         del row_r[jj]
-                        cols[jj].discard(r)
+                        count[jj] -= 1
                         continue
                     row_r[jj] = w
                 if jj in parked and (w == 1 or w == -1):  # wake it
                     parked.discard(jj)
-                    heapq.heappush(heap, (len(cols[jj]), jj))
+                    heapq.heappush(heap, count[jj] * width + jj)
             if not row_r:
                 del rows[r]
         pivot_cols.append(j)

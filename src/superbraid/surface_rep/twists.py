@@ -47,10 +47,14 @@ def twist_matrix_A(n: int, d: int, k: int) -> IntMatrix:
 
     Columns are the images of the reduced basis vectors.
     """
-    form = IntersectionForm(n, d)
+    return _twist_A(IntersectionForm(n, d), k)
+
+
+def _twist_A(form: IntersectionForm, k: int) -> IntMatrix:
     basis = form.basis
-    if not (1 <= k <= n - 1):
-        raise IndexError(f"twist index k={k} outside 1..{n - 1}")
+    if not (1 <= k <= form.n - 1):
+        raise IndexError(f"twist index k={k} outside 1..{form.n - 1}")
+    d = form.d
     columns = []
     for (l, i) in basis.labels():
         col = {basis.index(l, i): 1}
@@ -86,11 +90,15 @@ def twist_matrix_B(n: int, d: int, k: int, order: str = "left_to_right") -> IntM
     """
     if order not in ORDERS:
         raise ValueError(f"order must be one of {ORDERS}")
-    form = IntersectionForm(n, d)
+    return _twist_B(IntersectionForm(n, d), k, order)
+
+
+def _twist_B(form: IntersectionForm, k: int, order: str) -> IntMatrix:
     basis = form.basis
-    if not (1 <= k <= n - 1):
-        raise IndexError(f"twist index k={k} outside 1..{n - 1}")
-    mats = [transvection(form.omega, basis.index(k, i)) for i in range(1, d)]
+    if not (1 <= k <= form.n - 1):
+        raise IndexError(f"twist index k={k} outside 1..{form.n - 1}")
+    mats = [transvection(form.omega, basis.index(k, i))
+            for i in range(1, form.d)]
     if order == "right_to_left":
         mats.reverse()
     result = IntMatrix.identity(basis.dim)
@@ -106,6 +114,14 @@ def twist_matrix(n: int, d: int, k: int, construction: str = "B",
     if construction == "B":
         return twist_matrix_B(n, d, k, order)
     raise ValueError(f"construction must be one of {CONSTRUCTIONS}")
+
+
+def _twist(form: IntersectionForm, k: int, construction: str,
+           order: str) -> IntMatrix:
+    """twist_matrix on a form the caller already holds."""
+    if construction == "A":
+        return _twist_A(form, k)
+    return _twist_B(form, k, order)
 
 
 class SurfaceRep:
@@ -130,7 +146,7 @@ class SurfaceRep:
         self.order = order
         self.form = IntersectionForm(n, d)
         self.basis = self.form.basis
-        self.matrices = [twist_matrix(n, d, k, construction, order)
+        self.matrices = [_twist(self.form, k, construction, order)
                          for k in range(1, n)]
         self.system = LocalSystem(CoxeterSpec("A", n - 1), self.matrices,
                                   dimension=self.dim)

@@ -656,3 +656,53 @@ class TestBuildMemory:
         nnz = low.nnz() + high.nnz()
         assert nnz > 50000
         assert peak < 72 * nnz, peak / nnz
+
+
+@pytest.fixture(scope="module")
+def row_12_boundaries():
+    spec, rho = surface_system(12, 2)
+    return _boundaries(spec, rho, DEFAULT_CONVENTION)
+
+
+def _traced_peak(call):
+    """call() and the tracemalloc peak it reached."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        out = call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+class TestWorkingSetMemory:
+    """After assembly, the composition check and the elimination kernel
+    hold little besides the boundaries they are given: row (12, 2), the
+    largest row of the benchmark's stretch workload."""
+
+    def test_composition_check_keeps_no_sorted_copies(self,
+                                                      row_12_boundaries):
+        """d_6 . d_7 is read through stable index orders of the two
+        factors and per-row counts; sorted copies of both factors' arrays
+        took about 61 bytes per nonzero."""
+        low, high = row_12_boundaries[6], row_12_boundaries[7]
+        found, peak = _traced_peak(lambda: first_nonzero_product(low, high))
+        assert found is None
+        nnz = low.nnz() + high.nnz()
+        assert nnz > 50000
+        assert peak < 29 * nnz, peak / nnz
+
+    def test_kernel_core_peak_per_nonzero(self, row_12_boundaries):
+        """The Smith form of d_6 as the bottom-up sweep hands it over
+        (without the rows at d_5's pivots): the numpy pre-pass copies no
+        entry array, and the dict core holds one int object per index and
+        column lists, not sets (about 160 bytes per nonzero)."""
+        paired = ()
+        for k in range(1, 6):
+            paired = snf(row_12_boundaries[k].without_rows(paired)).pivot_cols
+        m = row_12_boundaries[6].without_rows(paired)
+        form, peak = _traced_peak(lambda: snf(m))
+        assert form.rank > 2700
+        assert m.nnz() > 16000
+        assert peak < 105 * m.nnz(), peak / m.nnz()

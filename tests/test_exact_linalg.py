@@ -553,6 +553,40 @@ def test_product_is_zero_keys_past_int64():
     assert first_nonzero_product(a, b) == (0, 0)
 
 
+def test_coo_coordinates_are_int32_below_two_to_31():
+    """A CooMatrix holds int32 rows and columns while both dimensions are
+    below 2^31, and int64 once either reaches it."""
+    one = np.array([1], dtype=np.int64)
+    small = CooMatrix(2**31 - 1, 2**31 - 1, one, one, one)
+    assert small.rows.dtype == small.cols.dtype == np.int32
+    assert small.vals.dtype == np.int64
+    for nrows, ncols in ((2**31, 2), (2, 2**31)):
+        wide = CooMatrix(nrows, ncols, one, one, one)
+        assert wide.rows.dtype == wide.cols.dtype == np.int64
+    assert as_coo(IntMatrix.from_dense([[0, 2], [3, 0]])).rows.dtype == np.int32
+
+
+def test_product_keys_are_taken_past_int32():
+    # With int32 coordinates, the keys i * b.ncols + j of cells (0, 0) and
+    # (2^16, 0) would both wrap to 0 and cancel.
+    a = as_coo(IntMatrix(2**16 + 1, 1, {(0, 0): 1, (2**16, 0): -1}))
+    b = as_coo(IntMatrix(1, 2**16, {(0, 0): 1}))
+    assert a.rows.dtype == np.int32
+    assert first_nonzero_product(a, b) == (0, 0)
+
+
+@pytest.mark.parametrize("p", [3, 2**64 - 59])
+def test_zero_residues_mod_p_are_dropped(p):
+    """An entry that is zero mod p is no unit over F_p: it is dropped
+    before the pre-pass, which would otherwise take it as a pivot alone
+    in its column."""
+    m = IntMatrix.from_dense([[p, 1, 0], [2 * p, 0, 0], [0, 0, 3 * p]])
+    for x in (m, as_coo(m)):
+        assert _unit_pivot_phase(x, p) == ([1], [])
+        assert rank_mod_p(x, p).pivot_cols == (1,)
+    assert rank_mod_p(IntMatrix.from_dense([[p, 2 * p]]), p).rank == 0
+
+
 def test_product_is_zero_sums_past_int64():
     # Every entry fits in int64, but 2^62 * 4 and 2^62 * 2 + 2^62 * 2 are
     # 2^64, which int64 arithmetic would wrap to 0.

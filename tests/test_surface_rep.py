@@ -21,6 +21,7 @@ from superbraid.surface_rep import (
     twist_matrix_B,
     twist_to_json,
 )
+from superbraid.surface_rep import twists
 
 nd_pairs = st.tuples(st.integers(2, 6), st.integers(2, 6))
 
@@ -259,3 +260,30 @@ def test_generators_unimodular(nd):
     for t in rep.matrices:
         s = snf(t)
         assert s.rank == rep.dim and all(v == 1 for v in s.divisors)
+
+
+@pytest.mark.parametrize("construction, order", [
+    ("A", "left_to_right"), ("B", "left_to_right"), ("B", "right_to_left")])
+def test_build_rep_makes_one_intersection_form(monkeypatch, construction,
+                                              order):
+    """A representation builds its intersection form once and hands it to
+    every generator's twist, whichever construction and order it uses
+    (B, right_to_left breaks the braid relations after its twists are
+    built)."""
+    made = []
+
+    class Counting(IntersectionForm):
+        def __init__(self, n, d):
+            made.append((n, d))
+            super().__init__(n, d)
+
+    monkeypatch.setattr(twists, "IntersectionForm", Counting)
+    try:
+        rep = build_rep(8, 4, construction, order)
+    except RelationError:
+        rep = None
+    assert made == [(8, 4)]
+    if rep is not None:
+        assert rep.matrices == [twists.twist_matrix(8, 4, k, construction,
+                                                    order)
+                                for k in range(1, 8)]
