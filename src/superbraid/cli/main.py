@@ -141,7 +141,7 @@ def cmd_homology(args) -> int:
 
 
 def _cell_status(fix, n: int, i: int, computed) -> tuple[str, str | None]:
-    printed = fix.cell(n, i) if fix is not None else None
+    printed = fix.cell(n, i)
     if printed is UNKNOWN:
         return "UNKNOWN", None
     if printed is None:
@@ -161,11 +161,12 @@ def cmd_table(args) -> int:
             print("empty table (rank-0 coefficients)")
         return 0
     table = compute_table(args.d, args.n_max, cache_dir=args.cache_dir)
-    fix = FIXTURES.get(args.d)
+    fix = FIXTURES[args.d]  # calibration passed, so d has a reference
+    statuses = {}
     cells = []
     mismatches = []
     for (n, i), g in sorted(table.cells.items()):
-        status, printed = _cell_status(fix, n, i, g)
+        status, printed = statuses[(n, i)] = _cell_status(fix, n, i, g)
         if status == "MISMATCH":
             mismatches.append({"n": n, "i": i, "computed": g.describe(),
                                "reference": printed})
@@ -185,9 +186,8 @@ def cmd_table(args) -> int:
         for n in table.n_values():
             parts = []
             for i in range(n):
-                cell = table.cell(n, i)
-                status, printed = _cell_status(fix, n, i, cell)
-                text = f"H_{i} = {cell.describe()} [{status}]"
+                status, printed = statuses[(n, i)]
+                text = f"H_{i} = {table.cell(n, i).describe()} [{status}]"
                 if status == "MISMATCH":
                     text += f" (reference: {printed})"
                 if status == "UNKNOWN":

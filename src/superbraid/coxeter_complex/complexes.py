@@ -9,16 +9,17 @@ of beta as a positive Artin word and mu counts the position of tau in
 Gamma (plus a global base offset).
 
 W_Gamma is the direct product of the parabolics of the connected runs of
-Gamma (maximal sets of consecutive generators).  So the minimal coset
-representatives of W_{Gamma minus tau} in W_Gamma are exactly those of
-W_{R minus tau} in W_R, where R is the run of Gamma containing tau, on
-either coset side and for both families.  The block is therefore
-(-1)^(mu + mu_base) B(R, tau), with B(R, tau) the sum over those
-representatives of (-1)^length(beta) rho(lift(beta)); one build computes
-each B(R, tau) once.  Lifts are stacked products in the dtype of the
-generators: int64, checked against 2^62 before each product and each sum,
-and a block whose check fails is lifted once more in exact Python ints (an
-object array).  Each boundary is a CooMatrix whose values are int64, or
+Gamma (maximal sets of consecutive generators, CoxeterSpec.runs).  So the
+minimal coset representatives of W_{Gamma minus tau} in W_Gamma are
+exactly those of W_{R minus tau} in W_R, where R is the run of Gamma
+containing tau, on either coset side and for both families; they are
+enumerated in the run's standalone shape, CoxeterSpec.run_shape.  The
+block is therefore (-1)^(mu + mu_base) B(R, tau), with B(R, tau) the sum
+over those representatives of (-1)^length(beta) rho(lift(beta)); one
+build computes each B(R, tau) once.  Lifts are stacked products in the
+dtype of the generators: int64, checked against 2^62 before each product
+and each sum, and a block whose check fails is lifted once more in exact
+Python ints (an object array).  Each boundary is a CooMatrix whose values are int64, or
 exact Python ints once some entry is past int64.
 
 The coset side and the sign base are free conventions; candidates are
@@ -115,17 +116,6 @@ class ChainComplex:
         }
 
 
-def _run_of(gamma: tuple[int, ...], tau: int) -> tuple[int, ...]:
-    """The connected run of gamma (maximal consecutive generators) holding tau."""
-    members = set(gamma)
-    lo = hi = tau
-    while lo - 1 in members:
-        lo -= 1
-    while hi + 1 in members:
-        hi += 1
-    return tuple(range(lo, hi + 1))
-
-
 def _run_block(reps, gens: np.ndarray, gen_max: int,
                side: str) -> np.ndarray | None:
     """B(R, tau) in the dtype of gens; None if gens are int64 and an entry
@@ -173,10 +163,10 @@ class _RunBlocks:
     """B(R, tau) as nonzero arrays, computed once per (run, tau).
 
     The coset representatives come from the standalone parabolic of the
-    run's shape, A_L or, for a type-B run holding s_0, B_L, whose
-    generator i is the run's generator run[0] + i.  So every run of one
-    shape shares one enumeration (min_coset_reps keeps it), and a
-    representative's letters index the run's slice of the generators.
+    run's shape (CoxeterSpec.run_shape), whose generator i is the run's
+    generator run[0] + i.  So every run of one shape shares one
+    enumeration (min_coset_reps keeps it), and a representative's letters
+    index the run's slice of the generators.
     """
 
     def __init__(self, spec: CoxeterSpec, rho: LocalSystem, side: str):
@@ -199,13 +189,12 @@ class _RunBlocks:
         """
         key = (run, tau)
         if key not in self.blocks:
-            first, size = run[0], len(run)
-            family = "B" if self.spec.family == "B" and first == 0 else "A"
-            reps = min_coset_reps(CoxeterSpec(family, size),
-                                  tuple(range(size)),
+            first = run[0]
+            reps = min_coset_reps(self.spec.run_shape(run),
+                                  tuple(range(len(run))),
                                   tuple(g - first for g in run if g != tau),
                                   self.side)
-            gens = self.gens[first:first + size]
+            gens = self.gens[first:first + len(run)]
             block = _run_block(reps, gens, self.gen_max, self.side)
             if block is None:  # past the int64 guard: lift in exact ints
                 block = _run_block(reps, gens.astype(object), self.gen_max,
@@ -236,8 +225,9 @@ def _boundary_matrix(spec: CoxeterSpec, dim: int, k: int, blocks: _RunBlocks,
     parts = []
     use, r0, c0, sign = [], [], [], []
     for ci, gamma in enumerate(cols):
+        run_of = {g: run for run in spec.runs(gamma) for g in run}
         for mu, tau in enumerate(gamma):
-            key = (_run_of(gamma, tau), tau)
+            key = (run_of[tau], tau)
             if key not in index:
                 index[key] = len(parts)
                 parts.append(blocks.block(*key))

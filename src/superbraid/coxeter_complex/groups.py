@@ -146,24 +146,30 @@ class CoxeterSpec:
     def left_descents(self, w: tuple) -> set[int]:
         return {g for g in self.generators if self.is_left_descent(w, g)}
 
+    def runs(self, gamma) -> tuple[tuple[int, ...], ...]:
+        """The maximal runs of consecutive generators in gamma, ascending;
+        W_gamma is the direct product of their parabolics."""
+        out = []
+        for g in sorted(gamma):
+            if out and out[-1][-1] == g - 1:
+                out[-1].append(g)
+            else:
+                out.append([g])
+        return tuple(map(tuple, out))
+
+    def run_shape(self, run: tuple[int, ...]) -> CoxeterSpec:
+        """The standalone system of a run, whose generator i is the run's
+        generator run[0] + i: B_L for a type-B run holding s_0, else A_L."""
+        family = "B" if self.family == "B" and run[0] == 0 else "A"
+        return CoxeterSpec(family, len(run))
+
     def parabolic_order(self, gamma: tuple[int, ...]) -> int:
-        """|W_gamma| from the connected runs of consecutive generators."""
-        order = 1
-        members = sorted(gamma)
-        run = 0
-        prev = None
-        for g in members + [None]:
-            if prev is not None and (g is None or g != prev + 1):
-                start = prev - run + 1
-                if self.family == "B" and start == 0:
-                    order *= (1 << run) * math.factorial(run)
-                else:
-                    order *= math.factorial(run + 1)
-                run = 0
-            if g is not None:
-                run = run + 1 if prev is not None and g == prev + 1 else 1
-            prev = g
-        return order
+        """|W_gamma|, the product over its runs' shapes of |A_L| = (L + 1)!
+        or |B_L| = 2^L L!."""
+        return math.prod(
+            math.factorial(s.rank + 1) if s.family == "A"
+            else math.factorial(s.rank) << s.rank
+            for s in map(self.run_shape, self.runs(gamma)))
 
 
 @dataclass(frozen=True)
@@ -242,7 +248,8 @@ def _validate_subsets(spec, gamma, gamma_prime):
 
 @functools.cache
 def _coset_reps(family: str, rank: int, gamma: tuple[int, ...],
-                gamma_prime: tuple[int, ...], side: str) -> CosetTable:
+                gamma_prime: tuple[int, ...]) -> CosetTable:
+    """The left-side representatives, by breadth-first search."""
     spec = CoxeterSpec(family, rank)
     prime = set(gamma_prime)
     parent, letter, length = [-1], [-1], [0]
@@ -251,24 +258,15 @@ def _coset_reps(family: str, rank: int, gamma: tuple[int, ...],
     while frontier:
         new_frontier = []
         for idx, u in frontier:
-            blocked = spec.right_descents(u) if side == "left" else ()
+            blocked = spec.right_descents(u)
             for s in gamma:
-                if side == "left":
-                    if s in blocked:
-                        continue
-                    w = spec.apply_right(u, s)
-                    # u has no left descent in gamma', so w has one only
-                    # where appending s could create it.
-                    g = spec.left_descent_moved_by(u, s)
-                    if g in prime and spec.is_left_descent(w, g):
-                        continue
-                else:
-                    if spec.is_left_descent(u, s):
-                        continue
-                    w = spec.apply_left(u, s)
-                    if prime and spec.right_descents(w) & prime:
-                        continue
-                if w in seen:
+                if s in blocked:
+                    continue
+                w = spec.apply_right(u, s)
+                # u has no left descent in gamma', so w has one only where
+                # appending s could create it.
+                g = spec.left_descent_moved_by(u, s)
+                if g in prime and spec.is_left_descent(w, g) or w in seen:
                     continue
                 seen.add(w)
                 new_frontier.append((len(parent), w))
@@ -281,8 +279,8 @@ def _coset_reps(family: str, rank: int, gamma: tuple[int, ...],
         raise RuntimeError(
             f"coset enumeration found {len(parent)} representatives of "
             f"W_{gamma_prime} in W_{gamma}, expected {expected}")
-    return CosetTable(spec, side, *(np.array(a, dtype=np.int64)
-                                    for a in (parent, letter, length)))
+    return CosetTable(spec, "left", *(np.array(a, dtype=np.int64)
+                                      for a in (parent, letter, length)))
 
 
 def min_coset_reps(spec: CoxeterSpec, gamma, gamma_prime,
@@ -292,10 +290,16 @@ def min_coset_reps(spec: CoxeterSpec, gamma, gamma_prime,
     With ``side="left"`` the representatives have no left descent in
     gamma', i.e. they are the minima of the cosets W_gamma' beta; the BFS
     extends words on the right and the set is closed under removing the
-    last letter.  ``side="right"`` is the mirror image.  The answer is a
-    CosetTable, kept for the process, whose items are CosetRep views.
+    last letter.  ``side="right"`` is the left search read inverted: u ->
+    u^-1 sends u s to s u^-1 and swaps left with right descents, so a
+    right-side search would visit the inverses in the same order, from the
+    same parents, by the same letters.  Both sides share one CosetTable's
+    arrays, kept for the process; the items are CosetRep views.
     """
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
     gamma, gamma_prime = _validate_subsets(spec, gamma, gamma_prime)
-    return _coset_reps(spec.family, spec.rank, gamma, gamma_prime, side)
+    table = _coset_reps(spec.family, spec.rank, gamma, gamma_prime)
+    if side == "left":
+        return table
+    return CosetTable(spec, side, table.parent, table.letter, table.length)

@@ -56,14 +56,18 @@ def encode_groups(groups) -> list[dict]:
 
 
 def decode_groups(payload) -> list[AbelianGroup]:
-    """The groups of a cache payload.  Each torsion entry must be a prime
-    power p^k with p certified by require_prime, as encode_groups writes
-    them; anything else raises ValueError, so a corrupt entry can never
-    send the group arithmetic into a long factorisation."""
+    """The groups of a cache payload.  Each degree and rank must be an int
+    at least 0, and each torsion entry a prime power p^k with p certified
+    by require_prime, as encode_groups writes them; anything else raises
+    ValueError, so a corrupt entry can never print as a group or send the
+    group arithmetic into a long factorisation."""
     out = [None] * len(payload)
     for item in payload:
         i = item["i"]
-        if not 0 <= i < len(out) or out[i] is not None:
+        for name, x in (("degree", i), ("rank", item["rank"])):
+            if type(x) is not int or x < 0:
+                raise ValueError(f"{name} {x!r} is not an integer >= 0")
+        if i >= len(out) or out[i] is not None:
             raise ValueError("cache payload has missing or duplicate degrees")
         for q in item["torsion"]:
             if type(q) is not int:

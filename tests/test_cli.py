@@ -389,15 +389,16 @@ class TestExitCodes:
         assert err.count("\n") == 1
 
     @staticmethod
-    def _cached_row(tmp_path, torsion):
-        """A cache file for row (3, 2) over Z whose H_1 has this torsion,
-        written by hand, as a corrupt or foreign cache would hold it."""
+    def _cached_row(tmp_path, torsion, **h1):
+        """A cache file for row (3, 2) over Z whose H_1 has this torsion
+        (and the fields in h1), written by hand, as a corrupt or foreign
+        cache would hold it."""
         from superbraid.homology_engine import calibrate
 
         blob = {"n": 3, "d": 2, "coeff": "z", "version": 1,
                 "fingerprint": calibrate(2).fingerprint(),
                 "groups": [{"i": 0, "rank": 0, "torsion": []},
-                           {"i": 1, "rank": 0, "torsion": torsion},
+                           {"i": 1, "rank": 0, "torsion": torsion, **h1},
                            {"i": 2, "rank": 0, "torsion": []}]}
         (tmp_path / "h_A_3_2_z.json").write_text(json.dumps(blob))
 
@@ -421,6 +422,20 @@ class TestExitCodes:
     def test_cached_torsion_beyond_certified_prime_powers_maps_to_two(
             self, capsys, tmp_path, torsion):
         self._cached_row(tmp_path, torsion)
+        code, out, err = run(capsys, "homology", "--n", "3", "--d", "2",
+                             "--cache-dir", str(tmp_path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("cache error: ")
+        assert "unreadable groups" in err
+
+    @pytest.mark.parametrize("value", [1.5, 2.0, True, -1, "1"])
+    @pytest.mark.parametrize("field", ["rank", "i"])
+    def test_cached_rank_or_degree_not_an_int_maps_to_two(
+            self, capsys, tmp_path, field, value):
+        """A rank of 1.5 would print as Z^1.5, and a degree of True would
+        be read as degree 1."""
+        self._cached_row(tmp_path, [2], **{field: value})
         code, out, err = run(capsys, "homology", "--n", "3", "--d", "2",
                              "--cache-dir", str(tmp_path))
         assert code == 2

@@ -6,6 +6,7 @@ import gc
 import json
 import math
 import tracemalloc
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -170,6 +171,14 @@ class TestCoxeterSpec:
         assert b3.parabolic_order((0, 1)) == 8
         assert b3.parabolic_order((1, 2)) == 6
 
+    def test_runs_and_run_shapes(self):
+        b5 = CoxeterSpec("B", 5)
+        gamma = (0, 1, 3, 4)
+        assert b5.runs(gamma) == ((0, 1), (3, 4))
+        assert [b5.run_shape(run) for run in b5.runs(gamma)] == [
+            CoxeterSpec("B", 2), CoxeterSpec("A", 2)]
+        assert b5.parabolic_order(gamma) == 48
+
     @pytest.mark.parametrize("family,rank", [("A", 4), ("B", 3)])
     def test_parabolic_order_matches_enumeration(self, family, rank):
         spec = CoxeterSpec(family, rank)
@@ -216,10 +225,25 @@ class TestCosetReps:
                     assert not (spec.left_descents(r.element) & set(prime))
 
     def test_left_and_right_reps_are_inverse_sets(self):
-        spec = CoxeterSpec("B", 3)
-        left = min_coset_reps(spec, (0, 1, 2), (0, 1))
-        right = min_coset_reps(spec, (0, 1, 2), (0, 1), side="right")
-        assert {spec.inverse(r.element) for r in left} == {r.element for r in right}
+        """Over every (gamma, gamma') of A_1..A_6 and B_1..B_4.  The right
+        side is read from the left search inverted; its elements are
+        checked against right_descents, which the search never asks of
+        them."""
+        specs = [CoxeterSpec("A", r) for r in range(1, 7)]
+        specs += [CoxeterSpec("B", r) for r in range(1, 5)]
+        for spec in specs:
+            for k in range(spec.rank + 1):
+                for gamma in _subsets_colex(spec.rank, k):
+                    for prime in (p for j in range(k + 1)
+                                  for p in combinations(gamma, j)):
+                        left = min_coset_reps(spec, gamma, prime)
+                        right = min_coset_reps(spec, gamma, prime, "right")
+                        elements = [r.element for r in right]
+                        assert len(set(elements)) == len(right) == len(left)
+                        assert ({spec.inverse(r.element) for r in left}
+                                == set(elements)), (spec, gamma, prime)
+                        assert not any(spec.right_descents(w) & set(prime)
+                                       for w in elements), (spec, gamma, prime)
 
     def test_words_are_prefix_closed_and_reduced(self):
         spec = CoxeterSpec("B", 3)

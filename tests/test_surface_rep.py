@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from superbraid.exact_linalg import IntMatrix, snf
+from superbraid.coxeter_complex import CoxeterSpec, LocalSystem, build_complex
+from superbraid.exact_linalg import AbelianGroup, IntMatrix, snf
+from superbraid.homology_engine import braid_twisted_homology, engine
 from superbraid.surface_rep import (
     IntersectionForm,
     RelationError,
@@ -287,3 +289,80 @@ def test_build_rep_makes_one_intersection_form(monkeypatch, construction,
         assert rep.matrices == [twists.twist_matrix(8, 4, k, construction,
                                                     order)
                                 for k in range(1, 8)]
+
+
+# The reduced Burau representation at t = zeta_d, written from its textbook
+# formula with no curve basis and no calibration.  The monodromy on H_1 of
+# the cyclic cover y^d = prod (z - x_i) is this representation (McMullen,
+# "Braid groups and Hodge theory", Math. Ann. 355 (2013)), so an explicit
+# integral intertwiner certifies the calibrated curve representation.
+
+def _companion(d):
+    """C_d, the matrix of t on Z[t]/(1 + t + .. + t^(d-1)) in the basis
+    1, t, .., t^(d-2): 1 at (j+1, j) and -1 down its last column."""
+    entries = {(j + 1, j): 1 for j in range(d - 2)}
+    entries.update({(j, d - 2): -1 for j in range(d - 1)})
+    return entries
+
+
+def _burau(n, d, k):
+    """B_k: the identity except in block row k, which holds C_d at block
+    column k-1, -C_d at column k and I at column k+1, truncated at the
+    ends."""
+    m = d - 1
+    row = (k - 1) * m
+    entries = {(i, i): 1 for i in range((n - 1) * m) if i // m != k - 1}
+    for col, scale in ((k - 2, 1), (k - 1, -1)):
+        if col >= 0:
+            entries.update({(row + i, col * m + j): scale * v
+                            for (i, j), v in _companion(d).items()})
+    if k < n - 1:
+        entries.update({(row + i, k * m + i): 1 for i in range(m)})
+    return IntMatrix((n - 1) * m, (n - 1) * m, entries)
+
+
+def _intertwiner(n, d):
+    """X, the direct sum over k = 1..n-1 of (-1)^(n-k) Y_d, where Y_d has
+    its first column all ones, -1 on the superdiagonal and 0 elsewhere."""
+    m = d - 1
+    entries = {}
+    for k in range(1, n):
+        sign, at = (-1) ** (n - k), (k - 1) * m
+        for i in range(m):
+            entries[(at + i, at)] = sign
+            if i + 1 < m:
+                entries[(at + i, at + i + 1)] = -sign
+    return IntMatrix((n - 1) * m, (n - 1) * m, entries)
+
+
+@pytest.mark.parametrize("d", range(2, 7))
+def test_curve_representation_is_burau_at_a_root_of_unity(d):
+    for n in range(2, 11):
+        x = _intertwiner(n, d)
+        rep = build_rep(n, d)
+        for k in range(1, n):
+            assert x * rep.generator(k) == _burau(n, d, k) * x, (n, k)
+        form = snf(x)
+        assert form.rank == x.nrows and all(v == 1 for v in form.divisors)
+
+
+@pytest.mark.parametrize("d", range(2, 7))
+def test_construction_A_is_not_burau(d):
+    for n in range(3, 7):
+        x = _intertwiner(n, d)
+        rep = build_rep(n, d, construction="A")
+        assert any(x * rep.generator(k) != _burau(n, d, k) * x
+                   for k in range(1, n)), n
+
+
+@pytest.mark.parametrize("n, d", [(8, 4), (7, 3), (6, 6), (8, 2)])
+def test_burau_rows_equal_the_computed_rows(n, d):
+    """Over Z, including the cells (8, 4) and (8, 5) of d = 4 where the
+    computation differs from the bundled reference."""
+    spec = CoxeterSpec("A", n - 1)
+    burau = LocalSystem(spec, [_burau(n, d, k) for k in range(1, n)])
+    row = engine.homology(build_complex(spec, burau), "z")
+    assert row == braid_twisted_homology(n, d)
+    if (n, d) == (8, 4):
+        assert row[4] == AbelianGroup.from_divisors(0, (2, 2, 12))
+        assert row[5] == AbelianGroup.from_divisors(0, (2, 2, 2, 2, 2, 12))
