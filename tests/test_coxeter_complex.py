@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import gc
+import hashlib
 import json
 import math
 import tracemalloc
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -112,6 +114,40 @@ def assert_reference_boundaries(spec, rho):
 
 
 INT64_COO = {(CooMatrix, "int64")}
+
+COSET_TABLES = Path(__file__).resolve().parent / "golden" / "coset_tables.json"
+COSET_TABLE_RANKS = ([("A", r) for r in range(16)]
+                     + [("B", r) for r in range(9)])
+
+
+def coset_cases(ranks):
+    """(spec, gamma, gamma') for each (family, rank) in ranks: every pair of
+    nested generator subsets up to A_7 and B_5, and above them only the run
+    shapes, gamma all generators and gamma' missing one."""
+    for family, rank in ranks:
+        spec = CoxeterSpec(family, rank)
+        if rank <= (7 if family == "A" else 5):
+            for k in range(rank + 1):
+                for gamma in _subsets_colex(rank, k):
+                    for j in range(k + 1):
+                        for prime in combinations(gamma, j):
+                            yield spec, gamma, prime
+        else:
+            gamma = tuple(range(rank))
+            for tau in gamma:
+                yield spec, gamma, tuple(g for g in gamma if g != tau)
+
+
+def coset_digest(family, rank):
+    """sha256 over the parent, letter and length arrays of _coset_reps for
+    the coset_cases of one (family, rank), each behind its subsets."""
+    digest = hashlib.sha256()
+    for _, gamma, prime in coset_cases([(family, rank)]):
+        table = groups._coset_reps(family, rank, gamma, prime)
+        digest.update(repr((gamma, prime)).encode())
+        for a in (table.parent, table.letter, table.length):
+            digest.update(a.tobytes())
+    return digest.hexdigest()
 
 
 class TestCoxeterSpec:
@@ -246,21 +282,41 @@ class TestCosetReps:
                                        for w in elements), (spec, gamma, prime)
 
     def test_words_are_prefix_closed_and_reduced(self):
-        spec = CoxeterSpec("B", 3)
-        reps = min_coset_reps(spec, (0, 1, 2), (1, 2))
-        for idx, r in enumerate(reps):
-            assert r.length == len(r.word) == spec.length(r.element)
-            w = spec.identity()
-            for g in r.word:
-                w = spec.apply_right(w, g)
-            assert w == r.element
-            if r.parent >= 0:
-                assert r.parent < idx
-                parent = reps[r.parent]
-                assert r.word == parent.word + (r.letter,)
-                assert spec.apply_right(parent.element, r.letter) == r.element
-            else:
-                assert r.word == ()
+        """Over every (gamma, gamma') of A_1..A_5 and B_1..B_4.  Each view's
+        length is checked against CoxeterSpec.length, which the search
+        never calls."""
+        for spec, gamma, prime in coset_cases([("A", r) for r in range(1, 6)]
+                                              + [("B", r) for r in range(1, 5)]):
+            reps = min_coset_reps(spec, gamma, prime)
+            for idx, r in enumerate(reps):
+                assert r.length == len(r.word) == spec.length(r.element)
+                w = spec.identity()
+                for g in r.word:
+                    w = spec.apply_right(w, g)
+                assert w == r.element
+                if r.parent >= 0:
+                    assert r.parent < idx
+                    parent = reps[r.parent]
+                    assert r.word == parent.word + (r.letter,)
+                    assert (spec.apply_right(parent.element, r.letter)
+                            == r.element)
+                else:
+                    assert r.word == ()
+
+    @pytest.mark.parametrize("family, rank", COSET_TABLE_RANKS)
+    def test_tables_match_the_recorded_digests(self, family, rank):
+        """The parent, letter and length arrays of every (gamma, gamma') of
+        A_0..A_7 and B_0..B_5, and of the run shapes (gamma all generators,
+        gamma' one fewer) above those ranks, are pinned by one sha256 per
+        (family, rank): the storage order and the pivots of every boundary
+        follow them.  To rewrite tests/golden/coset_tables.json after an
+        intended change of tables, run ``python tests/test_coxeter_complex.py``
+        and review it."""
+        recorded = json.loads(COSET_TABLES.read_text())
+        try:
+            assert coset_digest(family, rank) == recorded[f"{family},{rank}"]
+        finally:
+            groups._coset_reps.cache_clear()
 
     @settings(max_examples=25, deadline=None)
     @given(st.data())
@@ -730,3 +786,12 @@ class TestWorkingSetMemory:
         assert form.rank > 2700
         assert m.nnz() > 16000
         assert peak < 105 * m.nnz(), peak / m.nnz()
+
+
+if __name__ == "__main__":
+    digests = {}
+    for family, rank in COSET_TABLE_RANKS:
+        digests[f"{family},{rank}"] = coset_digest(family, rank)
+        groups._coset_reps.cache_clear()
+    COSET_TABLES.write_text(json.dumps(digests, indent=1, sort_keys=True)
+                            + "\n")
