@@ -5,11 +5,12 @@ transpositions as generators; type B of rank n is the group of signed
 permutations of n letters, where the extra generator s_0 flips the sign in
 the first position and braids with s_1 through a relation of order 4.
 
-Elements are window tuples (one-line notation); lengths and descents are
-computed combinatorially so that enumeration of minimal coset
-representatives scales to parabolic indices in the thousands.  An
+Elements are window tuples (one-line notation).  Minimal coset
+representatives of a parabolic subgroup are (signed) shuffles, so their
+search reads only the order of block labels, never a length or a
+descent; CoxeterSpec computes those combinatorially for the tests.  An
 enumeration is kept as a CosetTable of three int64 entries per
-representative (parent, letter, length); element tuples live only in the
+representative (parent, letter, length); label words live only in the
 search's seen set, and views with element and word are rebuilt on demand.
 """
 
@@ -55,15 +56,12 @@ class CoxeterSpec:
 
     def apply_right(self, w: tuple, g: int) -> tuple:
         """w * s_g (acts on positions)."""
-        if self.family == "A":
-            v = list(w)
-            v[g], v[g + 1] = v[g + 1], v[g]
-            return tuple(v)
         v = list(w)
-        if g == 0:
+        i = g - (self.family == "B")  # s_g swaps positions i and i + 1
+        if i < 0:  # the type-B s_0 negates the first entry instead
             v[0] = -v[0]
         else:
-            v[g - 1], v[g] = v[g], v[g - 1]
+            v[i], v[i + 1] = v[i + 1], v[i]
         return tuple(v)
 
     def apply_left(self, w: tuple, g: int) -> tuple:
@@ -78,38 +76,23 @@ class CoxeterSpec:
                      for x in w)
 
     def inverse(self, w: tuple) -> tuple:
-        if self.family == "A":
-            v = [0] * len(w)
-            for i, x in enumerate(w):
-                v[x] = i
-            return tuple(v)
+        base = int(self.family == "B")  # the first position and value
         v = [0] * len(w)
-        for i, x in enumerate(w, start=1):
-            if x > 0:
-                v[x - 1] = i
-            else:
-                v[-x - 1] = -i
+        for i, x in enumerate(w, start=base):
+            v[abs(x) - base] = i if x >= 0 else -i
         return tuple(v)
 
     def length(self, w: tuple) -> int:
+        pairs = [(x, y) for i, x in enumerate(w) for y in w[i + 1:]]
+        inv = sum(x > y for x, y in pairs)
         if self.family == "A":
-            return sum(1 for i in range(len(w)) for j in range(i + 1, len(w))
-                       if w[i] > w[j])
-        inv = sum(1 for i in range(len(w)) for j in range(i + 1, len(w))
-                  if w[i] > w[j])
-        neg = sum(1 for x in w if x < 0)
-        nsp = sum(1 for i in range(len(w)) for j in range(i + 1, len(w))
-                  if w[i] + w[j] < 0)
-        return inv + neg + nsp
+            return inv
+        return inv + sum(x < 0 for x in w) + sum(x + y < 0 for x, y in pairs)
 
     def right_descents(self, w: tuple) -> set[int]:
-        if self.family == "A":
-            return {g for g in self.generators if w[g] > w[g + 1]}
-        out = set()
-        if self.rank >= 1 and w[0] < 0:
-            out.add(0)
-        out.update(g for g in range(1, self.rank) if w[g - 1] > w[g])
-        return out
+        if self.family == "B":
+            w = (0, *w)  # then s_0 is a descent iff 0 > w[0]
+        return {g for g in self.generators if w[g] > w[g + 1]}
 
     def is_left_descent(self, w: tuple, g: int) -> bool:
         """Whether s_g * w is shorter than w.
@@ -126,22 +109,6 @@ class CoxeterSpec:
             return w.index(x) + 1 if x in w else -w.index(-x) - 1
 
         return signed_position(g) > signed_position(g + 1)
-
-    def left_descent_moved_by(self, u: tuple, s: int) -> int | None:
-        """The one generator whose left-descent status u * s_s can change.
-
-        Whether s_g is a left descent depends only on the order in which the
-        window places the letters s_g moves (see is_left_descent).  Right
-        multiplication by s_s swaps two adjacent positions, or for the
-        type-B s_0 negates the first one, so that order changes at most for
-        the generator moving exactly the letters there; None if there is
-        no such generator.
-        """
-        if self.family == "B" and s == 0:
-            return 0 if abs(u[0]) == 1 else None
-        i = s if self.family == "A" else s - 1
-        a, b = abs(u[i]), abs(u[i + 1])
-        return min(a, b) if abs(a - b) == 1 else None
 
     def left_descents(self, w: tuple) -> set[int]:
         return {g for g in self.generators if self.is_left_descent(w, g)}
@@ -249,24 +216,38 @@ def _validate_subsets(spec, gamma, gamma_prime):
 @functools.cache
 def _coset_reps(family: str, rank: int, gamma: tuple[int, ...],
                 gamma_prime: tuple[int, ...]) -> CosetTable:
-    """The left-side representatives, by breadth-first search."""
+    """The left-side representatives, by breadth-first search.
+
+    s_v links the values v and v + 1, so the runs of gamma' cut the values
+    into blocks, and w has no left descent in gamma' iff each block keeps
+    its values in increasing signed position (negated for a negative
+    entry): w is a (signed) shuffle of the blocks (Bjorner-Brenti, GTM 231,
+    sections 2.4 and 8.1).  The search keys w on the word u of its entries'
+    block labels, signed like the entries; labels increase with the values,
+    and the block of 1 is labelled 0 when s_0 is in gamma', which pins its
+    sign.  Appending s to u gives a longer shuffle iff the two labels s
+    swaps ascend strictly (positions s, s + 1 in type A; s - 1, s in type
+    B); the type-B s_0 does so iff u[0] > 0, and negates it.  Any other
+    letter gives back u or a shorter shuffle, both already seen, so the
+    test only spares building them.
+    """
     spec = CoxeterSpec(family, rank)
-    prime = set(gamma_prime)
+    shift = int(family == "B")  # s swaps positions s - shift, s - shift + 1
+    # The label of the value v counts the generators below v outside gamma'.
+    start = tuple(sum(g not in gamma_prime for g in range(v))
+                  for v in spec.identity())
     parent, letter, length = [-1], [-1], [0]
-    seen = {spec.identity()}
-    frontier = [(0, spec.identity())]
+    seen = {start}
+    frontier = [(0, start)]
     while frontier:
         new_frontier = []
         for idx, u in frontier:
-            blocked = spec.right_descents(u)
             for s in gamma:
-                if s in blocked:
+                i = s - shift  # -1 only for the type-B s_0, which negates u[0]
+                if not (u[0] > 0 if i < 0 else u[i] < u[i + 1]):
                     continue
                 w = spec.apply_right(u, s)
-                # u has no left descent in gamma', so w has one only where
-                # appending s could create it.
-                g = spec.left_descent_moved_by(u, s)
-                if g in prime and spec.is_left_descent(w, g) or w in seen:
+                if w in seen:
                     continue
                 seen.add(w)
                 new_frontier.append((len(parent), w))
@@ -288,13 +269,14 @@ def min_coset_reps(spec: CoxeterSpec, gamma, gamma_prime,
     """All minimal-length representatives of W_gamma' cosets inside W_gamma.
 
     With ``side="left"`` the representatives have no left descent in
-    gamma', i.e. they are the minima of the cosets W_gamma' beta; the BFS
-    extends words on the right and the set is closed under removing the
-    last letter.  ``side="right"`` is the left search read inverted: u ->
-    u^-1 sends u s to s u^-1 and swaps left with right descents, so a
-    right-side search would visit the inverses in the same order, from the
-    same parents, by the same letters.  Both sides share one CosetTable's
-    arrays, kept for the process; the items are CosetRep views.
+    gamma', i.e. they are the minima of the cosets W_gamma' beta, the
+    shuffles of _coset_reps; the BFS extends words on the right and the
+    set is closed under removing the last letter.  ``side="right"`` is the
+    left search read inverted: u -> u^-1 sends u s to s u^-1 and swaps left
+    with right descents, so a right-side search would visit the inverses in
+    the same order, from the same parents, by the same letters.  Both sides
+    share one CosetTable's arrays, kept for the process; the items are
+    CosetRep views.
     """
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")

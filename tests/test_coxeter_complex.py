@@ -185,17 +185,6 @@ class TestCoxeterSpec:
                 left_shorter = spec.length(spec.apply_left(w, g)) < spec.length(w)
                 assert (g in spec.left_descents(w)) == left_shorter
 
-    @pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3)])
-    def test_one_generator_can_change_left_descent(self, family, rank):
-        spec = CoxeterSpec(family, rank)
-        for w in enumerate_group(spec):
-            before = spec.right_descents(spec.inverse(w))
-            for s in spec.generators:
-                after = spec.right_descents(
-                    spec.inverse(spec.apply_right(w, s)))
-                moved = spec.left_descent_moved_by(w, s)
-                assert before ^ after <= {moved}
-
     def test_parabolic_orders(self):
         a3 = CoxeterSpec("A", 3)
         assert a3.parabolic_order((0, 1, 2)) == 24
@@ -285,8 +274,8 @@ class TestCosetReps:
         """Over every (gamma, gamma') of A_1..A_5 and B_1..B_4.  Each view's
         length is checked against CoxeterSpec.length, which the search
         never calls."""
-        for spec, gamma, prime in coset_cases([("A", r) for r in range(1, 6)]
-                                              + [("B", r) for r in range(1, 5)]):
+        ranks = [("A", r) for r in range(1, 6)] + [("B", r) for r in range(1, 5)]
+        for spec, gamma, prime in coset_cases(ranks):
             reps = min_coset_reps(spec, gamma, prime)
             for idx, r in enumerate(reps):
                 assert r.length == len(r.word) == spec.length(r.element)
