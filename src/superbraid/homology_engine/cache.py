@@ -4,7 +4,9 @@ One file per (family, n, d, coefficient) holding the groups for all degrees,
 written atomically.  A row is only reused when the stored convention
 fingerprint matches; a fingerprint mismatch is an error rather than a silent
 recompute so that stale caches get noticed.  So is a file that is truncated,
-not JSON, missing a field, or written under another cache version.
+not JSON, missing a field, written under another cache version, or for
+another row (n, d, coefficients or, in family A, the n degrees), and so is
+a path that cannot be read.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ class CacheConflictError(RuntimeError):
 
 
 class CacheFormatError(CacheConflictError):
-    """A cache file is unreadable: not JSON, incomplete, or another version."""
+    """A cache file is unreadable, incomplete, or of another version or row."""
 
 
 def cache_root(explicit=None) -> Path | None:
@@ -85,6 +87,8 @@ def _read(path: Path) -> dict:
     """The blob of an existing cache file, checked for version and fields."""
     try:
         blob = json.loads(path.read_text())
+    except OSError as err:  # a directory, say, where the file should be
+        raise CacheFormatError(f"{path} cannot be read: {err}") from err
     except ValueError as err:  # truncated, not JSON, or not UTF-8
         raise CacheFormatError(f"{path} is not JSON: {err}") from err
     if not isinstance(blob, dict) or not _FIELDS <= blob.keys():
@@ -103,16 +107,23 @@ def load(root, family: str, n: int, d: int, coeff: str,
     if not path.exists():
         return None
     blob = _read(path)
+    row = {"n": n, "d": d, "coeff": coeff_tag(coeff)}
+    held = {key: blob.get(key) for key in row}
+    if _canonical(held) != _canonical(row):
+        raise CacheFormatError(f"{path} holds row {held}, not {row}")
     if _canonical(blob["fingerprint"]) != _canonical(fingerprint):
         raise CacheConflictError(
             f"{path} was computed under fingerprint {blob['fingerprint']}, "
             f"not {fingerprint}")
     try:
-        return decode_groups(blob["groups"])
+        groups = decode_groups(blob["groups"])
     except (ValueError, KeyError, TypeError) as err:
         raise CacheFormatError(
             f"{path} holds unreadable groups: "
             f"{type(err).__name__}: {err}") from err
+    if family == "A" and len(groups) != n:
+        raise CacheFormatError(f"{path} holds {len(groups)} degrees, not {n}")
+    return groups
 
 
 def store(root, family: str, n: int, d: int, coeff: str,

@@ -443,6 +443,60 @@ class TestExitCodes:
         assert err.startswith("cache error: ")
         assert "unreadable groups" in err
 
+    def test_row_copied_to_another_name_maps_to_two(self, capsys, tmp_path):
+        """Row (4, 3) copied to the name of row (5, 3) is not served: it
+        has four groups, the computed row five, with H_3 = Z_3."""
+        code, _, _ = run(capsys, "homology", "--n", "4", "--d", "3",
+                         "--cache-dir", str(tmp_path))
+        assert code == 0
+        shutil.copy(tmp_path / "h_A_4_3_z.json", tmp_path / "h_A_5_3_z.json")
+        code, out, err = run(capsys, "homology", "--n", "5", "--d", "3",
+                             "--cache-dir", str(tmp_path))
+        assert (code, out) == (2, "")
+        assert err.startswith("cache error: ") and err.count("\n") == 1
+        assert "holds row" in err
+
+    @pytest.mark.parametrize("field, value", [
+        ("n", 4), ("n", 3.0), ("d", 3), ("coeff", "f2"), ("coeff", None)])
+    def test_cached_row_of_another_request_maps_to_two(
+            self, capsys, tmp_path, field, value):
+        self._cached_row(tmp_path, [2])
+        path = tmp_path / "h_A_3_2_z.json"
+        path.write_text(json.dumps({**json.loads(path.read_text()),
+                                    field: value}))
+        code, out, err = run(capsys, "homology", "--n", "3", "--d", "2",
+                             "--cache-dir", str(tmp_path))
+        assert (code, out) == (2, "")
+        assert err.startswith("cache error: ") and err.count("\n") == 1
+        assert "holds row" in err
+
+    def test_cached_row_with_a_degree_too_few_maps_to_two(self, capsys,
+                                                         tmp_path):
+        self._cached_row(tmp_path, [2])
+        path = tmp_path / "h_A_3_2_z.json"
+        blob = json.loads(path.read_text())
+        blob["groups"].pop()
+        path.write_text(json.dumps(blob))
+        code, out, err = run(capsys, "homology", "--n", "3", "--d", "2",
+                             "--cache-dir", str(tmp_path))
+        assert (code, out) == (2, "")
+        assert err.startswith("cache error: ")
+        assert "holds 2 degrees, not 3" in err
+
+    @pytest.mark.parametrize("argv, row", [
+        (("homology", "--n", "4", "--d", "3"), "h_A_4_3_z.json"),
+        (("verify", "--window", "2:4"), "h_A_4_2_z.json")])
+    def test_unreadable_cache_path_maps_to_two(self, capsys, tmp_path, argv,
+                                               row):
+        """A directory where a row's file should be.  The tests run as
+        root, which reads files whatever their mode, so a directory stands
+        in for an unreadable file."""
+        (tmp_path / row).mkdir()
+        code, out, err = run(capsys, *argv, "--cache-dir", str(tmp_path))
+        assert (code, out) == (2, "")
+        assert err.startswith("cache error: ") and err.count("\n") == 1
+        assert "cannot be read" in err
+
     def test_console_script_smoke(self):
         """The declared console script resolves and lists the subcommands.
 

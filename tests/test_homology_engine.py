@@ -415,13 +415,13 @@ class TestCache:
 
     def test_fingerprint_conflicts(self, tmp_path):
         fp = {"construction": "B"}
-        store(tmp_path, "A", 3, 2, "z", fp, [group(1)])
-        store(tmp_path, "A", 3, 2, "z", fp, [group(1)])
+        store(tmp_path, "A", 1, 2, "z", fp, [group(1)])
+        store(tmp_path, "A", 1, 2, "z", fp, [group(1)])
         with pytest.raises(CacheConflictError):
-            store(tmp_path, "A", 3, 2, "z", {"construction": "A"}, [group(1)])
+            store(tmp_path, "A", 1, 2, "z", {"construction": "A"}, [group(1)])
         with pytest.raises(CacheConflictError):
-            load(tmp_path, "A", 3, 2, "z", {"construction": "A"})
-        assert load(tmp_path, "A", 3, 2, "z", fp) == [group(1)]
+            load(tmp_path, "A", 1, 2, "z", {"construction": "A"})
+        assert load(tmp_path, "A", 1, 2, "z", fp) == [group(1)]
         assert load(tmp_path, "A", 9, 9, "z", fp) is None
 
     def test_no_stray_temp_files(self, tmp_path):
@@ -433,8 +433,8 @@ class TestCache:
         loaded = braid_twisted_homology(6, 2, cache_dir=tmp_path)
         assert "Z_2 + Z_6" in describe_row(computed)
         assert describe_row(loaded) == describe_row(computed)
-        store(tmp_path, "A", 3, 5, "z", {}, [group(0, 12), group(1, 2, 6)])
-        assert describe_row(load(tmp_path, "A", 3, 5, "z", {})) == [
+        store(tmp_path, "A", 2, 5, "z", {}, [group(0, 12), group(1, 2, 6)])
+        assert describe_row(load(tmp_path, "A", 2, 5, "z", {})) == [
             "Z_12", "Z + Z_2 + Z_6"]
 
     @pytest.mark.parametrize("text", [
