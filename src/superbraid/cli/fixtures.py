@@ -1,7 +1,7 @@
 """The reference tables, under the name the command line has always used.
 
-They live in :mod:`superbraid.reference`, outside the front end, so that
-the engine can gate calibration on them without importing the CLI.
+They live in :mod:`superbraid.reference`, outside the front end; the
+golden-table checks of the command line and the tests read them.
 """
 
 from ..reference import FIXTURES, UNKNOWN, Fixture, fixture, parse_cell

@@ -1,23 +1,22 @@
 """Calibrated homology of braid and signed-permutation Artin groups.
 
 The twist construction and composition order are not pinned down by the
-defining relations alone, so the engine calibrates once per d: it runs the
-candidate configurations against the embedded reference rows and keeps the
-first (and only, up to identical results) configuration that reproduces
-them.  Every cached result records the winning fingerprint.
+defining relations alone, so the engine calibrates once per d: it keeps
+the first candidate configuration whose generators are the reduced Burau
+representation at t = zeta_d, certified at n = 3, 4, 5 by an integral
+unimodular intertwiner (surface_rep.burau).  It builds no complex and
+reads no reference table to do so.  Every cached result records the
+winning fingerprint.
 
 A row is computed over every coefficient ring a caller needs from one
 build of its complex: the representation, the Salvetti complex and its
 square-zero check do not depend on the ring.  The engine holds one complex
-at a time and keeps none after the row is done, except the winning
-configuration's gate complexes (n = 3, 4, 5; under 2 000 nonzeros each
-for d <= 6): each calibration keeps them with their integral rows, and the
-rows n = 3, 4, 5 of its d are served from them rather than built again.
+at a time and keeps none after the row is done.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..coxeter_complex import (
     DEFAULT_CONVENTION,
@@ -30,8 +29,8 @@ from ..coxeter_complex import (
     trivial_system,
 )
 from ..exact_linalg import AbelianGroup, rank_mod_p, require_prime, snf
-from ..reference import UNKNOWN, fixture
 from ..surface_rep import build_rep
+from ..surface_rep.burau import burau, intertwiner
 from .cache import cache_root, load, store
 from .limits import charge
 
@@ -45,7 +44,7 @@ GATE_ROWS = (3, 4, 5)
 
 
 class CalibrationError(RuntimeError):
-    """No candidate configuration, or several conflicting ones, fit the gates."""
+    """No candidate configuration fits the gates."""
 
 
 def parse_coeff(coeff: str) -> tuple[str, int | None]:
@@ -104,37 +103,14 @@ def homology(cx, coeff: str) -> list[AbelianGroup]:
             for k in range(top + 1)]
 
 
-def _twisted_rows(n: int, cal: CalibrationResult,
-                  coeffs) -> dict[str, list[AbelianGroup]]:
-    """One twisted row per ring in coeffs, all from one build of the complex,
-    or from the gate complex and integral row the calibration kept.
-
-    Every F_p row is ranked mod p on its own boundaries and its own pivots,
-    never read off the integral divisors, so the universal-coefficient check
-    stays a check.
-    """
-    if n in cal.gates:
-        cx, z_row = cal.gates[n]
-    else:
-        rho = braid_system(n, cal.d, cal.construction, cal.order)
-        cx, z_row = build_complex(rho.spec, rho), None
-    return {coeff: list(z_row) if coeff == "z" and z_row is not None
-            else homology(cx, coeff) for coeff in coeffs}
-
-
 @dataclass(frozen=True)
 class CalibrationResult:
-    """The configuration selected for one d, with the full grid record.
-
-    gates maps each gate row n to the winning configuration's complex and
-    its integral row, as the calibration computed them.
-    """
+    """The configuration selected for one d, with the full grid record."""
 
     d: int
     construction: str
     order: str
     outcomes: tuple[tuple[str, str, str], ...]
-    gates: dict = field(default_factory=dict, compare=False, repr=False)
 
     def fingerprint(self) -> dict:
         return {
@@ -152,32 +128,26 @@ def _zero_group() -> AbelianGroup:
     return AbelianGroup.from_divisors(0, ())
 
 
-def _gate_mismatch(d: int, n: int, row: list[AbelianGroup]) -> str | None:
-    """First gate cell of row n that the computed row gets wrong, or None.
-
-    Row n=3 gates only the printed i=1 cell; rows n=4 and n=5 are compared
-    in full, with unprinted cells in degrees >= 1 required to vanish.
-    """
-    fix = fixture(d)
-    for i in (1,) if n == 3 else range(1, n):
-        want = fix.cell(n, i)
-        if want is UNKNOWN:
-            continue
-        if want is None:
-            want = _zero_group()
-        if row[i] != want:
-            return (f"(n={n}, i={i}): computed {row[i].describe()}, "
-                    f"table has {want.describe()}")
+def _burau_mismatch(n: int, d: int, rho: LocalSystem) -> str | None:
+    """The first generator of rho that the intertwiner does not carry to
+    reduced Burau at t = zeta_d, or None."""
+    x = intertwiner(n, d)
+    for k, t in enumerate(rho.actions, start=1):
+        if x * t != burau(n, d, k) * x:
+            return f"(n={n}, k={k}): not reduced Burau at t = zeta_d"
     return None
 
 
 def calibrate(d: int) -> CalibrationResult:
-    """Select the construction/order pair that reproduces the reference rows.
+    """Select the construction/order pair whose generators are reduced
+    Burau at t = zeta_d.
 
-    A candidate's gate rows are computed in turn, n = 3, 4, 5, and the
-    first mismatching row ends it.  For d = 1 the coefficient module is
-    zero and every configuration agrees, so the first grid entry is
-    returned without gating.
+    A candidate's gate representations n = 3, 4, 5 are built, with their
+    relations checked, and then each generator T_k is tested against
+    X * T_k = B_k * X, n by n and k by k; the first generator that fails
+    ends it.  For d = 1 the coefficient module is zero and every
+    configuration agrees, so the first grid entry is returned without
+    gating.
     """
     if d < 1:
         raise ValueError("d must be >= 1")
@@ -189,47 +159,32 @@ def calibrate(d: int) -> CalibrationResult:
             outcomes=((*CALIBRATION_GRID[0], "match: rank-0 module"),))
         _CALIBRATIONS[1] = result
         return result
-    try:
-        fixture(d)
-    except KeyError as err:
-        raise CalibrationError(
-            f"no reference rows to calibrate against for d={d}") from err
     outcomes = []
-    matches = []
     for construction, order in CALIBRATION_GRID:
         # Every gate representation is built, and its relations checked,
-        # before any row, so a rejection outranks a mismatch.
+        # before any generator is compared, so a rejection outranks a
+        # mismatch.
         try:
             systems = {n: braid_system(n, d, construction, order)
                        for n in GATE_ROWS}
         except RelationError as err:
             outcomes.append((construction, order, f"rejected: {err}"))
             continue
-        rows, complexes = {}, {}
+        why = None
         for n, rho in systems.items():
-            complexes[n] = build_complex(rho.spec, rho)
-            rows[n] = homology(complexes[n], "z")
-            why = _gate_mismatch(d, n, rows[n])
+            why = _burau_mismatch(n, d, rho)
             if why is not None:
                 break
-        if why is None:
-            outcomes.append((construction, order, "match"))
-            matches.append(((construction, order), rows, complexes))
-        else:
-            outcomes.append((construction, order, f"mismatch at {why}"))
+        outcomes.append((construction, order,
+                         "match" if why is None else f"mismatch at {why}"))
+    # X is invertible, so T_k = X^-1 B_k X: every candidate that matches
+    # has the same matrices, and the first one stands for them all.
+    matches = [(c, o) for c, o, msg in outcomes if msg == "match"]
     if not matches:
         detail = "; ".join(f"{c}/{o}: {msg}" for c, o, msg in outcomes)
         raise CalibrationError(
-            f"no configuration reproduces the d={d} reference rows ({detail})")
-    (first_config, first_rows, first_complexes) = matches[0]
-    for config, rows, _ in matches[1:]:
-        if rows != first_rows:
-            raise CalibrationError(
-                f"calibration for d={d} is ambiguous: {first_config} and "
-                f"{config} both match the gates with different results")
-    gates = {n: (first_complexes[n], first_rows[n]) for n in GATE_ROWS}
-    result = CalibrationResult(d, first_config[0], first_config[1],
-                               tuple(outcomes), gates)
+            f"no configuration is reduced Burau at t = zeta_{d} ({detail})")
+    result = CalibrationResult(d, *matches[0], tuple(outcomes))
     _CALIBRATIONS[d] = result
     return result
 
@@ -242,8 +197,9 @@ def braid_twisted_rows(n: int, d: int, coeffs=("z",),
     Returns {coeff: row}, one group per degree i = 0..n-1 in each row.  Over
     a prime field the groups carry dimensions only (empty torsion).  Every
     ring found in the cache is loaded; the complex is built once, and only
-    if some ring misses (a gate row's complex and integral row come from
-    the calibration), and each computed row is stored.
+    if some ring misses, and each computed row is stored.  Every F_p row is
+    ranked mod p on its own boundaries and its own pivots, never read off
+    the integral divisors, so the universal-coefficient check stays a check.
     """
     if n < 1 or d < 1:
         raise ValueError("need n >= 1 and d >= 1")
@@ -260,7 +216,9 @@ def braid_twisted_rows(n: int, d: int, coeffs=("z",),
                 rows[coeff] = hit
     missing = [coeff for coeff in coeffs if coeff not in rows]
     if missing:
-        fresh = _twisted_rows(n, cal, missing)
+        rho = braid_system(n, d, cal.construction, cal.order)
+        cx = build_complex(rho.spec, rho)
+        fresh = {coeff: homology(cx, coeff) for coeff in missing}
         if root is not None:
             for coeff, row in fresh.items():
                 store(root, "A", n, d, coeff, fp, row)

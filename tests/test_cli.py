@@ -101,6 +101,13 @@ class TestHomology:
         assert "F_2^" in out
         assert "Z" not in out
 
+    def test_d_without_reference_rows(self, capsys):
+        code, out, _ = run(capsys, "homology", "--n", "5", "--d", "7")
+        assert code == 0
+        assert out.strip().splitlines() == ["H_0 = 0", "H_1 = Z_7",
+                                            "H_2 = Z_7", "H_3 = Z_7",
+                                            "H_4 = 0"]
+
     def test_rank_zero_module_row(self, capsys):
         code, out, _ = run(capsys, "homology", "--n", "3", "--d", "1")
         assert code == 0
@@ -212,6 +219,15 @@ class TestTable:
         assert code == 0
         assert first == second
         assert list(tmp_path.iterdir())
+
+    def test_d_without_reference_rows(self, capsys):
+        code, out, _ = run(capsys, "table", "--d", "7", "--n-max", "4",
+                           "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["mismatches"] == []
+        assert len(payload["cells"]) == 10
+        assert {c["status"] for c in payload["cells"]} == {"NOT-IN-REFERENCE"}
 
     def test_unmeasured_reference_cell_is_unknown(self):
         status, printed = _cell_status(fixture(6), 10, 4,

@@ -105,14 +105,14 @@ class TestCalibration:
 
     def test_grid_record_d2(self):
         # both composition orders coincide at d=2 (a single twist factor),
-        # so they count as one configuration; the other construction is
-        # rejected by the gate cell itself
+        # so they count as one configuration; the other construction's
+        # first generator is not reduced Burau
         outcomes = {(c, o): msg for c, o, msg in calibrate(2).outcomes}
         assert outcomes[("B", "left_to_right")] == "match"
         assert outcomes[("B", "right_to_left")] == "match"
         a_msg = outcomes[("A", "left_to_right")]
-        assert a_msg.startswith("mismatch at (n=3, i=1)")
-        assert "Z_2" in a_msg
+        assert a_msg.startswith("mismatch at (n=3, k=1)")
+        assert a_msg.endswith("not reduced Burau at t = zeta_d")
 
     @pytest.mark.parametrize("d", [3, 4, 5, 6])
     def test_grid_record_deeper_twists(self, d):
@@ -120,7 +120,7 @@ class TestCalibration:
         assert outcomes[("B", "left_to_right")] == "match"
         assert outcomes[("B", "right_to_left")].startswith("rejected:")
         assert outcomes[("A", "left_to_right")].startswith(
-            "mismatch at (n=3, i=1)")
+            "mismatch at (n=3, k=1)")
 
     def test_reversed_order_rejection_names_the_relation(self):
         outcomes = {(c, o): msg for c, o, msg in calibrate(3).outcomes}
@@ -132,10 +132,30 @@ class TestCalibration:
         assert "rank-0" in cal.outcomes[0][2]
 
     def test_uncalibratable_d(self):
-        with pytest.raises(CalibrationError, match="no reference rows"):
-            calibrate(7)
+        """Only d < 1 is refused: calibration reads no reference rows, so
+        d = 7, past the reference tables, calibrates like the rest."""
+        cal = calibrate(7)
+        assert (cal.construction, cal.order) == ("B", "left_to_right")
         with pytest.raises(ValueError):
             calibrate(0)
+
+    def test_no_burau_candidate_is_an_error(self, monkeypatch):
+        """With one sign of the intertwiner flipped no candidate matches,
+        and the error lists every verdict."""
+        real = engine.intertwiner
+
+        def flipped(n, d):
+            x = real(n, d)
+            x.entries[(0, 0)] = -x.entries[(0, 0)]
+            return x
+
+        monkeypatch.delitem(engine._CALIBRATIONS, 3, raising=False)
+        monkeypatch.setattr(engine, "intertwiner", flipped)
+        with pytest.raises(CalibrationError) as err:
+            calibrate(3)
+        assert "B/left_to_right: mismatch at (n=3, k=1)" in str(err.value)
+        assert "B/right_to_left: rejected" in str(err.value)
+        assert 3 not in engine._CALIBRATIONS
 
     def test_fingerprint_records_every_convention(self):
         assert calibrate(3).fingerprint() == {
@@ -149,36 +169,18 @@ class TestCalibration:
         assert calibrate(4) is calibrate(4)
 
     @pytest.mark.parametrize("d", [2, 4])
-    def test_losing_candidate_stops_at_its_first_mismatching_row(
-            self, monkeypatch, d):
-        """Each candidate's gate rows are computed in turn, and the first
-        mismatching row ends it: A/left_to_right mismatches at n = 3, so
-        only its n = 3 complex is built.  B/right_to_left is rejected at
-        d >= 3 while its representations are built, before any complex."""
+    def test_calibration_builds_no_complex(self, monkeypatch, d):
+        """Calibration compares each candidate's generators with reduced
+        Burau and builds no complex.  A/left_to_right mismatches at its
+        first generator; B/right_to_left is rejected at d >= 3 while its
+        representations are built."""
         monkeypatch.delitem(engine._CALIBRATIONS, d, raising=False)
-        real_build_rep, real_build_complex = (engine.build_rep,
-                                              engine.build_complex)
-        config_of, built = {}, {}
-
-        def build_rep(n, d, construction, order):
-            rep = real_build_rep(n, d, construction=construction, order=order)
-            config_of[id(rep.system)] = f"{construction}/{order}"
-            return rep
-
-        def build_complex(spec, rho, *args):
-            built.setdefault(config_of[id(rho)], []).append(spec.rank + 1)
-            return real_build_complex(spec, rho, *args)
-
-        monkeypatch.setattr(engine, "build_rep", build_rep)
-        monkeypatch.setattr(engine, "build_complex", build_complex)
+        builds = count_builds(monkeypatch)
         outcomes = calibrate(d).outcomes
-        expected = {"B/left_to_right": [3, 4, 5], "A/left_to_right": [3]}
-        if d == 2:
-            expected["B/right_to_left"] = [3, 4, 5]
-        assert built == expected
+        assert not builds
         assert [msg.split(":")[0] for _, _, msg in outcomes] == (
-            ["match", "match", "mismatch at (n=3, i=1)"] if d == 2 else
-            ["match", "rejected", "mismatch at (n=3, i=1)"])
+            ["match", "match", "mismatch at (n=3, k=1)"] if d == 2 else
+            ["match", "rejected", "mismatch at (n=3, k=1)"])
 
 
 class TestTwistedHomology:
@@ -316,12 +318,9 @@ class TestSeveralRings:
             assert together[coeff] == compute_table(d, 6, coeff)
 
     def test_verify_builds_each_complex_once(self, monkeypatch, capsys):
-        """Counting the calibrations too: the winner's gate rows n = 3, 4, 5
-        are built while calibrating and served from there to the tables.
-        Besides the winner, only the calibrations' other candidates build:
-        for d = 2 the second match B/right_to_left builds every gate row,
-        A/left_to_right stops at its mismatch on n = 3 for each d, and
-        B/right_to_left is rejected before any build for d = 3, 6."""
+        """Counting the calibrations too: they build no complex, so each
+        row of the window, the gate rows n = 3, 4, 5 included, is built
+        once, by the winning configuration, and no other is built."""
         from superbraid.cli.main import main
 
         calibrate(1)
@@ -332,12 +331,8 @@ class TestSeveralRings:
         assert main(["verify", "--window", "2:5,3:5,6:5",
                      "--format", "json"]) == 0
         capsys.readouterr()
-        winner = Counter({(n, d, "B", "left_to_right"): 1
-                          for d in (1, 2, 3, 6) for n in range(1, 6)})
-        losers = Counter(
-            [(n, 2, "B", "right_to_left") for n in engine.GATE_ROWS]
-            + [(3, d, "A", "left_to_right") for d in (2, 3, 6)])
-        assert builds == winner + losers
+        assert builds == Counter({(n, d, "B", "left_to_right"): 1
+                                  for d in (1, 2, 3, 6) for n in range(1, 6)})
 
     @staticmethod
     def fill_from_cache(tmp_path, monkeypatch, n):
@@ -368,13 +363,12 @@ class TestSeveralRings:
         assert not builds and not computed
         return first
 
-    def test_cache_serves_what_it_holds(self, tmp_path, monkeypatch):
-        assert self.fill_from_cache(tmp_path, monkeypatch, 6) == Counter(
-            {(6, 3, "B", "left_to_right"): 1})
-
-    def test_gate_row_misses_use_the_calibrated_complex(self, tmp_path,
-                                                        monkeypatch):
-        assert self.fill_from_cache(tmp_path, monkeypatch, 4) == Counter()
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_cache_serves_what_it_holds(self, tmp_path, monkeypatch, n):
+        """A gate row (n = 4) misses the cache like any other row: its
+        complex is built once, by the winning configuration."""
+        assert self.fill_from_cache(tmp_path, monkeypatch, n) == Counter(
+            {(n, 3, "B", "left_to_right"): 1})
 
 
 class TestCache:

@@ -1,6 +1,7 @@
 """Layering: no module imports a private name from another subpackage,
-nothing outside the command-line front end imports it, and the local systems
-of coxeter_complex do not import the curve representation built on them."""
+nothing outside the command-line front end imports it, the engine does not
+read the reference tables, and the local systems of coxeter_complex do not
+import the curve representation built on them."""
 
 from __future__ import annotations
 
@@ -108,6 +109,22 @@ def test_checker_flags_imports_of_the_front_end():
                            ("superbraid", "cli"))
     assert not cli_imports("from ..reference import fixture",
                            ("superbraid", "cli"))
+
+
+def test_the_engine_does_not_import_the_reference_tables():
+    """Calibration certifies the representation against reduced Burau, so
+    only the golden-table checks of the front end and the tests read the
+    reference tables."""
+    violations = [f"{rel}: {hit}" for rel, source, package in _modules()
+                  if package[:2] == ("superbraid", "homology_engine")
+                  for hit in imports_reaching(source, package, "reference")]
+    assert not violations, "\n".join(violations)
+    engine = ("superbraid", "homology_engine")
+    assert imports_reaching("from ..reference import fixture", engine,
+                            "reference")
+    assert imports_reaching("from .. import reference", engine, "reference")
+    assert not imports_reaching("from ..surface_rep.burau import burau",
+                                engine, "reference")
 
 
 def test_local_systems_do_not_import_the_curve_representation():

@@ -24,6 +24,8 @@ from superbraid.surface_rep import (
     twist_to_json,
 )
 from superbraid.surface_rep import twists
+from superbraid.surface_rep.burau import burau as _burau
+from superbraid.surface_rep.burau import intertwiner as _intertwiner
 
 nd_pairs = st.tuples(st.integers(2, 6), st.integers(2, 6))
 
@@ -291,51 +293,7 @@ def test_build_rep_makes_one_intersection_form(monkeypatch, construction,
                                 for k in range(1, 8)]
 
 
-# The reduced Burau representation at t = zeta_d, written from its textbook
-# formula with no curve basis and no calibration.  The monodromy on H_1 of
-# the cyclic cover y^d = prod (z - x_i) is this representation (McMullen,
-# "Braid groups and Hodge theory", Math. Ann. 355 (2013)), so an explicit
-# integral intertwiner certifies the calibrated curve representation.
-
-def _companion(d):
-    """C_d, the matrix of t on Z[t]/(1 + t + .. + t^(d-1)) in the basis
-    1, t, .., t^(d-2): 1 at (j+1, j) and -1 down its last column."""
-    entries = {(j + 1, j): 1 for j in range(d - 2)}
-    entries.update({(j, d - 2): -1 for j in range(d - 1)})
-    return entries
-
-
-def _burau(n, d, k):
-    """B_k: the identity except in block row k, which holds C_d at block
-    column k-1, -C_d at column k and I at column k+1, truncated at the
-    ends."""
-    m = d - 1
-    row = (k - 1) * m
-    entries = {(i, i): 1 for i in range((n - 1) * m) if i // m != k - 1}
-    for col, scale in ((k - 2, 1), (k - 1, -1)):
-        if col >= 0:
-            entries.update({(row + i, col * m + j): scale * v
-                            for (i, j), v in _companion(d).items()})
-    if k < n - 1:
-        entries.update({(row + i, k * m + i): 1 for i in range(m)})
-    return IntMatrix((n - 1) * m, (n - 1) * m, entries)
-
-
-def _intertwiner(n, d):
-    """X, the direct sum over k = 1..n-1 of (-1)^(n-k) Y_d, where Y_d has
-    its first column all ones, -1 on the superdiagonal and 0 elsewhere."""
-    m = d - 1
-    entries = {}
-    for k in range(1, n):
-        sign, at = (-1) ** (n - k), (k - 1) * m
-        for i in range(m):
-            entries[(at + i, at)] = sign
-            if i + 1 < m:
-                entries[(at + i, at + i + 1)] = -sign
-    return IntMatrix((n - 1) * m, (n - 1) * m, entries)
-
-
-@pytest.mark.parametrize("d", range(2, 7))
+@pytest.mark.parametrize("d", range(2, 9))
 def test_curve_representation_is_burau_at_a_root_of_unity(d):
     for n in range(2, 11):
         x = _intertwiner(n, d)
