@@ -22,6 +22,7 @@ sweep of engine.homology does, hands it m.without_rows(...).
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from dataclasses import dataclass
@@ -161,21 +162,19 @@ class AbelianGroup:
             raise ValueError("rank must be >= 0 and torsion entries > 1")
         object.__setattr__(self, "torsion", tuple(int(q) for q in self.torsion))
 
+    @functools.cached_property
+    def _primary(self) -> tuple[int, ...]:
+        return tuple(sorted(pk for q in self.torsion
+                            for pk in _primary_parts(q)))
+
     def primary(self) -> tuple[int, ...]:
         """The prime-power parts of the torsion, ascending.
 
-        Each group factors its torsion once and keeps the parts in its
-        instance dict, outside the dataclass fields, so ==, hash and repr
-        are unchanged.
+        Each group factors its torsion once and keeps the parts in a cached
+        property, outside the dataclass fields, so ==, hash and repr are
+        unchanged.
         """
-        parts = self.__dict__.get("_primary")
-        if parts is None:
-            out: list[int] = []
-            for q in self.torsion:
-                out.extend(_primary_parts(q))
-            parts = tuple(sorted(out))
-            object.__setattr__(self, "_primary", parts)
-        return parts
+        return self._primary
 
     def p_primary_count(self, p: int) -> int:
         return sum(1 for pk in self.primary() if pk % p == 0)

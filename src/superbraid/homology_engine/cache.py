@@ -16,7 +16,7 @@ import os
 import tempfile
 from pathlib import Path
 
-from ..exact_linalg import AbelianGroup, prime_power_base
+from ..exact_linalg import AbelianGroup, prime_power_base, require_prime
 
 CACHE_VERSION = 1
 _FIELDS = frozenset({"fingerprint", "groups", "version"})
@@ -39,12 +39,13 @@ def cache_root(explicit=None) -> Path | None:
 
 
 def coeff_tag(coeff: str) -> str:
-    """Canonical short tag: 'z' for integers, 'f<p>' for a prime field."""
+    """Canonical short tag: 'z' for integers, 'f<p>' for a prime field.
+    p is certified by require_prime, so no tag names a ring that does not
+    exist."""
     if coeff == "z":
         return "z"
     if coeff.startswith("f:"):
-        p = int(coeff[2:])
-        return f"f{p}"
+        return f"f{require_prime(int(coeff[2:]))}"
     raise ValueError(f"bad coefficient spec {coeff!r}; use 'z' or 'f:p'")
 
 

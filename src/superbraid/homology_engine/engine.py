@@ -11,11 +11,14 @@ winning fingerprint.
 A row is computed over every coefficient ring a caller needs from one
 build of its complex: the representation, the Salvetti complex and its
 square-zero check do not depend on the ring.  The engine holds one complex
-at a time and keeps none after the row is done.
+at a time and keeps none after the row is done.  Coset tables, braid
+systems and calibrations are kept for the process, in functools caches, so
+the gate systems calibration certifies are the systems the rows use.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from ..coxeter_complex import (
@@ -56,9 +59,10 @@ def parse_coeff(coeff: str) -> tuple[str, int | None]:
     raise ValueError(f"bad coefficient spec {coeff!r}; use 'z' or 'f:p'")
 
 
+@functools.cache
 def braid_system(n: int, d: int, construction: str, order: str) -> LocalSystem:
     """The n-strand braid generators acting on the curve classes, as a
-    local system on the type-A Salvetti complex."""
+    local system on the type-A Salvetti complex, built once per process."""
     return build_rep(n, d, construction=construction, order=order).system
 
 
@@ -121,9 +125,6 @@ class CalibrationResult:
         }
 
 
-_CALIBRATIONS: dict[int, CalibrationResult] = {}
-
-
 def _zero_group() -> AbelianGroup:
     return AbelianGroup.from_divisors(0, ())
 
@@ -138,6 +139,7 @@ def _burau_mismatch(n: int, d: int, rho: LocalSystem) -> str | None:
     return None
 
 
+@functools.cache
 def calibrate(d: int) -> CalibrationResult:
     """Select the construction/order pair whose generators are reduced
     Burau at t = zeta_d.
@@ -147,18 +149,14 @@ def calibrate(d: int) -> CalibrationResult:
     X * T_k = B_k * X, n by n and k by k; the first generator that fails
     ends it.  For d = 1 the coefficient module is zero and every
     configuration agrees, so the first grid entry is returned without
-    gating.
+    gating.  Each d is calibrated once per process; a failure is retried.
     """
     if d < 1:
         raise ValueError("d must be >= 1")
-    if d in _CALIBRATIONS:
-        return _CALIBRATIONS[d]
     if d == 1:
-        result = CalibrationResult(
+        return CalibrationResult(
             1, *CALIBRATION_GRID[0],
             outcomes=((*CALIBRATION_GRID[0], "match: rank-0 module"),))
-        _CALIBRATIONS[1] = result
-        return result
     outcomes = []
     for construction, order in CALIBRATION_GRID:
         # Every gate representation is built, and its relations checked,
@@ -184,9 +182,7 @@ def calibrate(d: int) -> CalibrationResult:
         detail = "; ".join(f"{c}/{o}: {msg}" for c, o, msg in outcomes)
         raise CalibrationError(
             f"no configuration is reduced Burau at t = zeta_{d} ({detail})")
-    result = CalibrationResult(d, *matches[0], tuple(outcomes))
-    _CALIBRATIONS[d] = result
-    return result
+    return CalibrationResult(d, *matches[0], tuple(outcomes))
 
 
 def braid_twisted_rows(n: int, d: int, coeffs=("z",),
@@ -313,8 +309,6 @@ def compute_table(d: int, n_max: int, coeff: str = "z",
 # therefore decompose as trivial-coefficient Betti numbers plus the reduced
 # part, and the even-n reference polynomials concern the reduced part.
 
-_T_VARIANT: list = []
-
 
 def _betti_gate_odd(n: int) -> list[int]:
     return [1] + [2] * (n - 1) + [1]
@@ -368,15 +362,14 @@ def _split_trivial(n: int, d: int, full: list[int],
     return reduced
 
 
+@functools.cache
 def calibrate_t_variant() -> int:
     """Select the sign variant reproducing the type-B Betti gates.
 
     Gates, for d in {2, 3}: the full module at n = 3 has Betti numbers
     (1, 2, 2, 1), and the reduced module at n = 2 has (0, 0, 0) for odd d
-    and (0, 1, 1) for even d.
+    and (0, 1, 1) for even d.  Kept once per process.
     """
-    if _T_VARIANT:
-        return _T_VARIANT[0]
     plain = artinB_trivial_betti(2)  # the same for every gate tried
     outcomes = []
     for v in range(len(T_VARIANTS)):
@@ -396,6 +389,5 @@ def calibrate_t_variant() -> int:
                 break
         outcomes.append((v, verdict))
         if verdict == "match":
-            _T_VARIANT.append(v)
             return v
     raise CalibrationError(f"no sign variant fits the type-B gates: {outcomes}")

@@ -152,7 +152,8 @@ _TABLE_5 = _fixture(6, "Table 5", {
          7: "Z6^3 Z5", 8: "Z3 Z", 9: "Z"},
 }, {(5, 1), (7, 2), (9, 3)})
 
-FIXTURES = {f.d: f for f in (_TABLE_1, _TABLE_2, _TABLE_3, _TABLE_4, _TABLE_5)}
+FIXTURES = MappingProxyType(
+    {f.d: f for f in (_TABLE_1, _TABLE_2, _TABLE_3, _TABLE_4, _TABLE_5)})
 
 
 def fixture(d: int) -> Fixture:

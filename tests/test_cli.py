@@ -312,10 +312,26 @@ class TestVerify:
         assert code == 0
         assert "vacuously" in out
 
-    def test_window_without_references_is_vacuous(self, capsys):
-        code, out, _ = run(capsys, "verify", "--window", "7:5")
+    def test_window_without_references_runs_every_law(self, capsys):
+        """d = 7 has no reference table: the golden-table and highlight
+        checks are left out, and every law still runs on the computed
+        rows."""
+        code, out, _ = run(capsys, "verify", "--window", "7:6",
+                           "--format", "json")
         assert code == 0
-        assert "vacuously" in out
+        payload = json.loads(out)
+        assert payload["window"] == {"7": 6}
+        checked = {c["name"]: c["checked"] for c in payload["checks"]}
+        assert checked == {
+            "calibration d=7": 3,
+            "torsion-law d=7": 21,
+            "stability d=7": 4,
+            "unstable-free-part d=7": 9,
+            "universal-coefficients p=2 d=7": 21,
+            "universal-coefficients p=3 d=7": 21,
+            "universal-coefficients p=5 d=7": 21,
+        }
+        assert payload["failures"] == []
 
     def test_injected_fault_is_caught(self, capsys):
         code, out, _ = run(capsys, "verify", "--window", "",
@@ -374,6 +390,8 @@ class TestVerify:
         assert _window("  ") == {}
         with pytest.raises(ValueError):
             _window("2")
+        with pytest.raises(ValueError):
+            _window("0:5")
 
 
 class TestExitCodes:
@@ -381,6 +399,13 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("window", ["0:5", "2:0"])
+    def test_bad_window_exits_two(self, capsys, window):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--window", window])
+        assert exc.value.code == 2
+        assert "--window" in capsys.readouterr().err
 
     def test_resource_limit_maps_to_three(self, capsys, monkeypatch):
         from superbraid.homology_engine import calibrate

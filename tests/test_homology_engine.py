@@ -149,13 +149,14 @@ class TestCalibration:
             x.entries[(0, 0)] = -x.entries[(0, 0)]
             return x
 
-        monkeypatch.delitem(engine._CALIBRATIONS, 3, raising=False)
+        engine.calibrate.cache_clear()
         monkeypatch.setattr(engine, "intertwiner", flipped)
+        kept = calibrate.cache_info().currsize
         with pytest.raises(CalibrationError) as err:
             calibrate(3)
         assert "B/left_to_right: mismatch at (n=3, k=1)" in str(err.value)
         assert "B/right_to_left: rejected" in str(err.value)
-        assert 3 not in engine._CALIBRATIONS
+        assert calibrate.cache_info().currsize == kept
 
     def test_fingerprint_records_every_convention(self):
         assert calibrate(3).fingerprint() == {
@@ -174,7 +175,7 @@ class TestCalibration:
         Burau and builds no complex.  A/left_to_right mismatches at its
         first generator; B/right_to_left is rejected at d >= 3 while its
         representations are built."""
-        monkeypatch.delitem(engine._CALIBRATIONS, d, raising=False)
+        engine.calibrate.cache_clear()
         builds = count_builds(monkeypatch)
         outcomes = calibrate(d).outcomes
         assert not builds
@@ -231,6 +232,7 @@ class TestBraidSystem:
             reps.append(real_build_rep(*args, **kwargs))
             return reps[-1]
 
+        engine.braid_system.cache_clear()
         monkeypatch.setattr(engine, "build_rep", build_rep)
         rho = engine.braid_system(n, d, construction, "left_to_right")
         (rep,) = reps
@@ -248,6 +250,7 @@ class TestBraidSystem:
                 return _real(m, *args, **kwargs)
 
             monkeypatch.setattr(module, "snf", counted)
+        engine.braid_system.cache_clear()
         engine.braid_system(n, 3, "B", "left_to_right")
         assert len(calls) == n - 1
 
@@ -325,14 +328,39 @@ class TestSeveralRings:
 
         calibrate(1)
         calibrate_t_variant()
-        for d in (2, 3, 6):
-            monkeypatch.delitem(engine._CALIBRATIONS, d, raising=False)
+        engine.calibrate.cache_clear()
         builds = count_builds(monkeypatch)
         assert main(["verify", "--window", "2:5,3:5,6:5",
                      "--format", "json"]) == 0
         capsys.readouterr()
         assert builds == Counter({(n, d, "B", "left_to_right"): 1
                                   for d in (1, 2, 3, 6) for n in range(1, 6)})
+
+    def test_verify_builds_each_braid_system_once(self, monkeypatch, capsys):
+        """From empty caches, a verify run builds each braid system once:
+        the gate systems n = 3, 4, 5 that calibration certifies are the
+        ones the rows use."""
+        from superbraid.cli.main import main
+
+        for cached in (engine.braid_system, engine.calibrate,
+                       engine.calibrate_t_variant):
+            cached.cache_clear()
+        reps = Counter()
+        real_build_rep = engine.build_rep
+
+        def build_rep(n, d, construction, order):
+            reps[(n, d, construction, order)] += 1
+            return real_build_rep(n, d, construction=construction,
+                                  order=order)
+
+        monkeypatch.setattr(engine, "build_rep", build_rep)
+        assert main(["verify", "--window", "2:5,3:5,6:5",
+                     "--format", "json"]) == 0
+        capsys.readouterr()
+        assert set(reps.values()) == {1}
+        for d in (2, 3, 6):
+            for n in engine.GATE_ROWS:
+                assert reps[(n, d, "B", "left_to_right")] == 1
 
     @staticmethod
     def fill_from_cache(tmp_path, monkeypatch, n):
@@ -375,8 +403,9 @@ class TestCache:
     def test_paths_and_tags(self, tmp_path):
         assert coeff_tag("z") == "z"
         assert coeff_tag("f:3") == "f3"
-        with pytest.raises(ValueError):
-            coeff_tag("gf(2)")
+        for bad in ("gf(2)", "f:4", "f:1"):
+            with pytest.raises(ValueError):
+                coeff_tag(bad)
         path = cache_path(tmp_path, "A", 6, 2, "f:3")
         assert path.name == "h_A_6_2_f3.json"
 
@@ -721,7 +750,7 @@ class TestSignedPermutationSide:
             self, monkeypatch):
         """Every reduced gate subtracts the same trivial-coefficient Betti
         numbers of B_2, so one call builds that complex once."""
-        monkeypatch.setattr(engine, "_T_VARIANT", [])
+        engine.calibrate_t_variant.cache_clear()
         trivial_b2 = []
         real_build = engine.build_complex
 

@@ -1,7 +1,8 @@
 """Layering: no module imports a private name from another subpackage,
 nothing outside the command-line front end imports it, the engine does not
-read the reference tables, and the local systems of coxeter_complex do not
-import the curve representation built on them."""
+read the reference tables, the local systems of coxeter_complex do not
+import the curve representation built on them, and no module keeps mutable
+state of its own (what a process keeps lives in functools caches)."""
 
 from __future__ import annotations
 
@@ -60,6 +61,42 @@ def cli_imports(source: str, package: tuple[str, ...]) -> list[str]:
     if package[:2] == ("superbraid", "cli"):
         return []
     return imports_reaching(source, package, "cli")
+
+
+_MUTABLE_DISPLAYS = (ast.Dict, ast.List, ast.Set,
+                     ast.DictComp, ast.ListComp, ast.SetComp)
+
+
+def _is_mutable(value) -> bool:
+    return isinstance(value, _MUTABLE_DISPLAYS) or (
+        isinstance(value, ast.Call) and isinstance(value.func, ast.Name)
+        and value.func.id in ("dict", "list", "set"))
+
+
+def mutable_module_state(source: str) -> list[str]:
+    """Module-level names that source binds to a dict, list or set display
+    (a comprehension included) or to a dict(), list() or set() call.
+    __all__ is exempt; function and class bodies are not module level."""
+    found = []
+
+    def visit(body):
+        for node in body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                continue
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target])
+                names = [t.id for t in targets
+                         if isinstance(t, ast.Name) and t.id != "__all__"]
+                if names and node.value is not None and _is_mutable(
+                        node.value):
+                    found.append(f"line {node.lineno}: {', '.join(names)}")
+            for field in ("body", "orelse", "finalbody", "handlers"):
+                visit(getattr(node, field, ()))
+
+    visit(ast.parse(source).body)
+    return found
 
 
 def _modules():
@@ -140,3 +177,31 @@ def test_local_systems_do_not_import_the_curve_representation():
     assert imports_reaching("from .. import surface_rep", cx, "surface_rep")
     assert not imports_reaching("from .groups import CoxeterSpec", cx,
                                 "surface_rep")
+
+
+def test_no_module_keeps_mutable_state():
+    """Module state is immutable: a memo is a functools cache, and a table
+    is a tuple, a frozenset or a MappingProxyType."""
+    violations = [f"{rel}: {hit}" for rel, source, _ in _modules()
+                  for hit in mutable_module_state(source)]
+    assert not violations, "\n".join(violations)
+
+
+def test_checker_flags_mutable_module_state():
+    assert mutable_module_state("_MEMO: dict[int, int] = {}")
+    assert mutable_module_state("_SEEN = []")
+    assert mutable_module_state("PRIMES = {2, 3, 5}")
+    assert mutable_module_state("TABLE = {k: k for k in range(3)}")
+    assert mutable_module_state("ROWS = [k for k in range(3)]")
+    assert mutable_module_state("_MEMO = dict()")
+    assert mutable_module_state("A = B = list()")
+    assert mutable_module_state("if True:\n    _MEMO = set()")
+    assert mutable_module_state("try:\n    pass\nexcept ImportError:\n"
+                                "    _MEMO = {}")
+    assert not mutable_module_state("__all__ = ['x', 'y']")
+    assert not mutable_module_state("GRID = (1, 2)\nKEYS = frozenset({1})")
+    assert not mutable_module_state(
+        "TABLE = MappingProxyType({1: 2})")
+    assert not mutable_module_state("def f():\n    seen = []")
+    assert not mutable_module_state("class C:\n    rows = []")
+    assert not mutable_module_state("_ANNOTATED: dict")
