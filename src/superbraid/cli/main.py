@@ -311,7 +311,11 @@ def cmd_verify(args) -> int:
             checks.append(verify_covering_iso(base, cover, p, pair))
     odd = [d for d in (3, 5) if (d, 2) in mod_tables]
     if odd:
-        baseline = compute_table(1, max(window[d] for d in odd), "f:2")
+        # The window's own d = 1 table serves when it reaches every odd row.
+        reach = max(window[d] for d in odd)
+        baseline = mod_tables.get((1, 2))
+        if baseline is None or window[1] < reach:
+            baseline = compute_table(1, reach, "f:2")
         for d_odd in odd:
             pair = {1: baseline, d_odd: mod_tables[(d_odd, 2)]}
             checks.append(verify_covering_iso(1, d_odd, 2, pair))

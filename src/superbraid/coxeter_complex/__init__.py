@@ -1,7 +1,6 @@
 """Chain complexes of finite-type Artin groups with matrix coefficients."""
 
 from .complexes import (
-    CONVENTION_CANDIDATES,
     DEFAULT_CONVENTION,
     BoundaryConvention,
     BoundaryError,
@@ -21,7 +20,6 @@ from .systems import (
 __all__ = [
     "BoundaryConvention",
     "BoundaryError",
-    "CONVENTION_CANDIDATES",
     "ChainComplex",
     "CosetRep",
     "CoxeterSpec",

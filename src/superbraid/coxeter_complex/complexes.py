@@ -3,29 +3,28 @@
 Degree-k chains are one copy of the local-system module per k-subset of
 the generators, subsets ordered colexicographically.  The boundary block
 from subset Gamma to Gamma minus tau sums, over the minimal coset
-representatives beta of W_{Gamma minus tau} in W_Gamma, the matrices
+representatives beta of W_{Gamma minus tau} in W_Gamma (the minima of the
+cosets W_{Gamma minus tau} beta), the matrices
 (-1)^(length(beta) + mu) rho(lift(beta)), where lift reads a reduced word
-of beta as a positive Artin word and mu counts the position of tau in
-Gamma (plus a global base offset).
+of beta as a positive Artin word and mu is the position of tau in Gamma
+(De Concini-Salvetti, Math. Res. Lett. 3 (1996)).
 
 W_Gamma is the direct product of the parabolics of the connected runs of
 Gamma (maximal sets of consecutive generators, CoxeterSpec.runs).  So the
 minimal coset representatives of W_{Gamma minus tau} in W_Gamma are
 exactly those of W_{R minus tau} in W_R, where R is the run of Gamma
-containing tau, on either coset side and for both families; they are
-enumerated in the run's standalone shape, CoxeterSpec.run_shape.  The
-block is therefore (-1)^(mu + mu_base) B(R, tau), with B(R, tau) the sum
-over those representatives of (-1)^length(beta) rho(lift(beta)); one
-build computes each B(R, tau) once.  Lifts are stacked products in the
-dtype of the generators: int64, checked against 2^62 before each product
-and each sum, and a block whose check fails is lifted once more in exact
-Python ints (an object array).  Each boundary is a CooMatrix whose values are int64, or
-exact Python ints once some entry is past int64.
+containing tau, for both families; they are enumerated in the run's
+standalone shape, CoxeterSpec.run_shape.  The block is therefore
+(-1)^mu B(R, tau), with B(R, tau) the sum over those representatives of
+(-1)^length(beta) rho(lift(beta)); one build computes each B(R, tau) once.
+Lifts are stacked products in the dtype of the generators: int64, checked
+against 2^62 before each product and each sum, and a block whose check
+fails is lifted once more in exact Python ints (an object array).  Each
+boundary is a CooMatrix whose values are int64, or exact Python ints once
+some entry is past int64.
 
-The coset side and the sign base are free conventions; candidates are
-enumerated in the documented order and the shipped default is the first
-one passing the composition and trivial-coefficient gates.  A failing
-composition raises :class:`BoundaryError` naming the offending blocks.
+A failing composition raises :class:`BoundaryError` naming the offending
+blocks.
 """
 
 from __future__ import annotations
@@ -44,22 +43,16 @@ from .systems import LocalSystem
 
 @dataclass(frozen=True)
 class BoundaryConvention:
-    """Coset side ('left' or 'right') and sign base (0 or 1)."""
+    """The record of the boundary's convention: left cosets, sign base 0.
 
-    side: str = "left"
-    mu_base: int = 0
+    Calibration fingerprints and cache files carry its two fields.
+    """
+
+    side: str
+    mu_base: int
 
 
-# Enumeration order for the convention scan; the first candidate passing
-# all gates is the shipped default (see tests).
-CONVENTION_CANDIDATES = (
-    BoundaryConvention("left", 0),
-    BoundaryConvention("left", 1),
-    BoundaryConvention("right", 0),
-    BoundaryConvention("right", 1),
-)
-
-DEFAULT_CONVENTION = CONVENTION_CANDIDATES[0]
+DEFAULT_CONVENTION = BoundaryConvention("left", 0)
 
 
 class BoundaryError(RuntimeError):
@@ -81,13 +74,13 @@ def _subsets_colex(rank: int, k: int) -> list[tuple[int, ...]]:
 class ChainComplex:
     """Ranks and boundary matrices, with degree-k rank C(rank, k) * dim."""
 
+    convention = DEFAULT_CONVENTION
+
     def __init__(self, spec: CoxeterSpec, dimension: int,
-                 boundaries: dict[int, CooMatrix],
-                 convention: BoundaryConvention):
+                 boundaries: dict[int, CooMatrix]):
         self.spec = spec
         self.dimension = dimension
         self.boundaries = boundaries
-        self.convention = convention
 
     def rank(self, k: int) -> int:
         if not 0 <= k <= self.spec.rank:
@@ -101,23 +94,8 @@ class ChainComplex:
         return CooMatrix(self.rank(k - 1), self.rank(k),
                          *np.zeros((3, 0), dtype=np.int64))
 
-    def to_json(self) -> dict:
-        return {
-            "family": self.spec.family,
-            "rank": self.spec.rank,
-            "dimension": self.dimension,
-            "ranks": [self.rank(k) for k in range(self.spec.rank + 1)],
-            "boundaries": {
-                str(k): [[r, c, v] for (r, c, v) in self.boundary(k).triples()]
-                for k in range(1, self.spec.rank + 1)
-            },
-            "convention": {"side": self.convention.side,
-                           "mu_base": self.convention.mu_base},
-        }
 
-
-def _run_block(reps, gens: np.ndarray, gen_max: int,
-               side: str) -> np.ndarray | None:
+def _run_block(reps, gens: np.ndarray, gen_max: int) -> np.ndarray | None:
     """B(R, tau) in the dtype of gens; None if gens are int64 and an entry
     bound reaches 2^62.
 
@@ -147,7 +125,7 @@ def _run_block(reps, gens: np.ndarray, gen_max: int,
             return None
         parents = prev[reps.parent[start:end] - bounds[length - 1]]
         letters = gens[reps.letter[start:end]]
-        prev = parents @ letters if side == "left" else letters @ parents
+        prev = parents @ letters
         top = int(np.abs(prev).max(initial=0))
         total += (end - start) * top
         if total >= limit:
@@ -169,9 +147,8 @@ class _RunBlocks:
     index the run's slice of the generators.
     """
 
-    def __init__(self, spec: CoxeterSpec, rho: LocalSystem, side: str):
+    def __init__(self, spec: CoxeterSpec, rho: LocalSystem):
         self.spec = spec
-        self.side = side
         self.blocks: dict[tuple, tuple[np.ndarray, ...]] = {}
         dim = rho.dimension
         self.gen_max = max((a.max_abs() for a in rho.actions), default=0)
@@ -192,13 +169,11 @@ class _RunBlocks:
             first = run[0]
             reps = min_coset_reps(self.spec.run_shape(run),
                                   tuple(range(len(run))),
-                                  tuple(g - first for g in run if g != tau),
-                                  self.side)
+                                  tuple(g - first for g in run if g != tau))
             gens = self.gens[first:first + len(run)]
-            block = _run_block(reps, gens, self.gen_max, self.side)
+            block = _run_block(reps, gens, self.gen_max)
             if block is None:  # past the int64 guard: lift in exact ints
-                block = _run_block(reps, gens.astype(object), self.gen_max,
-                                   self.side)
+                block = _run_block(reps, gens.astype(object), self.gen_max)
             rr, cc = np.nonzero(block)
             vals = block[rr, cc]
             if vals.dtype == object and np.abs(vals).max(initial=0) < 1 << 63:
@@ -208,12 +183,12 @@ class _RunBlocks:
         return self.blocks[key]
 
 
-def _boundary_matrix(spec: CoxeterSpec, dim: int, k: int, blocks: _RunBlocks,
-                     mu_base: int) -> CooMatrix:
+def _boundary_matrix(spec: CoxeterSpec, dim: int, k: int,
+                     blocks: _RunBlocks) -> CooMatrix:
     """The boundary d_k, with exact Python-int values if a block has any.
 
     The nonzeros are stored with Gamma in colex order, then tau ascending
-    in Gamma, then each block (-1)^(mu + mu_base) B(run, tau), at row
+    in Gamma, then each block (-1)^mu B(run, tau), at row
     block Gamma - tau and column block Gamma, row-major.  The numpy
     pre-pass of the elimination reads them in that order, which fixes its
     pivots.  Each distinct block is held once and expanded over the
@@ -234,7 +209,7 @@ def _boundary_matrix(spec: CoxeterSpec, dim: int, k: int, blocks: _RunBlocks,
             use.append(index[key])
             r0.append(rows[tuple(g for g in gamma if g != tau)] * dim)
             c0.append(ci * dim)
-            sign.append(-1 if (mu + mu_base) % 2 else 1)
+            sign.append(-1 if mu % 2 else 1)
     sizes = np.array([len(part[2]) for part in parts], dtype=np.int64)
     br, bc, bv = (np.concatenate([part[i] for part in parts])
                   for i in range(3))
@@ -250,13 +225,10 @@ def _boundary_matrix(spec: CoxeterSpec, dim: int, k: int, blocks: _RunBlocks,
                      out_vals)
 
 
-def _boundaries(spec: CoxeterSpec, rho: LocalSystem,
-                convention: BoundaryConvention
-                ) -> dict[int, CooMatrix]:
+def _boundaries(spec: CoxeterSpec, rho: LocalSystem) -> dict[int, CooMatrix]:
     """Every boundary of the complex, before the composition check."""
-    blocks = _RunBlocks(spec, rho, convention.side)
-    return {k: _boundary_matrix(spec, rho.dimension, k, blocks,
-                                convention.mu_base)
+    blocks = _RunBlocks(spec, rho)
+    return {k: _boundary_matrix(spec, rho.dimension, k, blocks)
             for k in range(1, spec.rank + 1)}
 
 
@@ -268,18 +240,17 @@ def _locate_failure(d_low, d_high, k: int, spec: CoxeterSpec,
     return BoundaryError(k, gamma, gamma2)
 
 
-def build_complex(spec: CoxeterSpec, rho: LocalSystem,
-                  convention: BoundaryConvention = DEFAULT_CONVENTION) -> ChainComplex:
+def build_complex(spec: CoxeterSpec, rho: LocalSystem) -> ChainComplex:
     """Assemble all boundaries and verify the composition law.
 
     Raises :class:`BoundaryError` identifying the first failing block pair
-    if the chosen convention does not yield a chain complex.
+    if the boundaries do not compose to zero.
     """
     if rho.spec != spec:
         raise ValueError("local system was built for a different Coxeter spec")
-    boundaries = _boundaries(spec, rho, convention)
+    boundaries = _boundaries(spec, rho)
     for k in range(1, spec.rank):
         if not product_is_zero(boundaries[k], boundaries[k + 1]):
             raise _locate_failure(boundaries[k], boundaries[k + 1], k,
                                   spec, rho.dimension)
-    return ChainComplex(spec, rho.dimension, boundaries, convention)
+    return ChainComplex(spec, rho.dimension, boundaries)

@@ -144,8 +144,8 @@ class CosetRep:
     """One minimal-length coset representative, as a view of a CosetTable.
 
     ``parent`` is the index of the representative this one extends and
-    ``letter`` the generator appended (on the side given to the search), so
-    matrix lifts can be evaluated with one product per representative.
+    ``letter`` the generator appended on the right of its word, so matrix
+    lifts can be evaluated with one product per representative.
     """
 
     element: tuple
@@ -162,24 +162,21 @@ class CosetTable(Sequence):
     """The minimal coset representatives found by the BFS, as int64 arrays.
 
     ``parent[i]`` is the index of the representative that i extends (-1 for
-    the identity), ``letter[i]`` the generator it appends on the search
-    side (-1 for the identity) and ``length[i]`` its length.  The order is
+    the identity), ``letter[i]`` the generator it appends on the right (-1
+    for the identity) and ``length[i]`` its length.  The order is
     breadth-first, so each length forms one contiguous level whose parents
     all lie in the level before.  No element or word is kept: indexing or
     iterating rebuilds CosetRep views by walking from the identity out to
-    the representative.  With side "left" a view's word appends each
-    letter and its element applies it on the right; with side "right" the
-    word prepends each letter and the element applies it on the left.
-    The table is memoised and shared by every caller, so its arrays are
-    never written after construction.
+    the representative, applying each letter on the right.  The table is
+    memoised and shared by every caller, so its arrays are never written
+    after construction.
     """
 
-    __slots__ = ("spec", "side", "parent", "letter", "length")
+    __slots__ = ("spec", "parent", "letter", "length")
 
-    def __init__(self, spec: CoxeterSpec, side: str, parent: np.ndarray,
+    def __init__(self, spec: CoxeterSpec, parent: np.ndarray,
                  letter: np.ndarray, length: np.ndarray):
         self.spec = spec
-        self.side = side
         self.parent = parent
         self.letter = letter
         self.length = length
@@ -194,11 +191,10 @@ class CosetTable(Sequence):
         while self.parent[j] >= 0:
             path.append(int(self.letter[j]))
             j = int(self.parent[j])
+        word = tuple(reversed(path))
         w = self.spec.identity()
-        for s in reversed(path):
-            w = (self.spec.apply_right(w, s) if self.side == "left"
-                 else self.spec.apply_left(w, s))
-        word = tuple(reversed(path)) if self.side == "left" else tuple(path)
+        for s in word:
+            w = self.spec.apply_right(w, s)
         return CosetRep(w, word, int(self.parent[i]),
                         path[0] if path else None)
 
@@ -216,7 +212,7 @@ def _validate_subsets(spec, gamma, gamma_prime):
 @functools.cache
 def _coset_reps(family: str, rank: int, gamma: tuple[int, ...],
                 gamma_prime: tuple[int, ...]) -> CosetTable:
-    """The left-side representatives, by breadth-first search.
+    """The minimal coset representatives, by breadth-first search.
 
     s_v links the values v and v + 1, so the runs of gamma' cut the values
     into blocks, and w has no left descent in gamma' iff each block keeps
@@ -260,28 +256,18 @@ def _coset_reps(family: str, rank: int, gamma: tuple[int, ...],
         raise RuntimeError(
             f"coset enumeration found {len(parent)} representatives of "
             f"W_{gamma_prime} in W_{gamma}, expected {expected}")
-    return CosetTable(spec, "left", *(np.array(a, dtype=np.int64)
-                                      for a in (parent, letter, length)))
+    return CosetTable(spec, *(np.array(a, dtype=np.int64)
+                              for a in (parent, letter, length)))
 
 
-def min_coset_reps(spec: CoxeterSpec, gamma, gamma_prime,
-                   side: str = "left") -> CosetTable:
+def min_coset_reps(spec: CoxeterSpec, gamma, gamma_prime) -> CosetTable:
     """All minimal-length representatives of W_gamma' cosets inside W_gamma.
 
-    With ``side="left"`` the representatives have no left descent in
-    gamma', i.e. they are the minima of the cosets W_gamma' beta, the
-    shuffles of _coset_reps; the BFS extends words on the right and the
-    set is closed under removing the last letter.  ``side="right"`` is the
-    left search read inverted: u -> u^-1 sends u s to s u^-1 and swaps left
-    with right descents, so a right-side search would visit the inverses in
-    the same order, from the same parents, by the same letters.  Both sides
-    share one CosetTable's arrays, kept for the process; the items are
+    The representatives have no left descent in gamma', i.e. they are the
+    minima of the cosets W_gamma' beta, the shuffles of _coset_reps; the
+    BFS extends words on the right and the set is closed under removing
+    the last letter.  The table is kept for the process; its items are
     CosetRep views.
     """
-    if side not in ("left", "right"):
-        raise ValueError("side must be 'left' or 'right'")
     gamma, gamma_prime = _validate_subsets(spec, gamma, gamma_prime)
-    table = _coset_reps(spec.family, spec.rank, gamma, gamma_prime)
-    if side == "left":
-        return table
-    return CosetTable(spec, side, table.parent, table.letter, table.length)
+    return _coset_reps(spec.family, spec.rank, gamma, gamma_prime)

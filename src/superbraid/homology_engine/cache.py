@@ -38,15 +38,22 @@ def cache_root(explicit=None) -> Path | None:
     return Path(env) if env else None
 
 
+def parse_coeff(coeff: str) -> tuple[str, int | None]:
+    """Split a coefficient spec into ('z', None) or ('f', p), with p
+    certified by require_prime."""
+    if coeff == "z":
+        return ("z", None)
+    if coeff.startswith("f:"):
+        return ("f", require_prime(int(coeff[2:])))
+    raise ValueError(f"bad coefficient spec {coeff!r}; use 'z' or 'f:p'")
+
+
 def coeff_tag(coeff: str) -> str:
     """Canonical short tag: 'z' for integers, 'f<p>' for a prime field.
-    p is certified by require_prime, so no tag names a ring that does not
+    It is read off parse_coeff, so no tag names a ring that does not
     exist."""
-    if coeff == "z":
-        return "z"
-    if coeff.startswith("f:"):
-        return f"f{require_prime(int(coeff[2:]))}"
-    raise ValueError(f"bad coefficient spec {coeff!r}; use 'z' or 'f:p'")
+    kind, p = parse_coeff(coeff)
+    return kind if p is None else f"{kind}{p}"
 
 
 def cache_path(root: Path, family: str, n: int, d: int, coeff: str) -> Path:

@@ -31,10 +31,10 @@ from ..coxeter_complex import (
     t_local_system,
     trivial_system,
 )
-from ..exact_linalg import AbelianGroup, rank_mod_p, require_prime, snf
+from ..exact_linalg import AbelianGroup, rank_mod_p, snf
 from ..surface_rep import build_rep
 from ..surface_rep.burau import burau, intertwiner
-from .cache import cache_root, load, store
+from .cache import cache_root, load, parse_coeff, store
 from .limits import charge
 
 CALIBRATION_GRID = (
@@ -48,15 +48,6 @@ GATE_ROWS = (3, 4, 5)
 
 class CalibrationError(RuntimeError):
     """No candidate configuration fits the gates."""
-
-
-def parse_coeff(coeff: str) -> tuple[str, int | None]:
-    """Split a coefficient spec into ('z', None) or ('f', p)."""
-    if coeff == "z":
-        return ("z", None)
-    if coeff.startswith("f:"):
-        return ("f", require_prime(int(coeff[2:])))
-    raise ValueError(f"bad coefficient spec {coeff!r}; use 'z' or 'f:p'")
 
 
 @functools.cache

@@ -8,7 +8,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .engine import HomologyTable, parse_coeff
+from .cache import parse_coeff
+from .engine import HomologyTable
 
 
 @dataclass(frozen=True)

@@ -47,13 +47,11 @@ def twist_matrix_A(n: int, d: int, k: int) -> IntMatrix:
 
     Columns are the images of the reduced basis vectors.
     """
-    return _twist_A(IntersectionForm(n, d), k)
+    return twist_matrix(n, d, k, "A")
 
 
 def _twist_A(form: IntersectionForm, k: int) -> IntMatrix:
     basis = form.basis
-    if not (1 <= k <= form.n - 1):
-        raise IndexError(f"twist index k={k} outside 1..{form.n - 1}")
     d = form.d
     columns = []
     for (l, i) in basis.labels():
@@ -88,15 +86,11 @@ def twist_matrix_B(n: int, d: int, k: int, order: str = "left_to_right") -> IntM
     With ``order="left_to_right"`` the product is M(a[k][1]) * .. *
     M(a[k][d-1]), so the transvection along a[k][d-1] acts first.
     """
-    if order not in ORDERS:
-        raise ValueError(f"order must be one of {ORDERS}")
-    return _twist_B(IntersectionForm(n, d), k, order)
+    return twist_matrix(n, d, k, "B", order)
 
 
 def _twist_B(form: IntersectionForm, k: int, order: str) -> IntMatrix:
     basis = form.basis
-    if not (1 <= k <= form.n - 1):
-        raise IndexError(f"twist index k={k} outside 1..{form.n - 1}")
     mats = [transvection(form.omega, basis.index(k, i))
             for i in range(1, form.d)]
     if order == "right_to_left":
@@ -109,16 +103,19 @@ def _twist_B(form: IntersectionForm, k: int, order: str) -> IntMatrix:
 
 def twist_matrix(n: int, d: int, k: int, construction: str = "B",
                  order: str = "left_to_right") -> IntMatrix:
-    if construction == "A":
-        return twist_matrix_A(n, d, k)
-    if construction == "B":
-        return twist_matrix_B(n, d, k, order)
-    raise ValueError(f"construction must be one of {CONSTRUCTIONS}")
+    """The k-th twist by either construction; only B reads the order."""
+    if construction not in CONSTRUCTIONS:
+        raise ValueError(f"construction must be one of {CONSTRUCTIONS}")
+    if construction == "B" and order not in ORDERS:
+        raise ValueError(f"order must be one of {ORDERS}")
+    return _twist(IntersectionForm(n, d), k, construction, order)
 
 
 def _twist(form: IntersectionForm, k: int, construction: str,
            order: str) -> IntMatrix:
     """twist_matrix on a form the caller already holds."""
+    if not (1 <= k <= form.n - 1):
+        raise IndexError(f"twist index k={k} outside 1..{form.n - 1}")
     if construction == "A":
         return _twist_A(form, k)
     return _twist_B(form, k, order)

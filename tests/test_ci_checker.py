@@ -15,13 +15,14 @@ CRITERIA = ["test_criterion_03_calibration", "test_criterion_04_golden_tables",
 DOCUMENTED = {"test_criterion_04_golden_tables", "test_criterion_07_series"}
 
 
-def junit(failing):
-    """A report of the acceptance criteria in which the named tests fail."""
+def junit(failing, extra=""):
+    """A report of the acceptance criteria in which the named tests fail,
+    followed by the testcase elements in extra."""
     cases = "".join(
         f'<testcase classname="tests.test_acceptance" name="{name}">'
         + ('<failure message="differs"/>' if name in failing else "")
         + "</testcase>" for name in CRITERIA)
-    return f"<testsuites><testsuite>{cases}</testsuite></testsuites>"
+    return f"<testsuites><testsuite>{cases}{extra}</testsuite></testsuites>"
 
 
 def check(path):
@@ -37,6 +38,15 @@ def check(path):
 def test_verdict(tmp_path, failing, code):
     (tmp_path / "tier1.xml").write_text(junit(failing))
     assert check(tmp_path / "tier1.xml").returncode == code
+
+
+def test_collection_error_fails(tmp_path):
+    """A module that fails to import is reported as an errored testcase
+    with an empty classname and the module as its name; beside the two
+    documented failures it still fails the run."""
+    error = '<testcase classname="" name="tests.test_x"><error/></testcase>'
+    (tmp_path / "tier1.xml").write_text(junit(DOCUMENTED, error))
+    assert check(tmp_path / "tier1.xml").returncode == 1
 
 
 def test_missing_report_fails(tmp_path):

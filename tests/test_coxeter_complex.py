@@ -15,9 +15,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from superbraid.coxeter_complex import (
-    CONVENTION_CANDIDATES,
-    DEFAULT_CONVENTION,
-    BoundaryConvention,
     BoundaryError,
     CoxeterSpec,
     LocalSystem,
@@ -76,13 +73,13 @@ def surface_system(n, d):
     return rho.spec, rho
 
 
-def reference_boundary(spec, rho, k, convention):
+def reference_boundary(spec, rho, k):
     """The documented block sum, one (Gamma, tau) pair at a time, exactly.
 
     Block (Gamma, tau) is the sum over the minimal coset representatives
-    beta of W_{Gamma - tau} in W_Gamma of
-    (-1)^(length(beta) + mu + mu_base) rho(lift(beta)), with mu the
-    position of tau in Gamma.
+    beta of W_{Gamma - tau} in W_Gamma, asked of Gamma itself rather than
+    of the run holding tau, of (-1)^(length(beta) + mu) rho(lift(beta)),
+    with mu the position of tau in Gamma.
     """
     dim = rho.dimension
     rows = {g: i for i, g in enumerate(_subsets_colex(spec.rank, k - 1))}
@@ -90,8 +87,8 @@ def reference_boundary(spec, rho, k, convention):
     for ci, gamma in enumerate(_subsets_colex(spec.rank, k)):
         for mu, tau in enumerate(gamma):
             prime = tuple(g for g in gamma if g != tau)
-            for rep in min_coset_reps(spec, gamma, prime, convention.side):
-                sign = (-1) ** (rep.length + mu + convention.mu_base)
+            for rep in min_coset_reps(spec, gamma, prime):
+                sign = (-1) ** (rep.length + mu)
                 lift = rho.evaluate_word(rep.word)
                 triples.extend((rows[prime] * dim + r, ci * dim + c, sign * v)
                                for r, c, v in lift.triples())
@@ -100,17 +97,39 @@ def reference_boundary(spec, rho, k, convention):
 
 
 def assert_reference_boundaries(spec, rho):
-    """Every boundary under every convention equals the reference; returns
-    the (matrix type, value dtype name) pairs the boundaries were built as."""
+    """Every boundary equals the reference; returns the (matrix type, value
+    dtype name) pairs the boundaries were built as."""
     kinds = set()
-    for convention in CONVENTION_CANDIDATES:
-        got = _boundaries(spec, rho, convention)
-        assert sorted(got) == list(range(1, spec.rank + 1))
-        for k, b in got.items():
-            assert exact(b) == reference_boundary(spec, rho, k, convention), (
-                convention, k)
-            kinds.add((type(b), b.vals.dtype.name))
+    got = _boundaries(spec, rho)
+    assert sorted(got) == list(range(1, spec.rank + 1))
+    for k, b in got.items():
+        assert exact(b) == reference_boundary(spec, rho, k), k
+        kinds.add((type(b), b.vals.dtype.name))
     return kinds
+
+
+def tampered_build(spec, rho, k):
+    """Build (spec, rho) with one sign of d_k flipped, the first in (row,
+    col) order whose flip makes d_(k-1) . d_k nonzero in exact arithmetic,
+    as the injected-fault self-test of verify picks it.  Returns the
+    BoundaryError raised and the least nonzero (row, col) of that exact
+    product."""
+    plain = _boundaries(spec, rho)
+    low, high = exact(plain[k - 1]), plain[k]
+    for _, _, at in sorted(zip(high.rows.tolist(), high.cols.tolist(),
+                               range(high.nnz()))):
+        vals = high.vals.copy()
+        vals[at] = -vals[at]
+        tampered = CooMatrix(high.nrows, high.ncols, high.rows, high.cols,
+                             vals)
+        product = low * exact(tampered)
+        if product.entries:
+            break
+    with pytest.MonkeyPatch.context() as mp, \
+            pytest.raises(BoundaryError) as info:
+        mp.setattr(complexes, "_boundaries", lambda *_: {**plain, k: tampered})
+        build_complex(spec, rho)
+    return info.value, min(product.entries)
 
 
 INT64_COO = {(CooMatrix, "int64")}
@@ -235,7 +254,7 @@ class TestCosetReps:
         with pytest.raises(ValueError):
             min_coset_reps(spec, (0,), (0, 1))
         with pytest.raises(ValueError):
-            min_coset_reps(spec, (0, 1), (1,), side="middle")
+            min_coset_reps(spec, (0, 4), ())
 
     @pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3)])
     def test_reps_partition_the_parabolic(self, family, rank):
@@ -248,27 +267,6 @@ class TestCosetReps:
                 assert len({r.element for r in reps}) == index
                 for r in reps:
                     assert not (spec.left_descents(r.element) & set(prime))
-
-    def test_left_and_right_reps_are_inverse_sets(self):
-        """Over every (gamma, gamma') of A_1..A_6 and B_1..B_4.  The right
-        side is read from the left search inverted; its elements are
-        checked against right_descents, which the search never asks of
-        them."""
-        specs = [CoxeterSpec("A", r) for r in range(1, 7)]
-        specs += [CoxeterSpec("B", r) for r in range(1, 5)]
-        for spec in specs:
-            for k in range(spec.rank + 1):
-                for gamma in _subsets_colex(spec.rank, k):
-                    for prime in (p for j in range(k + 1)
-                                  for p in combinations(gamma, j)):
-                        left = min_coset_reps(spec, gamma, prime)
-                        right = min_coset_reps(spec, gamma, prime, "right")
-                        elements = [r.element for r in right]
-                        assert len(set(elements)) == len(right) == len(left)
-                        assert ({spec.inverse(r.element) for r in left}
-                                == set(elements)), (spec, gamma, prime)
-                        assert not any(spec.right_descents(w) & set(prime)
-                                       for w in elements), (spec, gamma, prime)
 
     def test_words_are_prefix_closed_and_reduced(self):
         """Over every (gamma, gamma') of A_1..A_5 and B_1..B_4.  Each view's
@@ -318,8 +316,7 @@ class TestCosetReps:
         prime = tuple(sorted(data.draw(st.sets(st.sampled_from(gamma)))))
         if prime == gamma:
             prime = gamma[1:]
-        side = data.draw(st.sampled_from(["left", "right"]))
-        reps = min_coset_reps(spec, gamma, prime, side=side)
+        reps = min_coset_reps(spec, gamma, prime)
         assert len(reps) == spec.parabolic_order(gamma) // spec.parabolic_order(prime)
 
 
@@ -452,75 +449,25 @@ class TestChainComplexes:
         cx = build_complex(spec, sys)
         assert homology(cx) == [group(0), group(0, 3), group(0, 3), group(0)]
 
-    def test_convention_scan_prefers_default(self):
-        spec, sys = surface_system(4, 3)
-        passing = []
-        for cand in CONVENTION_CANDIDATES:
-            try:
-                build_complex(spec, sys, cand)
-            except BoundaryError:
-                continue
-            passing.append(cand)
-        assert passing and passing[0] == DEFAULT_CONVENTION
-        assert DEFAULT_CONVENTION == BoundaryConvention("left", 0)
-        assert all(c.side == "left" for c in passing)
-
     def test_failure_is_located(self):
         spec, sys = surface_system(4, 3)
-        with pytest.raises(BoundaryError) as info:
-            build_complex(spec, sys, BoundaryConvention("right", 0))
-        err = info.value
-        assert err.degree >= 1
+        err, _ = tampered_build(spec, sys, spec.rank)
+        assert err.degree == spec.rank - 1
         assert len(err.gamma) == len(err.gamma2) + 2
         assert "block" in str(err)
 
     @pytest.mark.parametrize("n, d", [(4, 3), (5, 2), (6, 3)])
     def test_failure_names_the_least_nonzero_cell(self, n, d):
-        """The error names the blocks of the least (row, col) at which
-        d_1 * d_2 is nonzero."""
+        """With one sign of d_k flipped, the error names the blocks of the
+        least (row, col) at which d_(k-1) * d_k is nonzero."""
         spec, sys = surface_system(n, d)
-        with pytest.raises(BoundaryError) as info:
-            build_complex(spec, sys, BoundaryConvention("right", 0))
-        err = info.value
-        assert (err.degree, err.gamma, err.gamma2) == (1, (0, 1), ())
-
-    def test_sign_base_flips_every_boundary(self):
-        spec, sys = surface_system(3, 2)
-        plain = build_complex(spec, sys, BoundaryConvention("left", 0))
-        flipped = build_complex(spec, sys, BoundaryConvention("left", 1))
-        for k in range(1, spec.rank + 1):
-            assert exact(flipped.boundary(k)) == -exact(plain.boundary(k))
-
-    def test_homology_independent_of_passing_convention(self):
-        spec = CoxeterSpec("B", 3)
-        sys = t_local_system(3, 3, variant=2)
-        rows = []
-        for cand in CONVENTION_CANDIDATES:
-            try:
-                rows.append(homology(build_complex(spec, sys, cand)))
-            except BoundaryError:
-                continue
-        assert rows
-        assert all(row == rows[0] for row in rows)
-        assert [g.rank for g in rows[0]] == [1, 2, 2, 1]
-
-    def test_to_json_shape(self):
-        spec, sys = surface_system(3, 2)
-        cx = build_complex(spec, sys)
-        blob = cx.to_json()
-        assert set(blob) == {
-            "family", "rank", "dimension", "ranks", "boundaries", "convention"}
-        assert blob["family"] == "A" and blob["rank"] == 2
-        assert blob["ranks"] == [cx.rank(k) for k in range(3)]
-        assert blob["convention"] == {"side": "left", "mu_base": 0}
-        rebuilt = {
-            int(k): IntMatrix.from_triples(
-                cx.boundary(int(k)).nrows, cx.boundary(int(k)).ncols,
-                [tuple(t) for t in triples])
-            for k, triples in blob["boundaries"].items()}
-        assert rebuilt == {k: exact(b) for k, b in cx.boundaries.items()}
-        json.dumps(blob)
-
+        cells = {k: _subsets_colex(spec.rank, k)
+                 for k in range(spec.rank + 1)}
+        for k in range(2, spec.rank + 1):
+            err, (r, c) = tampered_build(spec, sys, k)
+            assert (err.degree, err.gamma, err.gamma2) == (
+                k - 1, cells[k][c // sys.dimension],
+                cells[k - 2][r // sys.dimension])
 
 class TestRunBlocks:
     """Boundaries built once per (run, tau) equal the per-(Gamma, tau) sum."""
@@ -583,8 +530,7 @@ class TestRunBlocks:
         for k in range(1, spec.rank + 1):
             b = cx.boundary(k)
             assert isinstance(b, CooMatrix)
-            assert exact(b) == reference_boundary(spec, big, k,
-                                                  DEFAULT_CONVENTION)
+            assert exact(b) == reference_boundary(spec, big, k)
         exact_valued = [cx.boundary(k) for k in range(1, spec.rank + 1)
                         if cx.boundary(k).vals.dtype == object]
         assert max(b.max_abs() for b in exact_valued) >= 1 << 64
@@ -627,7 +573,7 @@ class TestRunBlocks:
 
             b = cx.boundary(k)
             assert isinstance(b, CooMatrix)
-            ref = reference_boundary(spec, rho, k, DEFAULT_CONVENTION)
+            ref = reference_boundary(spec, rho, k)
             ref.entries = dict(sorted(ref.entries.items(), key=write_position))
             written = CooMatrix(b.nrows, b.ncols, *ref.coo())
             assert list(b.stored()) == list(written.stored())
@@ -664,19 +610,19 @@ class TestRunBlocks:
         runs of one shape ask the same question."""
         asked = []
 
-        def recording(spec, gamma, gamma_prime, side="left"):
-            asked.append((spec, tuple(gamma), tuple(gamma_prime), side))
-            return min_coset_reps(spec, gamma, gamma_prime, side)
+        def recording(spec, gamma, gamma_prime):
+            asked.append((spec, tuple(gamma), tuple(gamma_prime)))
+            return min_coset_reps(spec, gamma, gamma_prime)
 
         monkeypatch.setattr(complexes, "min_coset_reps", recording)
         for spec, rho in (surface_system(6, 2),
                           (CoxeterSpec("B", 4),
                            t_local_system(4, 3, variant=2))):
             asked.clear()
-            _boundaries(spec, rho, DEFAULT_CONVENTION)
-            for shape, gamma, _, _ in asked:
+            _boundaries(spec, rho)
+            for shape, gamma, _ in asked:
                 assert gamma == tuple(range(shape.rank))
-            families = {shape.family for shape, _, _, _ in asked}
+            families = {shape.family for shape, _, _ in asked}
             assert families == ({"A"} if spec.family == "A" else {"A", "B"})
             assert len(set(asked)) < len(asked)
 
@@ -713,7 +659,7 @@ class TestBuildMemory:
         the two factors, not the expanded product terms (about 97 bytes
         per nonzero when a slice could hold nnz(a) + nnz(b) terms)."""
         spec, rho = surface_system(12, 2)
-        bounds = _boundaries(spec, rho, DEFAULT_CONVENTION)
+        bounds = _boundaries(spec, rho)
         low, high = bounds[6], bounds[7]
         gc.collect()
         tracemalloc.start()
@@ -730,7 +676,7 @@ class TestBuildMemory:
 @pytest.fixture(scope="module")
 def row_12_boundaries():
     spec, rho = surface_system(12, 2)
-    return _boundaries(spec, rho, DEFAULT_CONVENTION)
+    return _boundaries(spec, rho)
 
 
 def _traced_peak(call):

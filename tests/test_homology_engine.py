@@ -336,6 +336,29 @@ class TestSeveralRings:
         assert builds == Counter({(n, d, "B", "left_to_right"): 1
                                   for d in (1, 2, 3, 6) for n in range(1, 6)})
 
+    @pytest.mark.parametrize("window, twice", [
+        ("1:6,3:6", ()), ("1:7,3:6,5:4", ()), ("1:3,3:6", (1, 2, 3))])
+    def test_verify_reuses_the_window_d1_table(self, monkeypatch, capsys,
+                                               window, twice):
+        """The covering law d = 1 -> d odd reads the window's own d = 1
+        table when it reaches every odd row; only a d = 1 window that
+        falls short builds the baseline, and only then are its rows
+        built twice."""
+        from superbraid.cli.main import _window, main
+
+        calibrate_t_variant()  # its type-B complexes are not counted here
+        builds = count_builds(monkeypatch)
+        assert main(["verify", "--window", window, "--format", "json"]) == 0
+        capsys.readouterr()
+        rows = _window(window)
+        reach = max(rows[d] for d in (3, 5) if d in rows)
+        expected = Counter({(n, d, "B", "left_to_right"): 1
+                            for d, n_max in rows.items()
+                            for n in range(1, n_max + 1)})
+        for n in range(1, reach + 1):
+            expected[(n, 1, "B", "left_to_right")] = 1 + (n in twice)
+        assert builds == expected
+
     def test_verify_builds_each_braid_system_once(self, monkeypatch, capsys):
         """From empty caches, a verify run builds each braid system once:
         the gate systems n = 3, 4, 5 that calibration certifies are the
