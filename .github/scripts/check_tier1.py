@@ -1,39 +1,63 @@
-"""Pass only if a tier-1 run failed exactly on the two documented criteria.
+"""Pass only if a tier-1 run failed exactly on the two documented criteria,
+each for its documented reason.
 
     python .github/scripts/check_tier1.py JUNIT_XML
 
 Reads the JUnit XML that ``pytest --junitxml`` writes and exits 0 when the
 failed or errored tests are exactly criteria 04 and 07 of
-tests/test_acceptance.py (see README "Tests and acceptance"), else 1.  A
-missing or unreadable report also fails.
+tests/test_acceptance.py (see README "Tests and acceptance") and each
+failure message names exactly the documented disagreements: criterion 04
+the cells (d=4, n=8, i=4) and (d=4, n=8, i=5), criterion 07 the stable
+series at p=3 and no failing local report.  Otherwise, or when the report
+is missing or unreadable, it exits 1.
 """
 
 from __future__ import annotations
 
+import re
 import sys
 import xml.etree.ElementTree as ET
 
+# Each documented failure: what its message names, and the names expected.
 EXPECTED = {
-    "tests.test_acceptance::test_criterion_04_golden_tables",
-    "tests.test_acceptance::test_criterion_07_series",
+    "tests.test_acceptance::test_criterion_04_golden_tables": (
+        r"\(d=\d+, n=\d+, i=\d+\)",
+        {"(d=4, n=8, i=4)", "(d=4, n=8, i=5)"}),
+    "tests.test_acceptance::test_criterion_07_series": (
+        r"stable series p=\d+|\S+ p=\d+ d=\d+: FAIL",
+        {"stable series p=3"}),
 }
 
 
-def failed_ids(path: str) -> set[str]:
-    return {f"{case.get('classname')}::{case.get('name')}"
-            for case in ET.parse(path).getroot().iter("testcase")
-            if case.find("failure") is not None
-            or case.find("error") is not None}
+def failures(path: str) -> dict[str, str]:
+    """The failure message of each failed or errored test, by id."""
+    out = {}
+    for case in ET.parse(path).getroot().iter("testcase"):
+        bad = case.find("failure")
+        if bad is None:
+            bad = case.find("error")
+        if bad is not None:
+            name = f"{case.get('classname')}::{case.get('name')}"
+            out[name] = bad.get("message") or ""
+    return out
 
 
 def main(argv: list[str]) -> int:
-    failed = failed_ids(argv[0])
-    for name in sorted(failed - EXPECTED):
+    failed = failures(argv[0])
+    ok = failed.keys() == EXPECTED.keys()
+    for name in sorted(failed.keys() - EXPECTED.keys()):
         print(f"unexpected failure: {name}")
-    for name in sorted(EXPECTED - failed):
+    for name in sorted(EXPECTED.keys() - failed.keys()):
         print(f"expected failure did not fail: {name}")
+    for name in sorted(failed.keys() & EXPECTED.keys()):
+        pattern, documented = EXPECTED[name]
+        named = set(re.findall(pattern, failed[name]))
+        if named != documented:
+            ok = False
+            print(f"{name} names {sorted(named)}, "
+                  f"expected {sorted(documented)}")
     print(f"{len(failed)} failed; expected exactly {len(EXPECTED)}")
-    return 0 if failed == EXPECTED else 1
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import json
 import sys
 
@@ -28,6 +27,7 @@ from ..homology_engine import (
     verify_uct,
     verify_unstable_free,
 )
+from ..homology_engine.cache import encode_groups
 from ..homology_engine.laws import Report
 from ..reference import FIXTURES, UNKNOWN, fixture
 from ..series import compare_local, local_series, stable_series
@@ -135,8 +135,7 @@ def cmd_homology(args) -> int:
             "coeff": args.coeff,
             "trivial": args.trivial,
             "fingerprint": fingerprint,
-            "groups": [{"i": i, "rank": g.rank, "torsion": list(g.primary())}
-                       for i, g in enumerate(row)],
+            "groups": encode_groups(row),
         })
     else:
         for i, g in enumerate(row):
@@ -169,13 +168,15 @@ def cmd_table(args) -> int:
     statuses = {}
     cells = []
     mismatches = []
-    for (n, i), g in sorted(table.cells.items()):
-        status, printed = statuses[(n, i)] = _cell_status(fix, n, i, g)
-        if status == "MISMATCH":
-            mismatches.append({"n": n, "i": i, "computed": g.describe(),
-                               "reference": printed})
-        cells.append({"n": n, "i": i, "rank": g.rank,
-                      "torsion": list(g.primary()), "status": status})
+    for n in table.n_values():
+        row = table.row(n)
+        for g, cell in zip(row, encode_groups(row)):
+            i = cell["i"]
+            status, printed = statuses[(n, i)] = _cell_status(fix, n, i, g)
+            if status == "MISMATCH":
+                mismatches.append({"n": n, "i": i, "computed": g.describe(),
+                                   "reference": printed})
+            cells.append({"n": n, **cell, "status": status})
     if args.format == "json":
         _emit_json({"d": args.d, "coeff": "z",
                     "fingerprint": table.fingerprint, "cells": cells,
@@ -244,10 +245,6 @@ def _injected_fault_report() -> Report:
                    "check cannot be trusted",))
 
 
-def _tagged(report: Report, d: int) -> Report:
-    return dataclasses.replace(report, name=f"{report.name} d={d}")
-
-
 def _golden_report(d: int, table) -> Report:
     """The table's cells against reference table d, by the rule of the
     table command (_cell_status): every printed cell is checked."""
@@ -294,12 +291,12 @@ def cmd_verify(args) -> int:
         if d in FIXTURES:
             checks.append(_golden_report(d, table))
             highlights = fixture(d).highlights
-        checks.append(_tagged(verify_torsion_law(table), d))
-        checks.append(_tagged(verify_stability(table, highlights), d))
-        checks.append(_tagged(verify_unstable_free(table), d))
+        checks.append(verify_torsion_law(table))
+        checks.append(verify_stability(table, highlights))
+        checks.append(verify_unstable_free(table))
         for p in (2, 3, 5):
             mod_tables[(d, p)] = by_ring[f"f:{p}"]
-            checks.append(_tagged(verify_uct(table, mod_tables[(d, p)]), d))
+            checks.append(verify_uct(table, mod_tables[(d, p)]))
         for p, dd in LOCAL_PRIMES:
             if dd == d:
                 checks.append(compare_local(p, d, table))

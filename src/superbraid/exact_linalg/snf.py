@@ -116,19 +116,27 @@ def _least_prime(n: int, f: int = 2) -> int:
     return n
 
 
-def _primary_parts(q: int) -> list[int]:
-    """Prime-power factors of q > 1, e.g. 12 -> [4, 3]."""
+def prime_factors(n: int) -> tuple[tuple[int, int], ...]:
+    """The factorisation of n >= 1 as ((p, k), ...), p ascending, e.g.
+    360 -> ((2, 3), (3, 2), (5, 1)) and 1 -> (); each p is the least
+    prime factor of what is left, found by _least_prime."""
+    if n < 1:
+        raise ValueError(f"{n} is not a positive integer")
     out = []
-    n = q
     f = 2
     while n > 1:
         f = _least_prime(n, f)
-        pk = 1
+        k = 0
         while n % f == 0:
-            pk *= f
             n //= f
-        out.append(pk)
-    return sorted(out)
+            k += 1
+        out.append((f, k))
+    return tuple(out)
+
+
+def _primary_parts(q: int) -> list[int]:
+    """Prime-power factors of q > 1, ascending, e.g. 12 -> [3, 4]."""
+    return sorted(p**k for p, k in prime_factors(q))
 
 
 def _invariant_chain(primary: tuple[int, ...]) -> list[int]:

@@ -34,7 +34,7 @@ from ..coxeter_complex import (
 from ..exact_linalg import AbelianGroup, rank_mod_p, snf
 from ..surface_rep import build_rep
 from ..surface_rep.burau import burau, intertwiner
-from .cache import cache_root, load, parse_coeff, store
+from .cache import cache_root, encode_groups, load, parse_coeff, store
 from .limits import charge
 
 CALIBRATION_GRID = (
@@ -267,10 +267,8 @@ class HomologyTable:
             "d": self.d,
             "coeff": self.coeff,
             "fingerprint": self.fingerprint,
-            "cells": [
-                {"n": n, "i": i, "rank": g.rank, "torsion": list(g.primary())}
-                for (n, i), g in sorted(self.cells.items())
-            ],
+            "cells": [{"n": n, **cell} for n in self.n_values()
+                      for cell in encode_groups(self.row(n))],
         }
 
 

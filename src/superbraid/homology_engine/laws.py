@@ -2,12 +2,15 @@
 
 Each verifier is report-only: it returns a Report listing violations
 instead of raising, so a full verification run can show every failure.
+Each report names its law and the d of its tables, as torsion-law d=3
+or universal-coefficients p=2 d=3.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..exact_linalg import prime_factors
 from .cache import parse_coeff
 from .engine import HomologyTable
 
@@ -35,24 +38,17 @@ def _require_integral(table: HomologyTable):
         raise ValueError("this law applies to integer-coefficient tables")
 
 
-def _is_squarefree(d: int) -> bool:
-    f = 2
-    while f * f <= d:
-        if d % (f * f) == 0:
-            return False
-        f += 1
-    return True
-
-
 def verify_torsion_law(table: HomologyTable) -> Report:
     """Torsion orders divide d, and odd rows are pure torsion above degree 0.
 
     Scope: cells with n odd or d odd.  For squarefree d the odd rows are
-    additionally checked to have no repeated prime factor p^2.
+    additionally checked to have no repeated prime factor p^2, read off
+    prime_factors, which certifies a large prime instead of dividing up
+    to it.
     """
     _require_integral(table)
     d = table.d
-    squarefree = _is_squarefree(d)
+    squarefree = all(k == 1 for _, k in prime_factors(d))
     violations = []
     checked = 0
     for (n, i), g in sorted(table.cells.items()):
@@ -63,14 +59,16 @@ def verify_torsion_law(table: HomologyTable) -> Report:
             if d % q != 0:
                 violations.append(
                     f"(n={n}, i={i}): factor Z_{q} with {q} not dividing d={d}")
-            if squarefree and n % 2 == 1 and not _is_squarefree(q):
+            # q is a primary part p^k, so prime_factors(q) == ((p, k),)
+            if squarefree and n % 2 == 1 and prime_factors(q)[0][1] > 1:
                 violations.append(
                     f"(n={n}, i={i}): repeated prime factor Z_{q} "
                     f"with d={d} squarefree")
         if i >= 1 and g.rank != 0:
             violations.append(f"(n={n}, i={i}): free rank {g.rank} in a "
                               f"torsion-only cell")
-    return Report("torsion-law", not violations, checked, tuple(violations))
+    return Report(f"torsion-law d={d}", not violations, checked,
+                  tuple(violations))
 
 
 def stable_bound(i: int, d: int) -> int:
@@ -79,19 +77,11 @@ def stable_bound(i: int, d: int) -> int:
     The binding constraint is p-local over the primes p dividing d: the
     column maps are isomorphisms once (p - 1)(n - 2) > p * i, so the value
     is fixed from n = (p * i) // (p - 1) + 3 on.  The rational bound
-    n = i + 3 never exceeds these.
+    n = i + 3 never exceeds these.  The primes p come from prime_factors.
     """
     if i < 1 or d < 2:
         raise ValueError("need i >= 1 and d >= 2")
-    bounds = []
-    f, dd = 2, d
-    while f <= dd:
-        if dd % f == 0:
-            while dd % f == 0:
-                dd //= f
-            bounds.append((f * i) // (f - 1) + 3)
-        f += 1
-    return max(bounds)
+    return max((p * i) // (p - 1) + 3 for p, _ in prime_factors(d))
 
 
 def verify_stability(table: HomologyTable, highlights=None) -> Report:
@@ -140,8 +130,8 @@ def verify_stability(table: HomologyTable, highlights=None) -> Report:
                 violations.append(
                     f"highlighted cell ({n_h}, {i}) = {stable.describe()} "
                     f"but cell ({m}, {i}) = {table.cell(m, i).describe()}")
-    return Report("stability", not violations, checked, tuple(violations),
-                  tuple(notes))
+    return Report(f"stability d={table.d}", not violations, checked,
+                  tuple(violations), tuple(notes))
 
 
 def first_stable_rows(table: HomologyTable) -> dict[int, int]:
@@ -183,7 +173,7 @@ def verify_unstable_free(table: HomologyTable) -> Report:
             violations.append(
                 f"(n={n}, i={i}): free rank {g.rank}, expected {expected} "
                 f"for d={d}")
-    return Report("unstable-free-part", not violations, checked,
+    return Report(f"unstable-free-part d={d}", not violations, checked,
                   tuple(violations))
 
 
@@ -247,5 +237,5 @@ def verify_uct(table_z: HomologyTable, table_p: HomologyTable) -> Report:
             violations.append(
                 f"(n={n}, i={i}): dim over F_{p} is {got}, integer data "
                 f"predicts {expected}")
-    return Report(f"universal-coefficients p={p}", not violations, checked,
-                  tuple(violations))
+    return Report(f"universal-coefficients p={p} d={table_z.d}",
+                  not violations, checked, tuple(violations))

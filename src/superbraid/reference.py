@@ -60,9 +60,6 @@ class Fixture:
     def n_values(self) -> list[int]:
         return sorted({n for (n, _) in self.cells})
 
-    def max_i(self, n: int) -> int:
-        return max((i for (m, i) in self.cells if m == n), default=0)
-
 
 def _fixture(d: int, label: str, rows: dict, highlights: set) -> Fixture:
     cells = {}

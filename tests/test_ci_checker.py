@@ -5,6 +5,7 @@ from __future__ import annotations
 import subprocess
 import sys
 from pathlib import Path
+from xml.sax.saxutils import quoteattr
 
 import pytest
 
@@ -14,13 +15,31 @@ CRITERIA = ["test_criterion_03_calibration", "test_criterion_04_golden_tables",
             "test_criterion_05_torsion_laws", "test_criterion_07_series"]
 DOCUMENTED = {"test_criterion_04_golden_tables", "test_criterion_07_series"}
 
+# The failure messages of the documented failures, as a tier-1 run writes
+# them (abridged after the names the checker reads).
+CELL_04 = ("(d=4, n=8, i={i}): computed Z_2 + Z_2 + Z_12, printed Z_2 + Z_2 "
+           "+ Z_2 + Z_12")
+SERIES_07 = ("AssertionError: stable series p={p}: computed [0, 1, 1, 1, 1, "
+             "2, 3, 3, 3, 4, 5, 5, 5], printed [0, 1, 1, 1, 1, 2, 3, 3, 3, 4, "
+             "5, 5, 6]\n  local reports:\n"
+             "  local-series p=2 d=2: pass (25 cells checked)\n"
+             "  local-series p=3 d=3: pass (25 cells checked)")
+MESSAGES = {
+    "test_criterion_04_golden_tables":
+        "AssertionError: " + "; ".join(CELL_04.format(i=i) for i in (4, 5)),
+    "test_criterion_07_series": SERIES_07.format(p=3),
+}
 
-def junit(failing, extra=""):
+
+def junit(failing, extra="", messages=None):
     """A report of the acceptance criteria in which the named tests fail,
-    followed by the testcase elements in extra."""
+    with the messages in messages or else those of MESSAGES, followed by
+    the testcase elements in extra."""
+    messages = {**MESSAGES, **(messages or {})}
     cases = "".join(
         f'<testcase classname="tests.test_acceptance" name="{name}">'
-        + ('<failure message="differs"/>' if name in failing else "")
+        + (f"<failure message={quoteattr(messages.get(name, 'differs'))}/>"
+           if name in failing else "")
         + "</testcase>" for name in CRITERIA)
     return f"<testsuites><testsuite>{cases}{extra}</testsuite></testsuites>"
 
@@ -38,6 +57,23 @@ def check(path):
 def test_verdict(tmp_path, failing, code):
     (tmp_path / "tier1.xml").write_text(junit(failing))
     assert check(tmp_path / "tier1.xml").returncode == code
+
+
+@pytest.mark.parametrize("messages", [
+    {"test_criterion_04_golden_tables":
+        "AssertionError: " + "; ".join(CELL_04.format(i=i) for i in (4, 6))},
+    {"test_criterion_07_series": SERIES_07.format(p=2)},
+    {"test_criterion_07_series": MESSAGES["test_criterion_07_series"]
+        + "\n  local-series p=2 d=4: FAIL (25 cells checked)"},
+], ids=["04-other-cell", "07-p2", "07-local-report"])
+def test_documented_criterion_failing_for_another_reason_fails(tmp_path,
+                                                               messages):
+    """Criteria 04 and 07 count as documented only while their messages
+    name exactly the documented cells and series."""
+    (tmp_path / "tier1.xml").write_text(junit(DOCUMENTED, messages=messages))
+    result = check(tmp_path / "tier1.xml")
+    assert result.returncode == 1
+    assert "expected [" in result.stdout
 
 
 def test_collection_error_fails(tmp_path):

@@ -430,18 +430,18 @@ class TestExitCodes:
         assert err.count("\n") == 1
 
     @staticmethod
-    def _cached_row(tmp_path, torsion, **h1):
-        """A cache file for row (3, 2) over Z whose H_1 has this torsion
+    def _cached_row(tmp_path, torsion, d=2, **h1):
+        """A cache file for row (3, d) over Z whose H_1 has this torsion
         (and the fields in h1), written by hand, as a corrupt or foreign
         cache would hold it."""
         from superbraid.homology_engine import calibrate
 
-        blob = {"n": 3, "d": 2, "coeff": "z", "version": 1,
-                "fingerprint": calibrate(2).fingerprint(),
+        blob = {"n": 3, "d": d, "coeff": "z", "version": 1,
+                "fingerprint": calibrate(d).fingerprint(),
                 "groups": [{"i": 0, "rank": 0, "torsion": []},
                            {"i": 1, "rank": 0, "torsion": torsion, **h1},
                            {"i": 2, "rank": 0, "torsion": []}]}
-        (tmp_path / "h_A_3_2_z.json").write_text(json.dumps(blob))
+        (tmp_path / f"h_A_3_{d}_z.json").write_text(json.dumps(blob))
 
     def test_warm_run_reads_large_prime_torsion_promptly(self, tmp_path):
         """A cached Z_(2^61 - 1), or its square, is settled by a primality
@@ -458,6 +458,22 @@ class TestExitCodes:
             capture_output=True, text=True, env=env, timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[1] == f"H_1 = Z_{p} + Z_{p**2}"
+
+    def test_verify_reads_large_prime_torsion_promptly(self, tmp_path):
+        """verify over a cached Z_(2^61 - 1) in row (3, 3) reports the
+        torsion law's violation at once: the laws factor through
+        prime_factors, not a division loop up to the prime.  The run is a
+        child process with a timeout, as above."""
+        self._cached_row(tmp_path, [2**61 - 1], d=3)
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(superbraid.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "superbraid.cli.main", "verify",
+             "--window", "3:3", "--cache-dir", str(tmp_path),
+             "--format", "json"],
+            capture_output=True, text=True, env=env, timeout=20)
+        assert proc.returncode == 1, proc.stderr
+        assert "torsion-law d=3" in json.loads(proc.stdout)["failures"]
 
     @pytest.mark.parametrize("torsion", [[6], [1], [2.0]])
     def test_cached_torsion_beyond_certified_prime_powers_maps_to_two(

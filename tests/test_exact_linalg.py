@@ -1,4 +1,5 @@
 import importlib
+import math
 import os
 import subprocess
 import sys
@@ -16,6 +17,7 @@ from superbraid.exact_linalg import (
     IntMatrix,
     exact,
     first_nonzero_product,
+    prime_factors,
     product_is_zero,
     rank_mod_p,
     require_prime,
@@ -166,6 +168,25 @@ def test_large_composite_torsion_is_factored_once():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, env=env, timeout=20, check=True).stdout
     assert out.splitlines() == [f"({p}, {q})", f"Z_{p * q}", "1"]
+
+
+@given(st.one_of(st.integers(1, 1 << 64),
+                 st.lists(st.integers(2, 1 << 24), max_size=4).map(math.prod)))
+@settings(max_examples=200, deadline=None)
+def test_prime_factors_match_sympy(n):
+    import sympy
+
+    assert prime_factors(n) == tuple(sorted(sympy.factorint(n).items()))
+
+
+def test_prime_factors_edge_cases():
+    p = 2**61 - 1
+    assert prime_factors(1) == ()
+    assert prime_factors(360) == ((2, 3), (3, 2), (5, 1))
+    assert prime_factors(p**2 * 3) == ((3, 1), (p, 2))
+    for n in (0, -4):
+        with pytest.raises(ValueError):
+            prime_factors(n)
 
 
 def test_equal_groups_describe_alike():

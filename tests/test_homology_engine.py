@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import threading
 from collections import Counter
 from pathlib import Path
@@ -12,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import superbraid
 from superbraid.cli.fixtures import fixture
 from superbraid.coxeter_complex import (
     CoxeterSpec,
@@ -81,6 +85,16 @@ def table_from_rows(d, rows, coeff="z"):
     """Assemble a HomologyTable from {n: [groups by degree]}."""
     cells = {(n, i): g for n, row in rows.items() for i, g in enumerate(row)}
     return HomologyTable(d, coeff, {"test": True}, cells)
+
+
+def child_stdout(code: str) -> list[str]:
+    """The output lines of code run in a child process with a 20 s timeout,
+    so a law that stalls fails its test instead of hanging the suite."""
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(superbraid.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=20,
+                          check=True).stdout.splitlines()
 
 
 class TestParseCoeff:
@@ -611,6 +625,34 @@ class TestTorsionLaw:
         with pytest.raises(ValueError):
             verify_torsion_law(table_from_rows(2, {}, coeff="f:2"))
 
+    def test_large_prime_square_is_a_repeated_factor(self):
+        """Z_(p^2) with p = 2^61 - 1 is found to repeat p by a primality
+        certificate, not by dividing up to p."""
+        code = ("from superbraid.exact_linalg import AbelianGroup\n"
+                "from superbraid.homology_engine import HomologyTable, "
+                "verify_torsion_law\n"
+                "p = 2**61 - 1\n"
+                "g = AbelianGroup(0, (p * p,))\n"
+                "table = HomologyTable(3, 'z', {}, {(3, 1): g})\n"
+                "for v in verify_torsion_law(table).violations:\n"
+                "    print(v)\n")
+        p = 2**61 - 1
+        assert child_stdout(code) == [
+            f"(n=3, i=1): factor Z_{p * p} with {p * p} not dividing d=3",
+            f"(n=3, i=1): repeated prime factor Z_{p * p} with d=3 "
+            "squarefree"]
+
+
+def test_laws_name_their_d():
+    table_z = table_from_rows(3, {3: [group(0), group(0, 3), group(0)]})
+    table_p = table_from_rows(3, {3: [group(0), group(1), group(0)]},
+                              coeff="f:3")
+    reports = [verify_torsion_law(table_z), verify_stability(table_z),
+               verify_unstable_free(table_z), verify_uct(table_z, table_p)]
+    assert [r.name for r in reports] == [
+        "torsion-law d=3", "stability d=3", "unstable-free-part d=3",
+        "universal-coefficients p=3 d=3"]
+
 
 class TestStability:
     def test_bound_reproduces_every_highlight(self):
@@ -628,6 +670,12 @@ class TestStability:
             stable_bound(0, 2)
         with pytest.raises(ValueError):
             stable_bound(1, 1)
+
+    def test_bound_for_a_large_prime_d(self):
+        """d = 2^61 - 1 is certified prime at once, not divided up to."""
+        code = ("from superbraid.homology_engine import stable_bound\n"
+                "print(stable_bound(1, 2**61 - 1))\n")
+        assert child_stdout(code) == ["4"]
 
     def test_iso_range_violation_is_reported(self):
         table = table_from_rows(2, {
