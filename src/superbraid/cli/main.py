@@ -67,6 +67,8 @@ def _window(text: str) -> dict[int, int]:
         if d < 1 or n_max < 1:
             raise ValueError(f"window entry {part!r} needs d >= 1 and "
                              "n_max >= 1")
+        if d in out:
+            raise ValueError(f"window repeats d = {d}")
         out[d] = n_max
     return out
 

@@ -16,12 +16,14 @@ exactly those of W_{R minus tau} in W_R, where R is the run of Gamma
 containing tau, for both families; they are enumerated in the run's
 standalone shape, CoxeterSpec.run_shape.  The block is therefore
 (-1)^mu B(R, tau), with B(R, tau) the sum over those representatives of
-(-1)^length(beta) rho(lift(beta)); one build computes each B(R, tau) once.
-Lifts are stacked products in the dtype of the generators: int64, checked
-against 2^62 before each product and each sum, and a block whose check
-fails is lifted once more in exact Python ints (an object array).  Each
-boundary is a CooMatrix whose values are int64, or exact Python ints once
-some entry is past int64.
+(-1)^length(beta) rho(lift(beta)).  Before assembly, a build computes
+every B(R, tau) in one table: the runs of one length and shape share their
+representatives, so each (shape, tau) is enumerated and lifted once, for
+the stack of those runs.  Lifts are stacked products in the dtype of the
+generators: int64, checked against 2^62 before each product and each sum,
+and a stack whose check fails is lifted once more in exact Python ints (an
+object array).  Each boundary is a CooMatrix whose values are int64, or
+exact Python ints once some entry is past int64.
 
 A failing composition raises :class:`BoundaryError` naming the offending
 blocks.
@@ -31,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, groupby
 
 import numpy as np
 
@@ -96,26 +98,27 @@ class ChainComplex:
 
 
 def _run_block(reps, gens: np.ndarray, gen_max: int) -> np.ndarray | None:
-    """B(R, tau) in the dtype of gens; None if gens are int64 and an entry
-    bound reaches 2^62.
+    """B(R, tau) of each run R in a stack of one shape, in the dtype of
+    gens; None if gens are int64 and an entry bound reaches 2^62.
 
-    reps is a CosetTable whose letters index gens, the run's generators.
-    Its representatives come in breadth-first order, so each length forms
-    one contiguous level whose parents all lie in the level before.  A
-    level is lifted by one stacked product of the previous level's lifts,
-    indexed by parent minus that level's start, and added to the block
-    with its sign; only the previous level's lifts are kept.  On int64, a
-    product is taken only if dim * max|parent| * max|generator| < 2^62,
-    and a level is added only if the running bound on the block's entries
-    plus (level size) * max|level| stays below 2^62.  The bounds are
-    Python ints, so they cannot wrap.  Exact Python ints (an object array)
-    need no bound.
+    gens is (runs, L, dim, dim), the runs' generators, and reps is the
+    shape's CosetTable, whose letters index axis 1.  Its representatives
+    come in breadth-first order, so each length forms one contiguous level
+    whose parents all lie in the level before.  A level is lifted for the
+    whole stack by one product of the previous level's lifts, indexed by
+    parent minus that level's start, and added to the blocks with its
+    sign; only the previous level's lifts are kept.  On int64, a product
+    is taken only if dim * max|parent| * max|generator| < 2^62, and a
+    level is added only if the running bound on the blocks' entries plus
+    (level size) * max|level| stays below 2^62, maxima taken over the
+    stack.  The bounds are Python ints, so they cannot wrap.  Exact Python
+    ints (an object array) need no bound.
     """
     limit = INT64_SAFE if gens.dtype == np.int64 else math.inf
-    dim = gens.shape[1]
-    prev = np.eye(dim, dtype=gens.dtype)[None]
-    block = prev[0].copy()
-    total = 1  # bounds max |entry| of every partial sum of the block
+    runs, _, dim, _ = gens.shape
+    prev = np.broadcast_to(np.eye(dim, dtype=gens.dtype), (runs, 1, dim, dim))
+    block = prev[:, 0].copy()
+    total = 1  # bounds max |entry| of every partial sum of the blocks
     top = 1  # max |entry| over the previous level
     # Level boundaries: 0, the start of each longer length, len(reps).
     ends = np.flatnonzero(np.diff(reps.length)) + 1
@@ -123,68 +126,57 @@ def _run_block(reps, gens: np.ndarray, gen_max: int) -> np.ndarray | None:
     for length, (start, end) in enumerate(zip(bounds[1:], bounds[2:]), 1):
         if dim * top * gen_max >= limit:
             return None
-        parents = prev[reps.parent[start:end] - bounds[length - 1]]
-        letters = gens[reps.letter[start:end]]
-        prev = parents @ letters
+        parents = prev[:, reps.parent[start:end] - bounds[length - 1]]
+        prev = parents @ gens[:, reps.letter[start:end]]
         top = int(np.abs(prev).max(initial=0))
         total += (end - start) * top
         if total >= limit:
             return None
-        if length % 2:
-            block -= prev.sum(axis=0)
-        else:
-            block += prev.sum(axis=0)
+        block += prev.sum(axis=1) * (-1 if length % 2 else 1)
     return block
 
 
-class _RunBlocks:
-    """B(R, tau) as nonzero arrays, computed once per (run, tau).
+def _block_table(spec: CoxeterSpec, rho: LocalSystem) -> dict[tuple, tuple]:
+    """Rows, columns and values of each B(run, tau)'s nonzeros, row-major,
+    keyed by (run, tau).
 
-    The coset representatives come from the standalone parabolic of the
-    run's shape (CoxeterSpec.run_shape), whose generator i is the run's
-    generator run[0] + i.  So every run of one shape shares one
-    enumeration (min_coset_reps keeps it), and a representative's letters
-    index the run's slice of the generators.
+    Runs of one length and shape (CoxeterSpec.run_shape, whose generator
+    i is the run's run[0] + i) share their coset representatives, so their
+    generators are stacked, and each tau offset asks min_coset_reps once
+    and lifts the stack by one _run_block call.  A stack past the int64
+    guard is lifted once more in exact ints (an object array); a block's
+    values are int64 when every |value| < 2^63, else Python ints.
     """
-
-    def __init__(self, spec: CoxeterSpec, rho: LocalSystem):
-        self.spec = spec
-        self.blocks: dict[tuple, tuple[np.ndarray, ...]] = {}
-        dim = rho.dimension
-        self.gen_max = max((a.max_abs() for a in rho.actions), default=0)
-        self.gens = np.zeros((spec.rank, dim, dim), dtype=np.int64
-                             if self.gen_max < INT64_SAFE else object)
-        for g, a in enumerate(rho.actions):
-            for (i, j), v in a.entries.items():
-                self.gens[g, i, j] = v
-
-    def block(self, run: tuple[int, ...], tau: int) -> tuple[np.ndarray, ...]:
-        """Rows, columns and values of B(run, tau)'s nonzeros, row-major.
-
-        The values are int64 when every |value| < 2^63, else Python ints
-        in an object array.
-        """
-        key = (run, tau)
-        if key not in self.blocks:
-            first = run[0]
-            reps = min_coset_reps(self.spec.run_shape(run),
-                                  tuple(range(len(run))),
-                                  tuple(g - first for g in run if g != tau))
-            gens = self.gens[first:first + len(run)]
-            block = _run_block(reps, gens, self.gen_max)
-            if block is None:  # past the int64 guard: lift in exact ints
-                block = _run_block(reps, gens.astype(object), self.gen_max)
-            rr, cc = np.nonzero(block)
-            vals = block[rr, cc]
-            if vals.dtype == object and np.abs(vals).max(initial=0) < 1 << 63:
-                vals = vals.astype(np.int64)
-            self.blocks[key] = (rr.astype(np.int64, copy=False),
-                                cc.astype(np.int64, copy=False), vals)
-        return self.blocks[key]
+    dim = rho.dimension
+    gen_max = max((a.max_abs() for a in rho.actions), default=0)
+    dtype = np.int64 if gen_max < INT64_SAFE else object
+    gens = np.array([a.to_dense() for a in rho.actions],
+                    dtype=dtype).reshape(spec.rank, dim, dim)
+    table = {}
+    for size in range(1, spec.rank + 1):
+        runs = [tuple(range(a, a + size)) for a in range(spec.rank - size + 1)]
+        # In ascending order a type-B run holding s_0 is the first, alone.
+        for shape, group in groupby(runs, spec.run_shape):
+            group = list(group)
+            stack = np.stack([gens[run[0]:run[0] + size] for run in group])
+            for t in range(size):
+                reps = min_coset_reps(shape, tuple(range(size)),
+                                      tuple(g for g in range(size) if g != t))
+                blocks = _run_block(reps, stack, gen_max)
+                if blocks is None:  # past the int64 guard: lift exactly
+                    blocks = _run_block(reps, stack.astype(object), gen_max)
+                for run, block in zip(group, blocks):
+                    rr, cc = np.nonzero(block)
+                    vals = block[rr, cc]
+                    if (vals.dtype == object
+                            and np.abs(vals).max(initial=0) < 1 << 63):
+                        vals = vals.astype(np.int64)
+                    table[run, run[t]] = (rr, cc, vals)
+    return table
 
 
 def _boundary_matrix(spec: CoxeterSpec, dim: int, k: int,
-                     blocks: _RunBlocks) -> CooMatrix:
+                     table: dict[tuple, tuple]) -> CooMatrix:
     """The boundary d_k, with exact Python-int values if a block has any.
 
     The nonzeros are stored with Gamma in colex order, then tau ascending
@@ -205,7 +197,7 @@ def _boundary_matrix(spec: CoxeterSpec, dim: int, k: int,
             key = (run_of[tau], tau)
             if key not in index:
                 index[key] = len(parts)
-                parts.append(blocks.block(*key))
+                parts.append(table[key])
             use.append(index[key])
             r0.append(rows[tuple(g for g in gamma if g != tau)] * dim)
             c0.append(ci * dim)
@@ -227,8 +219,8 @@ def _boundary_matrix(spec: CoxeterSpec, dim: int, k: int,
 
 def _boundaries(spec: CoxeterSpec, rho: LocalSystem) -> dict[int, CooMatrix]:
     """Every boundary of the complex, before the composition check."""
-    blocks = _RunBlocks(spec, rho)
-    return {k: _boundary_matrix(spec, rho.dimension, k, blocks)
+    table = _block_table(spec, rho)
+    return {k: _boundary_matrix(spec, rho.dimension, k, table)
             for k in range(1, spec.rank + 1)}
 
 

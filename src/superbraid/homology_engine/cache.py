@@ -6,7 +6,7 @@ fingerprint matches; a fingerprint mismatch is an error rather than a silent
 recompute so that stale caches get noticed.  So is a file that is truncated,
 not JSON, missing a field, written under another cache version, or for
 another row (n, d, coefficients or, in family A, the n degrees), and so is
-a path that cannot be read.
+a path that cannot be read or written.
 """
 
 from __future__ import annotations
@@ -27,7 +27,8 @@ class CacheConflictError(RuntimeError):
 
 
 class CacheFormatError(CacheConflictError):
-    """A cache file is unreadable, incomplete, or of another version or row."""
+    """A cache file is unreadable, incomplete, of another version or row,
+    or cannot be written."""
 
 
 def cache_root(explicit=None) -> Path | None:
@@ -137,7 +138,6 @@ def load(root, family: str, n: int, d: int, coeff: str,
 def store(root, family: str, n: int, d: int, coeff: str,
           fingerprint: dict, groups) -> Path:
     path = cache_path(root, family, n, d, coeff)
-    path.parent.mkdir(parents=True, exist_ok=True)
     if path.exists():
         blob = _read(path)
         if _canonical(blob["fingerprint"]) != _canonical(fingerprint):
@@ -152,13 +152,16 @@ def store(root, family: str, n: int, d: int, coeff: str,
         "groups": encode_groups(groups),
         "version": CACHE_VERSION,
     }
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-    try:
+    tmp = None
+    try:  # a regular file on the directory's path fails here, say
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
         with os.fdopen(fd, "w") as fh:
             json.dump(payload, fh, sort_keys=True)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as err:
+        raise CacheFormatError(f"{path} cannot be written: {err}") from err
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
     return path

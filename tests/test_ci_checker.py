@@ -85,5 +85,28 @@ def test_collection_error_fails(tmp_path):
     assert check(tmp_path / "tier1.xml").returncode == 1
 
 
+def skip(classname, name):
+    return (f'<testcase classname="{classname}" name="{name}">'
+            '<skipped message="skipped"/></testcase>')
+
+
+def test_unexpected_skip_fails(tmp_path):
+    """A skip marker on a failing test would otherwise hide its failure."""
+    skipped = skip("tests.test_cli.TestTwist", "test_first_twist_matrix")
+    (tmp_path / "tier1.xml").write_text(junit(DOCUMENTED, skipped))
+    result = check(tmp_path / "tier1.xml")
+    assert result.returncode == 1
+    assert "unexpected skip: tests.test_cli.TestTwist::" in result.stdout
+
+
+def test_tomllib_skip_passes_only_below_python_3_11(tmp_path):
+    """The console-script smoke test skips by design where the standard
+    library has no tomllib, and only there."""
+    skipped = skip("tests.test_cli.TestExitCodes", "test_console_script_smoke")
+    (tmp_path / "tier1.xml").write_text(junit(DOCUMENTED, skipped))
+    code = check(tmp_path / "tier1.xml").returncode
+    assert code == (0 if sys.version_info < (3, 11) else 1)
+
+
 def test_missing_report_fails(tmp_path):
     assert check(tmp_path / "tier1.xml").returncode != 0

@@ -392,6 +392,8 @@ class TestVerify:
             _window("2")
         with pytest.raises(ValueError):
             _window("0:5")
+        with pytest.raises(ValueError, match="repeats d = 2"):
+            _window("2:2,2:3")
 
 
 class TestExitCodes:
@@ -400,7 +402,7 @@ class TestExitCodes:
             main(["frobnicate"])
         assert exc.value.code == 2
 
-    @pytest.mark.parametrize("window", ["0:5", "2:0"])
+    @pytest.mark.parametrize("window", ["0:5", "2:0", "2:2,2:3"])
     def test_bad_window_exits_two(self, capsys, window):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--window", window])
@@ -553,6 +555,20 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err.startswith("cache error: ") and err.count("\n") == 1
         assert "cannot be read" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("homology", "--n", "3", "--d", "2"), ("verify", "--window", "2:3")])
+    @pytest.mark.parametrize("under", ["", "sub"])
+    def test_cache_dir_that_is_a_file_maps_to_two(self, capsys, tmp_path,
+                                                  argv, under):
+        """A --cache-dir that is a regular file, or lies under one, cannot
+        be created; that is a cache error (exit 2), not a failed law."""
+        (tmp_path / "file").write_text("")
+        cache_dir = tmp_path / "file" / under
+        code, out, err = run(capsys, *argv, "--cache-dir", str(cache_dir))
+        assert (code, out) == (2, "")
+        assert err.startswith("cache error: ") and err.count("\n") == 1
+        assert f"{cache_dir / 'h_A_'}" in err and "cannot be written" in err
 
     def test_console_script_smoke(self):
         """The declared console script resolves and lists the subcommands.

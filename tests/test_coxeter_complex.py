@@ -606,8 +606,10 @@ class TestRunBlocks:
 
     def test_runs_of_one_shape_share_one_enumeration(self, monkeypatch):
         """Coset representatives are asked of the standalone parabolic of
-        each run's shape (A_L, or B_L for a type-B run holding s_0), so
-        runs of one shape ask the same question."""
+        each run's shape (A_L, or B_L for a type-B run holding s_0), and
+        the runs of one shape share one ask per tau offset: a build asks
+        each (shape, gamma') exactly once, sum L over its shapes A_L and
+        B_L."""
         asked = []
 
         def recording(spec, gamma, gamma_prime):
@@ -615,16 +617,16 @@ class TestRunBlocks:
             return min_coset_reps(spec, gamma, gamma_prime)
 
         monkeypatch.setattr(complexes, "min_coset_reps", recording)
-        for spec, rho in (surface_system(6, 2),
-                          (CoxeterSpec("B", 4),
-                           t_local_system(4, 3, variant=2))):
+        for (spec, rho), asks in ((surface_system(6, 2), 15),
+                                  ((CoxeterSpec("B", 4),
+                                    t_local_system(4, 3, variant=2)), 16)):
             asked.clear()
             _boundaries(spec, rho)
             for shape, gamma, _ in asked:
                 assert gamma == tuple(range(shape.rank))
             families = {shape.family for shape, _, _ in asked}
             assert families == ({"A"} if spec.family == "A" else {"A", "B"})
-            assert len(set(asked)) < len(asked)
+            assert len(set(asked)) == len(asked) == asks
 
 
 class TestBuildMemory:
