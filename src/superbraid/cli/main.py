@@ -16,6 +16,7 @@ from ..homology_engine import (
     braid_system,
     braid_trivial_homology,
     braid_twisted_homology,
+    braid_twisted_rows,
     calibrate,
     calibrate_t_variant,
     compute_table,
@@ -41,13 +42,20 @@ LOCAL_PRIMES = ((2, 2), (3, 3), (2, 4), (5, 5), (2, 6), (3, 6))
 VERIFY_RINGS = ("z", "f:2", "f:3", "f:5")
 
 
+def _reasoned(parse):
+    """parse as an argparse type whose usage error names the reason."""
+    def convert(text: str):
+        try:
+            return parse(text)
+        except ValueError as err:
+            raise argparse.ArgumentTypeError(
+                f"invalid value {text!r}: {err}") from None
+    return convert
+
+
 def _coeff(text: str) -> str:
     parse_coeff(text)
     return text
-
-
-def _prime(text: str) -> int:
-    return require_prime(int(text))
 
 
 def _positive(text: str) -> int:
@@ -62,8 +70,10 @@ def _window(text: str) -> dict[int, int]:
     if not text.strip():
         return out
     for part in text.split(","):
-        d, _, n_max = part.partition(":")
-        d, n_max = int(d), int(n_max)
+        try:
+            d, n_max = map(int, part.split(":"))
+        except ValueError:
+            raise ValueError(f"window entry {part!r} is not d:n_max") from None
         if d < 1 or n_max < 1:
             raise ValueError(f"window entry {part!r} needs d >= 1 and "
                              "n_max >= 1")
@@ -310,18 +320,21 @@ def cmd_verify(args) -> int:
             checks.append(verify_covering_iso(base, cover, p, pair))
     odd = [d for d in (3, 5) if (d, 2) in mod_tables]
     if odd:
-        # The window's own d = 1 table serves when it reaches every odd row.
+        # The window's own d = 1 table serves, gaining the rows it lacks.
         reach = max(window[d] for d in odd)
         baseline = mod_tables.get((1, 2))
-        if baseline is None or window[1] < reach:
+        if baseline is None:
             baseline = compute_table(1, reach, "f:2")
+        for n in range(max(baseline.n_values()) + 1, reach + 1):
+            row = braid_twisted_rows(n, 1, ("f:2",))["f:2"]
+            baseline.cells.update(((n, i), g) for i, g in enumerate(row))
         for d_odd in odd:
             pair = {1: baseline, d_odd: mod_tables[(d_odd, 2)]}
             checks.append(verify_covering_iso(1, d_odd, 2, pair))
     failures = [c for c in checks if not c.ok]
     if args.format == "json":
         _emit_json({
-            "suite": args.suite,
+            "suite": "reference",
             "window": {str(d): n for d, n in sorted(window.items())},
             "t_variant": calibrate_t_variant(),
             "fingerprints": {str(d): fp
@@ -359,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     hom = sub.add_parser("homology", help="homology groups for one (n, d)")
     hom.add_argument("--n", type=_positive, required=True)
     hom.add_argument("--d", type=_positive, default=2)
-    hom.add_argument("--coeff", type=_coeff, default="z")
+    hom.add_argument("--coeff", type=_reasoned(_coeff), default="z")
     hom.add_argument("--trivial", action="store_true",
                      help="use trivial coefficients instead of the twist")
     hom.add_argument("--cache-dir", default=None)
@@ -376,7 +389,8 @@ def build_parser() -> argparse.ArgumentParser:
     table.set_defaults(func=cmd_table)
 
     series = sub.add_parser("series", help="reference generating series")
-    series.add_argument("--p", type=_prime, required=True)
+    series.add_argument("--p", required=True,
+                        type=_reasoned(lambda text: require_prime(int(text))))
     series.add_argument("--mode", choices=("local", "stable"),
                         default="stable")
     series.add_argument("--max-q", type=_positive, default=11)
@@ -385,9 +399,8 @@ def build_parser() -> argparse.ArgumentParser:
     series.set_defaults(func=cmd_series)
 
     verify = sub.add_parser("verify", help="run the verification suite")
-    verify.add_argument("--suite", choices=("reference",),
-                        default="reference")
-    verify.add_argument("--window", type=_window, default=GATING_WINDOW,
+    verify.add_argument("--window", type=_reasoned(_window),
+                        default=GATING_WINDOW,
                         help="comma-separated d:n_max pairs")
     verify.add_argument("--inject-fault", action="store_true",
                         help="self-test: flip a boundary sign and require "

@@ -73,9 +73,6 @@ class LocalSystem:
             if s.rank != self.dimension or any(v != 1 for v in s.divisors):
                 raise RelationError(f"det T{g + 1} = +-1")
 
-    def action(self, g: int) -> IntMatrix:
-        return self.actions[g]
-
     def evaluate_word(self, word) -> IntMatrix:
         out = IntMatrix.identity(self.dimension)
         for g in word:

@@ -34,7 +34,7 @@ from ..coxeter_complex import (
 from ..exact_linalg import AbelianGroup, rank_mod_p, snf
 from ..surface_rep import build_rep
 from ..surface_rep.burau import burau, intertwiner
-from .cache import cache_root, encode_groups, load, parse_coeff, store
+from .cache import cache_root, load, parse_coeff, store
 from .limits import charge
 
 CALIBRATION_GRID = (
@@ -261,15 +261,6 @@ class HomologyTable:
 
     def row(self, n: int) -> list[AbelianGroup]:
         return [self.cells[(n, i)] for i in range(n)]
-
-    def to_json(self) -> dict:
-        return {
-            "d": self.d,
-            "coeff": self.coeff,
-            "fingerprint": self.fingerprint,
-            "cells": [{"n": n, **cell} for n in self.n_values()
-                      for cell in encode_groups(self.row(n))],
-        }
 
 
 def compute_tables(d: int, n_max: int, coeffs=("z",),

@@ -134,27 +134,6 @@ def verify_stability(table: HomologyTable, highlights=None) -> Report:
                   tuple(violations), tuple(notes))
 
 
-def first_stable_rows(table: HomologyTable) -> dict[int, int]:
-    """Least n per column i after which the computed column stays constant."""
-    _require_integral(table)
-    ns = table.n_values()
-    out = {}
-    max_i = max((i for (_, i) in table.cells), default=-1)
-    for i in range(max_i + 1):
-        column = [(n, table.cell(n, i)) for n in ns
-                  if table.cell(n, i) is not None]
-        if not column:
-            continue
-        final = column[-1][1]
-        stable_n = column[-1][0]
-        for n, g in reversed(column):
-            if g != final:
-                break
-            stable_n = n
-        out[i] = stable_n
-    return out
-
-
 def verify_unstable_free(table: HomologyTable) -> Report:
     """Even rows: free rank 1 exactly in the top two degrees when d is even.
 

@@ -5,7 +5,6 @@ from .poincare import (
     compare_local,
     local_series,
     local_series_collapsed,
-    q_analog,
     stable_series,
 )
 
@@ -14,6 +13,5 @@ __all__ = [
     "compare_local",
     "local_series",
     "local_series_collapsed",
-    "q_analog",
     "stable_series",
 ]

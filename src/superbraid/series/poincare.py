@@ -7,18 +7,6 @@ from ..homology_engine.laws import Report
 from .bivariate import BivariateSeries
 
 
-def q_analog(m: int, at: BivariateSeries) -> BivariateSeries:
-    """1 + u + ... + u^(m-1) evaluated at the series u."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    acc = BivariateSeries.one(at.max_q, at.max_t)
-    power = acc
-    for _ in range(m - 1):
-        power = power * at
-        acc = acc + power
-    return acc
-
-
 def local_series(p: int, max_q: int, max_t: int) -> BivariateSeries:
     """Mod-p dimensions, graded by degree (q) and strand count (t).
 

@@ -6,7 +6,6 @@ from .basis import (
     betti1,
     boundary_components,
     genus,
-    intersection_form,
 )
 from .twists import (
     CONSTRUCTIONS,
@@ -18,9 +17,6 @@ from .twists import (
     root_check,
     transvection,
     twist_matrix,
-    twist_matrix_A,
-    twist_matrix_B,
-    twist_to_json,
 )
 
 __all__ = [
@@ -35,11 +31,7 @@ __all__ = [
     "build_rep",
     "convention_audit",
     "genus",
-    "intersection_form",
     "root_check",
     "transvection",
     "twist_matrix",
-    "twist_matrix_A",
-    "twist_matrix_B",
-    "twist_to_json",
 ]

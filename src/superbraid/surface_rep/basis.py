@@ -124,7 +124,3 @@ class IntersectionForm:
     def radical_rank(self) -> int:
         """Corank of the pairing; equals gcd(n, d) - 1."""
         return self.basis.dim - snf(self.omega).rank
-
-
-def intersection_form(n: int, d: int) -> IntMatrix:
-    return IntersectionForm(n, d).omega

@@ -43,14 +43,6 @@ def _column_matrix(dim: int, columns: list[dict[int, int]]) -> IntMatrix:
     return IntMatrix(dim, dim, ent)
 
 
-def twist_matrix_A(n: int, d: int, k: int) -> IntMatrix:
-    """Action of the k-th twist via the gamma pairing formula.
-
-    Columns are the images of the reduced basis vectors.
-    """
-    return twist_matrix(n, d, k, "A")
-
-
 def _twist_A(form: IntersectionForm, k: int) -> IntMatrix:
     basis = form.basis
     d = form.d
@@ -81,16 +73,9 @@ def transvection(omega: IntMatrix, c_index: int) -> IntMatrix:
     return IntMatrix(dim, dim, ent)
 
 
-def twist_matrix_B(n: int, d: int, k: int, order: str = "left_to_right") -> IntMatrix:
-    """Action of the k-th twist as a product of transvections.
-
-    With ``order="left_to_right"`` the product is M(a[k][1]) * .. *
-    M(a[k][d-1]), so the transvection along a[k][d-1] acts first.
-    """
-    return twist_matrix(n, d, k, "B", order)
-
-
 def _twist_B(form: IntersectionForm, k: int, order: str) -> IntMatrix:
+    """With order "left_to_right" the product is M(a[k][1]) * .. *
+    M(a[k][d-1]), so the transvection along a[k][d-1] acts first."""
     basis = form.basis
     mats = [transvection(form.omega, basis.index(k, i))
             for i in range(1, form.d)]
@@ -154,10 +139,6 @@ class SurfaceRep:
     def dim(self) -> int:
         return self.basis.dim
 
-    @property
-    def fingerprint(self) -> dict:
-        return {"construction": self.construction, "order": self.order}
-
     def generator(self, k: int) -> IntMatrix:
         if not (1 <= k <= self.n - 1):
             raise IndexError(f"generator index k={k} outside 1..{self.n - 1}")
@@ -211,19 +192,6 @@ def root_check(rep: SurfaceRep, k: int = 1) -> dict:
     }
 
 
-def twist_to_json(n: int, d: int, k: int, construction: str = "B",
-                  order: str = "left_to_right") -> dict:
-    """Schema-stable description of one twist matrix."""
-    t = twist_matrix(n, d, k, construction, order)
-    return {
-        "n": n,
-        "d": d,
-        "k": k,
-        "construction": construction,
-        "entries": [[r, c, v] for (r, c, v) in t.triples()],
-    }
-
-
 def _block_compare(basis: SurfaceBasis, x: IntMatrix, y: IntMatrix) -> dict:
     """Blockwise equality report for two matrices on the same basis."""
     n, d = basis.n, basis.d
@@ -266,8 +234,8 @@ def convention_audit(n: int = 3, d: int = 2) -> dict:
     differ by a sign at every d.
     """
     form = IntersectionForm(n, d)
-    a = twist_matrix_A(n, d, 1)
-    b = twist_matrix_B(n, d, 1, "left_to_right")
+    a = _twist(form, 1, "A", "left_to_right")
+    b = _twist(form, 1, "B", "left_to_right")
     conj_a = a.transpose() * form.omega * a
     report = {
         "n": n,

@@ -1,7 +1,9 @@
-"""The tier-1 workflow's verdict script, run on synthetic JUnit reports."""
+"""The tier-1 workflow's verdict scripts, run on synthetic reports."""
 
 from __future__ import annotations
 
+import importlib.util
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -9,8 +11,8 @@ from xml.sax.saxutils import quoteattr
 
 import pytest
 
-CHECKER = (Path(__file__).resolve().parents[1] / ".github" / "scripts"
-           / "check_tier1.py")
+SCRIPTS = Path(__file__).resolve().parents[1] / ".github" / "scripts"
+CHECKER = SCRIPTS / "check_tier1.py"
 CRITERIA = ["test_criterion_03_calibration", "test_criterion_04_golden_tables",
             "test_criterion_05_torsion_laws", "test_criterion_07_series"]
 DOCUMENTED = {"test_criterion_04_golden_tables", "test_criterion_07_series"}
@@ -110,3 +112,29 @@ def test_tomllib_skip_passes_only_below_python_3_11(tmp_path):
 
 def test_missing_report_fails(tmp_path):
     assert check(tmp_path / "tier1.xml").returncode != 0
+
+
+def bench_smoke():
+    """check_bench_smoke.py as a module, so its verdict runs without the
+    benchmark."""
+    spec = importlib.util.spec_from_file_location(
+        "check_bench_smoke", SCRIPTS / "check_bench_smoke.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def last_line(**fields):
+    return json.dumps({"correct": True, "attempted": 3, "failed": 0,
+                       "metrics": {}, **fields})
+
+
+@pytest.mark.parametrize("stdout, ok", [
+    ('{"workload": "w"}\n' + last_line(), True),
+    (last_line(correct=False), False),
+    (last_line(failed=1), False),
+    (last_line() + "\nperfbench: done", False),
+    ("", False),
+], ids=["correct", "incorrect", "failed-check", "not-json", "empty"])
+def test_bench_smoke_verdict(stdout, ok):
+    assert (bench_smoke().verdict(stdout) is None) == ok

@@ -42,6 +42,8 @@ class TestTwist:
                            "--k", "1", "--format", "json")
         assert code == 0
         payload = json.loads(out)
+        assert set(payload) == {"n", "d", "k", "construction", "order",
+                                "matrix"}
         assert payload["matrix"] == [[1, -1], [0, 1]]
         assert payload["construction"] == "B"
         assert payload["order"] == "left_to_right"
@@ -113,10 +115,12 @@ class TestHomology:
         assert code == 0
         assert all(line.endswith("= 0") for line in out.strip().splitlines())
 
-    def test_bad_coefficient_is_a_usage_error(self):
+    def test_bad_coefficient_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["homology", "--n", "4", "--coeff", "f:4"])
         assert exc.value.code == 2
+        assert ("argument --coeff: invalid value 'f:4': 4 is not prime"
+                in capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("argv, option", [
@@ -205,6 +209,13 @@ class TestTable:
         assert lines[0] == "n,i,rank,torsion"
         assert "4,1,0,2;2" in lines
 
+    def test_json_cells_in_row_and_degree_order(self, capsys):
+        code, out, _ = run(capsys, "table", "--d", "2", "--n-max", "4",
+                           "--format", "json")
+        assert code == 0
+        keys = [(cell["n"], cell["i"]) for cell in json.loads(out)["cells"]]
+        assert keys == [(n, i) for n in range(1, 5) for i in range(n)]
+
     def test_rank_zero_module_table(self, capsys):
         code, out, _ = run(capsys, "table", "--d", "1", "--n-max", "5")
         assert code == 0
@@ -276,10 +287,12 @@ class TestSeries:
         assert payload["p"] == 3 and payload["mode"] == "local"
         assert [1, 3, 1] in payload["coeffs"]
 
-    def test_composite_p_is_a_usage_error(self):
+    def test_composite_p_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["series", "--p", "4"])
         assert exc.value.code == 2
+        assert ("argument --p: invalid value '4': 4 is not prime"
+                in capsys.readouterr().err)
 
     def test_poly_text_renders_constants_and_units(self):
         assert _poly_text([0, 1, 2], "q") == "q + 2q^2"
@@ -388,9 +401,11 @@ class TestVerify:
     def test_window_parser(self):
         assert _window("2:10,6:8") == {2: 10, 6: 8}
         assert _window("  ") == {}
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="'2' is not d:n_max"):
             _window("2")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="'2:x' is not d:n_max"):
+            _window("2:x")
+        with pytest.raises(ValueError, match="needs d >= 1"):
             _window("0:5")
         with pytest.raises(ValueError, match="repeats d = 2"):
             _window("2:2,2:3")
@@ -402,12 +417,27 @@ class TestExitCodes:
             main(["frobnicate"])
         assert exc.value.code == 2
 
-    @pytest.mark.parametrize("window", ["0:5", "2:0", "2:2,2:3"])
+    BAD_WINDOWS = {
+        "0:5": "window entry '0:5' needs d >= 1 and n_max >= 1",
+        "2:0": "window entry '2:0' needs d >= 1 and n_max >= 1",
+        "2:2,2:3": "window repeats d = 2",
+        "2:x": "window entry '2:x' is not d:n_max",
+    }
+
+    @pytest.mark.parametrize("window", list(BAD_WINDOWS))
     def test_bad_window_exits_two(self, capsys, window):
+        """The usage error names the reason, not only the option."""
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--window", window])
         assert exc.value.code == 2
-        assert "--window" in capsys.readouterr().err
+        assert (f"argument --window: invalid value {window!r}: "
+                f"{self.BAD_WINDOWS[window]}" in capsys.readouterr().err)
+
+    def test_suite_option_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--suite", "reference"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --suite" in capsys.readouterr().err
 
     def test_resource_limit_maps_to_three(self, capsys, monkeypatch):
         from superbraid.homology_engine import calibrate

@@ -397,10 +397,10 @@ class TestLocalSystems:
         c = companion_t_matrix(3)
         eye = IntMatrix.identity(3)
         sys = t_local_system(3, 3, variant=2)
-        assert sys.action(0) == -c
-        assert sys.action(1) == eye and sys.action(2) == eye
+        assert sys.actions[0] == -c
+        assert sys.actions[1] == eye and sys.actions[2] == eye
         sys0 = t_local_system(3, 3, variant=0)
-        assert sys0.action(0) == c
+        assert sys0.actions[0] == c
 
 
 class TestChainComplexes:

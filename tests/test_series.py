@@ -13,7 +13,6 @@ from superbraid.series import (
     compare_local,
     local_series,
     local_series_collapsed,
-    q_analog,
     stable_series,
 )
 
@@ -87,20 +86,6 @@ class TestBivariateSeries:
         assert s.q_coefficients(2) == [0, 0, 0, -4]
         assert s.to_json() == {
             "max_q": 3, "max_t": 2, "coeffs": [[1, 0, 1], [3, 2, -4]]}
-
-
-class TestQAnalog:
-    def test_small_analogs(self):
-        u = mono(4, 4, 1, 0)
-        assert q_analog(1, u) == BivariateSeries.one(4, 4)
-        assert q_analog(2, u) == BivariateSeries.one(4, 4) + u
-        with pytest.raises(ValueError):
-            q_analog(0, u)
-
-    def test_negated_variable(self):
-        u = mono(4, 4, 0, 1, -1)
-        expected = BivariateSeries(4, 4, {(0, 0): 1, (0, 1): -1, (0, 2): 1})
-        assert q_analog(3, u) == expected
 
 
 class TestLocalSeries:

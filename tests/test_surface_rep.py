@@ -16,12 +16,9 @@ from superbraid.surface_rep import (
     build_rep,
     convention_audit,
     genus,
-    intersection_form,
     root_check,
     transvection,
-    twist_matrix_A,
-    twist_matrix_B,
-    twist_to_json,
+    twist_matrix,
 )
 from superbraid.surface_rep import twists
 from superbraid.surface_rep.burau import burau as _burau
@@ -51,9 +48,9 @@ def test_euler_characteristic_consistency(nd):
 
 
 def test_intersection_form_frozen():
-    assert dense(intersection_form(3, 2)) == [[0, -1], [1, 0]]
+    assert dense(IntersectionForm(3, 2).omega) == [[0, -1], [1, 0]]
     # within one block at d = 3 the form is the standard symplectic block
-    omega = intersection_form(2, 3)
+    omega = IntersectionForm(2, 3).omega
     assert dense(omega) == [[0, 1], [-1, 0]]
 
 
@@ -93,10 +90,10 @@ def test_gamma_cross_rows_do_not_annihilate_relations(nd):
 
 
 def test_twist_A_frozen():
-    assert dense(twist_matrix_A(2, 2, 1)) == [[-1]]
-    assert dense(twist_matrix_A(3, 2, 1)) == [[-1, -1], [0, 1]]
+    assert dense(twist_matrix(2, 2, 1, "A")) == [[-1]]
+    assert dense(twist_matrix(3, 2, 1, "A")) == [[-1, -1], [0, 1]]
     # block 1 of the (3,3) twist is the cyclic shift of order 3
-    t = twist_matrix_A(3, 3, 1)
+    t = twist_matrix(3, 3, 1, "A")
     block = [[t[(r, c)] for c in range(2)] for r in range(2)]
     assert block == [[0, -1], [1, -1]]
 
@@ -132,21 +129,21 @@ def _twist_A_block_oracle(n, d, k):
 def test_twist_A_matches_block_rules(nd):
     n, d = nd
     for k in range(1, n):
-        assert twist_matrix_A(n, d, k) == _twist_A_block_oracle(n, d, k)
+        assert twist_matrix(n, d, k, "A") == _twist_A_block_oracle(n, d, k)
 
 
 @given(st.integers(3, 6))
 def test_twist_A_block_has_order_d(d):
-    t = twist_matrix_A(2, d, 1)
+    t = twist_matrix(2, d, 1, "A")
     assert t.pow(d) == IntMatrix.identity(d - 1)
     assert all(t.pow(e) != IntMatrix.identity(d - 1) for e in range(1, d))
 
 
 def test_twist_B_frozen():
-    assert dense(twist_matrix_B(3, 2, 1)) == [[1, -1], [0, 1]]
-    assert dense(twist_matrix_B(3, 2, 2)) == [[1, 0], [1, 1]]
+    assert dense(twist_matrix(3, 2, 1, "B")) == [[1, -1], [0, 1]]
+    assert dense(twist_matrix(3, 2, 2, "B")) == [[1, 0], [1, 1]]
     # the geometric action on one block sends a_i to -a_{i+1}
-    assert dense(twist_matrix_B(2, 3, 1)) == [[0, 1], [-1, 1]]
+    assert dense(twist_matrix(2, 3, 1, "B")) == [[0, 1], [-1, 1]]
 
 
 @given(st.integers(2, 6))
@@ -157,7 +154,7 @@ def test_twist_B_is_geometric_shift_on_one_block(d):
         cols.append({idx: -v for idx, v in basis.expand(1, i + 1).items()})
     ent = {(r, c): v for c, col in enumerate(cols) for r, v in col.items()}
     expected = IntMatrix(basis.dim, basis.dim, ent)
-    assert twist_matrix_B(2, d, 1) == expected
+    assert twist_matrix(2, d, 1, "B") == expected
 
 
 @given(st.tuples(st.integers(2, 5), st.integers(2, 5)), st.data())
@@ -176,7 +173,6 @@ def test_build_rep_B_left_to_right(nd):
     n, d = nd
     rep = build_rep(n, d, "B", "left_to_right")
     assert rep.preserves_form()
-    assert rep.fingerprint == {"construction": "B", "order": "left_to_right"}
 
 
 @given(nd_pairs)
@@ -248,12 +244,6 @@ def test_convention_audit_d3():
     assert report["blocks"]["1,1"] == "negated"
     assert not report["status"]["A"]["preserves_form"]
     assert not report["status"]["B,right_to_left"]["builds"]
-
-
-def test_twist_json_schema():
-    blob = twist_to_json(3, 2, 1, "B")
-    assert set(blob) == {"n", "d", "k", "construction", "entries"}
-    assert blob["entries"] == [[0, 0, 1], [0, 1, -1], [1, 1, 1]]
 
 
 @given(nd_pairs)
