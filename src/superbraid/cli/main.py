@@ -59,9 +59,12 @@ def _coeff(text: str) -> str:
 
 
 def _positive(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
     if value < 1:
-        raise argparse.ArgumentTypeError(f"{text} is not a positive integer")
+        raise ValueError(f"{text} is not a positive integer")
     return value
 
 
@@ -279,9 +282,9 @@ def cmd_verify(args) -> int:
     checks: list[Report] = []
     if args.inject_fault:
         checks.append(_injected_fault_report())
-    if not window and not args.inject_fault:
-        print("warning: empty verification window; vacuously passing")
-        return 0
+    if not window:
+        print("warning: empty verification window; vacuously passing",
+              file=sys.stderr)
     mod_tables = {}
     fingerprints = {}
     for d, n_max in sorted(window.items()):
@@ -360,18 +363,19 @@ def build_parser() -> argparse.ArgumentParser:
         description="Twisted homology of braid groups acting on "
                     "superelliptic curve classes")
     sub = parser.add_subparsers(dest="command", required=True)
+    size = _reasoned(_positive)
 
     twist = sub.add_parser("twist", help="print one twist matrix")
-    twist.add_argument("--n", type=_positive, required=True)
-    twist.add_argument("--d", type=_positive, required=True)
+    twist.add_argument("--n", type=size, required=True)
+    twist.add_argument("--d", type=size, required=True)
     twist.add_argument("--k", type=int, required=True)
     twist.add_argument("--construction", choices=("A", "B"), default="B")
     twist.add_argument("--format", choices=("text", "json"), default="text")
     twist.set_defaults(func=cmd_twist)
 
     hom = sub.add_parser("homology", help="homology groups for one (n, d)")
-    hom.add_argument("--n", type=_positive, required=True)
-    hom.add_argument("--d", type=_positive, default=2)
+    hom.add_argument("--n", type=size, required=True)
+    hom.add_argument("--d", type=size, default=2)
     hom.add_argument("--coeff", type=_reasoned(_coeff), default="z")
     hom.add_argument("--trivial", action="store_true",
                      help="use trivial coefficients instead of the twist")
@@ -381,8 +385,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     table = sub.add_parser("table", help="compute a table and diff it "
                                          "against the reference")
-    table.add_argument("--d", type=_positive, required=True)
-    table.add_argument("--n-max", type=_positive, required=True)
+    table.add_argument("--d", type=size, required=True)
+    table.add_argument("--n-max", type=size, required=True)
     table.add_argument("--cache-dir", default=None)
     table.add_argument("--format", choices=("text", "csv", "json"),
                        default="text")
@@ -393,8 +397,8 @@ def build_parser() -> argparse.ArgumentParser:
                         type=_reasoned(lambda text: require_prime(int(text))))
     series.add_argument("--mode", choices=("local", "stable"),
                         default="stable")
-    series.add_argument("--max-q", type=_positive, default=11)
-    series.add_argument("--max-t", type=_positive, default=9)
+    series.add_argument("--max-q", type=size, default=11)
+    series.add_argument("--max-t", type=size, default=9)
     series.add_argument("--format", choices=("text", "json"), default="text")
     series.set_defaults(func=cmd_series)
 

@@ -1,4 +1,4 @@
-"""Truncated power-series arithmetic and the reference generating series."""
+"""The reference generating series, each built from its factor list."""
 
 from .bivariate import BivariateSeries
 from .poincare import (

@@ -6,8 +6,8 @@ from __future__ import annotations
 class BivariateSeries:
     """Integer series in q and t with degrees capped at (max_q, max_t).
 
-    Every operation drops coefficients outside the window, so arithmetic
-    on the kept coefficients is exact.
+    Coefficients outside the window are dropped, so every kept
+    coefficient is exact.
     """
 
     __slots__ = ("max_q", "max_t", "coeffs")
@@ -23,13 +23,33 @@ class BivariateSeries:
                 self.coeffs[(i, n)] = c
 
     @classmethod
-    def one(cls, max_q: int, max_t: int) -> "BivariateSeries":
-        return cls(max_q, max_t, {(0, 0): 1})
+    def product(cls, max_q: int, max_t: int, lead, factors):
+        """q^i t^n, lead = (i, n), times each factor (a, b, e) in turn.
 
-    @classmethod
-    def monomial(cls, max_q: int, max_t: int, i: int, n: int,
-                 c: int = 1) -> "BivariateSeries":
-        return cls(max_q, max_t, {(i, n): c})
+        e = 1 multiplies by 1 + q^a t^b and e = -1 divides by
+        1 - q^a t^b; (a, b) must not be (0, 0).  Each factor is one pass
+        over a dense window that adds to each coefficient of q^k t^m the
+        one of q^(k-a) t^(m-b): downward for a product, so that one still
+        holds its old value; upward for a quotient, so it is already
+        divided.
+        """
+        i, n = lead
+        window = [[0] * (max_t + 1) for _ in range(max_q + 1)]
+        if 0 <= i <= max_q and 0 <= n <= max_t:
+            window[i][n] = 1
+        for a, b, e in factors:
+            if a < 0 or b < 0 or a == b == 0 or e not in (1, -1):
+                raise ValueError(f"factor {(a, b, e)} is not 1 + q^a t^b "
+                                 "or 1/(1 - q^a t^b)")
+            qs, ts = range(a, max_q + 1), range(b, max_t + 1)
+            if e == 1:
+                qs, ts = qs[::-1], ts[::-1]
+            for k in qs:
+                src, dst = window[k - a], window[k]
+                for m in ts:
+                    dst[m] += src[m - b]
+        return cls(max_q, max_t, {(k, m): c for k, row in enumerate(window)
+                                  for m, c in enumerate(row)})
 
     def coefficient(self, i: int, n: int = 0) -> int:
         if not (0 <= i <= self.max_q and 0 <= n <= self.max_t):
@@ -40,60 +60,11 @@ class BivariateSeries:
         """Coefficients of q^0..q^max_q in the t^n slice."""
         return [self.coefficient(i, n) for i in range(self.max_q + 1)]
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def _same_window(self, other: "BivariateSeries"):
-        if (self.max_q, self.max_t) != (other.max_q, other.max_t):
-            raise ValueError("series have different truncation windows")
-
     def __eq__(self, other):
         if not isinstance(other, BivariateSeries):
             return NotImplemented
         return ((self.max_q, self.max_t, self.coeffs)
                 == (other.max_q, other.max_t, other.coeffs))
-
-    def __add__(self, other: "BivariateSeries") -> "BivariateSeries":
-        self._same_window(other)
-        out = dict(self.coeffs)
-        for key, c in other.coeffs.items():
-            out[key] = out.get(key, 0) + c
-        return BivariateSeries(self.max_q, self.max_t, out)
-
-    def __sub__(self, other: "BivariateSeries") -> "BivariateSeries":
-        self._same_window(other)
-        out = dict(self.coeffs)
-        for key, c in other.coeffs.items():
-            out[key] = out.get(key, 0) - c
-        return BivariateSeries(self.max_q, self.max_t, out)
-
-    def __mul__(self, other: "BivariateSeries") -> "BivariateSeries":
-        self._same_window(other)
-        out = {}
-        for (i, n), a in self.coeffs.items():
-            for (j, m), b in other.coeffs.items():
-                if i + j <= self.max_q and n + m <= self.max_t:
-                    key = (i + j, n + m)
-                    out[key] = out.get(key, 0) + a * b
-        return BivariateSeries(self.max_q, self.max_t, out)
-
-    def geometric_inverse(self) -> "BivariateSeries":
-        """Inverse of self = 1 - u, where u has zero constant term.
-
-        Returns 1 + u + u^2 + ...; the sum is finite because each power
-        raises the minimum total degree past the window.
-        """
-        one = BivariateSeries.one(self.max_q, self.max_t)
-        u = one - self
-        if self.coefficient(0, 0) != 1 or u.coefficient(0, 0) != 0:
-            raise ValueError("geometric inverse needs constant term 1")
-        acc = one
-        power = one
-        while True:
-            power = power * u
-            if power.is_zero():
-                return acc
-            acc = acc + power
 
     def to_json(self) -> dict:
         return {
@@ -101,7 +72,3 @@ class BivariateSeries:
             "max_t": self.max_t,
             "coeffs": [[i, n, c] for (i, n), c in sorted(self.coeffs.items())],
         }
-
-    def __repr__(self):
-        return (f"BivariateSeries(max_q={self.max_q}, max_t={self.max_t}, "
-                f"{len(self.coeffs)} terms)")

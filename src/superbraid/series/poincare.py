@@ -16,21 +16,13 @@ def local_series(p: int, max_q: int, max_t: int) -> BivariateSeries:
     require_prime(p)
     if max_q < 1 or max_t < 1:
         raise ValueError("truncation orders must be >= 1")
-
-    def mono(i, n):
-        return BivariateSeries.monomial(max_q, max_t, i, n)
-
-    one = BivariateSeries.one(max_q, max_t)
-    out = mono(1, 3)
-    out = out * (one - mono(2, 2)).geometric_inverse()
-    out = out * (one - mono(0, 2)).geometric_inverse()
+    factors = [(2, 2, -1), (0, 2, -1)]
     j = 0
     while 2 * p**j <= max_t:
-        out = out * (one + mono(2 * p**j - 1, 2 * p**j))
-        out = out * (one - mono(2 * p**(j + 1) - 2,
-                                2 * p**(j + 1))).geometric_inverse()
+        factors.append((2 * p**j - 1, 2 * p**j, 1))
+        factors.append((2 * p**(j + 1) - 2, 2 * p**(j + 1), -1))
         j += 1
-    return out
+    return BivariateSeries.product(max_q, max_t, (1, 3), factors)
 
 
 def local_series_collapsed(max_q: int, max_t: int) -> BivariateSeries:
@@ -42,19 +34,12 @@ def local_series_collapsed(max_q: int, max_t: int) -> BivariateSeries:
     """
     if max_q < 1 or max_t < 1:
         raise ValueError("truncation orders must be >= 1")
-
-    def mono(i, n):
-        return BivariateSeries.monomial(max_q, max_t, i, n)
-
-    one = BivariateSeries.one(max_q, max_t)
-    out = mono(1, 3)
-    out = out * (one - mono(2, 2)).geometric_inverse()
-    out = out * (one - mono(0, 2)).geometric_inverse()
+    factors = [(2, 2, -1), (0, 2, -1)]
     i = 1
     while 2**i <= max_t:
-        out = out * (one - mono(2**i - 1, 2**i)).geometric_inverse()
+        factors.append((2**i - 1, 2**i, -1))
         i += 1
-    return out
+    return BivariateSeries.product(max_q, max_t, (1, 3), factors)
 
 
 def stable_series(p: int, max_q: int) -> BivariateSeries:
@@ -67,18 +52,13 @@ def stable_series(p: int, max_q: int) -> BivariateSeries:
     require_prime(p)
     if max_q < 1:
         raise ValueError("truncation order must be >= 1")
-
-    def mono(i):
-        return BivariateSeries.monomial(max_q, 0, i, 0)
-
-    one = BivariateSeries.one(max_q, 0)
-    out = mono(1) * (one - mono(2)).geometric_inverse()
+    factors = [(2, 0, -1)]
     j = 0
     while 2 * p**j - 1 <= max_q:
-        out = out * (one + mono(2 * p**j - 1))
-        out = out * (one - mono(2 * p**(j + 1) - 2)).geometric_inverse()
+        factors.append((2 * p**j - 1, 0, 1))
+        factors.append((2 * p**(j + 1) - 2, 0, -1))
         j += 1
-    return out
+    return BivariateSeries.product(max_q, 0, (1, 0), factors)
 
 
 def compare_local(p: int, d: int, table) -> Report:

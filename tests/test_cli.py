@@ -132,6 +132,8 @@ class TestHomology:
     (["series", "--p", "2", "--mode", "local", "--max-t", "0"], "--max-t"),
     (["table", "--d", "2", "--n-max", "0"], "--n-max"),
     (["table", "--d", "2", "--n-max", "-3"], "--n-max"),
+    (["homology", "--n", "x"], "--n"),
+    (["table", "--d", "2", "--n-max", "2.5"], "--n-max"),
 ])
 def test_non_positive_size_is_a_usage_error(argv, option, capsys):
     value = argv[argv.index(option) + 1]
@@ -139,7 +141,8 @@ def test_non_positive_size_is_a_usage_error(argv, option, capsys):
         main(argv)
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert f"argument {option}: {value} is not a positive integer" in err
+    assert (f"argument {option}: invalid value {value!r}: "
+            f"{value} is not a positive integer") in err
     assert "Traceback" not in err
 
 
@@ -321,9 +324,19 @@ class TestVerify:
         assert by_name["universal-coefficients p=2 d=4"]["ok"]
 
     def test_empty_window_is_vacuous(self, capsys):
-        code, out, _ = run(capsys, "verify", "--window", "")
+        code, out, err = run(capsys, "verify", "--window", "")
         assert code == 0
-        assert "vacuously" in out
+        assert out == ""
+        assert "vacuously" in err
+
+    def test_empty_window_json_is_an_empty_report(self, capsys):
+        code, out, err = run(capsys, "verify", "--window", "",
+                             "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["window"] == {}
+        assert payload["checks"] == [] and payload["failures"] == []
+        assert "vacuously" in err
 
     def test_window_without_references_runs_every_law(self, capsys):
         """d = 7 has no reference table: the golden-table and highlight

@@ -1,4 +1,4 @@
-"""Golden outputs: three commands whose exact stdout and exit code are pinned.
+"""Golden outputs: commands whose exact stdout and exit code are pinned.
 
 Each case runs in-process through ``superbraid.cli.main.main`` and compares
 its stdout byte for byte with ``tests/golden/<name>.stdout``; the exit codes

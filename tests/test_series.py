@@ -1,8 +1,9 @@
-"""Tests for windowed series arithmetic and the reference generating series."""
+"""Tests for windowed series and the reference generating series."""
 
 from __future__ import annotations
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,16 +18,10 @@ from superbraid.series import (
 )
 
 
-def mono(max_q, max_t, i, n, c=1):
-    return BivariateSeries.monomial(max_q, max_t, i, n, c)
-
-
-small_series = st.builds(
-    lambda coeffs: BivariateSeries(5, 5, coeffs),
-    st.dictionaries(
-        st.tuples(st.integers(0, 5), st.integers(0, 5)),
-        st.integers(-3, 3), max_size=8),
-)
+factor_lists = st.lists(
+    st.tuples(st.integers(0, 4), st.integers(0, 4), st.sampled_from((1, -1)))
+    .filter(lambda f: f[:2] != (0, 0)),
+    max_size=4)
 
 
 class TestBivariateSeries:
@@ -40,48 +35,34 @@ class TestBivariateSeries:
             BivariateSeries(-1, 0)
         with pytest.raises(KeyError):
             BivariateSeries(2, 2).coefficient(3, 0)
+
+    @pytest.mark.parametrize("factor", [(0, 0, 1), (0, 0, -1), (1, 0, 2),
+                                        (-1, 1, 1)])
+    def test_product_rejects_other_factors(self, factor):
         with pytest.raises(ValueError):
-            BivariateSeries.one(2, 2) + BivariateSeries.one(2, 3)
-
-    def test_ring_operations(self):
-        one = BivariateSeries.one(4, 4)
-        q = mono(4, 4, 1, 0)
-        t = mono(4, 4, 0, 1)
-        s = (one + q) * (one - t)
-        assert s.coefficient(1, 1) == -1
-        assert s.coefficient(0, 0) == 1
-        assert (s - s).is_zero()
-
-    def test_multiplication_truncates(self):
-        q2 = mono(3, 0, 2, 0)
-        assert (q2 * q2).is_zero()
-
-    def test_geometric_inverse_is_exact(self):
-        one = BivariateSeries.one(6, 6)
-        u = mono(6, 6, 1, 1) + mono(6, 6, 0, 2, -2)
-        inv = (one - u).geometric_inverse()
-        assert (one - u) * inv == one
-
-    def test_geometric_inverse_of_one(self):
-        one = BivariateSeries.one(3, 3)
-        assert one.geometric_inverse() == one
-
-    def test_geometric_inverse_needs_constant_one(self):
-        with pytest.raises(ValueError):
-            mono(3, 3, 1, 0).geometric_inverse()
-        with pytest.raises(ValueError):
-            BivariateSeries(3, 3, {(0, 0): 2}).geometric_inverse()
+            BivariateSeries.product(3, 3, (0, 0), [factor])
 
     @settings(max_examples=60, deadline=None)
-    @given(small_series)
-    def test_geometric_inverse_property(self, u):
-        one = BivariateSeries.one(5, 5)
-        zeroed = BivariateSeries(5, 5, {k: c for k, c in u.coeffs.items()
-                                        if k != (0, 0)})
-        assert (one - zeroed) * (one - zeroed).geometric_inverse() == one
+    @given(st.integers(0, 6), st.integers(0, 6),
+           st.tuples(st.integers(0, 2), st.integers(0, 2)), factor_lists)
+    def test_product_matches_sympy(self, max_q, max_t, lead, factors):
+        """Each 1/(1 - m) is a geometric sum long enough for the window."""
+        q, t = sympy.symbols("q t")
+        expr = q**lead[0] * t**lead[1]
+        for a, b, e in factors:
+            m = q**a * t**b
+            if e == 1:
+                expr *= 1 + m
+            else:
+                expr *= sum(m**k for k in range(max(max_q, max_t) + 1))
+        want = {(i, n): int(c)
+                for (i, n), c in sympy.Poly(sympy.expand(expr), q, t).terms()
+                if i <= max_q and n <= max_t}
+        got = BivariateSeries.product(max_q, max_t, lead, factors)
+        assert got.coeffs == want
 
     def test_q_coefficients_and_json(self):
-        s = mono(3, 2, 1, 0) + mono(3, 2, 3, 2, -4)
+        s = BivariateSeries(3, 2, {(1, 0): 1, (3, 2): -4})
         assert s.q_coefficients() == [0, 1, 0, 0]
         assert s.q_coefficients(2) == [0, 0, 0, -4]
         assert s.to_json() == {
