@@ -18,7 +18,7 @@ from ..homology_engine import (
     braid_twisted_homology,
     braid_twisted_rows,
     calibrate,
-    calibrate_t_variant,
+    check_type_b_gates,
     compute_table,
     compute_tables,
     parse_coeff,
@@ -40,6 +40,10 @@ LOCAL_PRIMES = ((2, 2), (3, 3), (2, 4), (5, 5), (2, 6), (3, 6))
 
 # Every table verify reads: the integral one and the three the laws need.
 VERIFY_RINGS = ("z", "f:2", "f:3", "f:5")
+
+# The type-B signs (s_0 by -t, s_i by +1) as index 2 of the (s_0, s_i) sign
+# pairs (+, +), (+, -), (-, +), (-, -).
+T_VARIANT = 2
 
 
 def _reasoned(parse):
@@ -84,6 +88,12 @@ def _window(text: str) -> dict[int, int]:
             raise ValueError(f"window repeats d = {d}")
         out[d] = n_max
     return out
+
+
+def _refused(option: str, reason: str) -> int:
+    """Report an option the chosen mode would ignore; the usage exit code."""
+    print(f"argument {option}: {reason}", file=sys.stderr)
+    return 2
 
 
 def _emit_json(payload: dict):
@@ -137,16 +147,20 @@ def _group_text(g, coeff: str) -> str:
 
 def cmd_homology(args) -> int:
     if args.trivial:
+        for option, value in (("--d", args.d), ("--cache-dir", args.cache_dir)):
+            if value is not None:
+                return _refused(option, "not allowed with --trivial")
+        d = None
         row = braid_trivial_homology(args.n, args.coeff)
         fingerprint = {"module": "trivial"}
     else:
-        row = braid_twisted_homology(args.n, args.d, args.coeff,
-                                     args.cache_dir)
-        fingerprint = calibrate(args.d).fingerprint()
+        d = 2 if args.d is None else args.d
+        row = braid_twisted_homology(args.n, d, args.coeff, args.cache_dir)
+        fingerprint = calibrate(d).fingerprint()
     if args.format == "json":
         _emit_json({
             "n": args.n,
-            "d": None if args.trivial else args.d,
+            "d": d,
             "coeff": args.coeff,
             "trivial": args.trivial,
             "fingerprint": fingerprint,
@@ -221,9 +235,12 @@ def cmd_table(args) -> int:
 
 def cmd_series(args) -> int:
     if args.mode == "stable":
+        if args.max_t is not None:
+            return _refused("--max-t", "not allowed with --mode stable")
         series = stable_series(args.p, args.max_q)
     else:
-        series = local_series(args.p, args.max_q, args.max_t)
+        series = local_series(args.p, args.max_q,
+                              9 if args.max_t is None else args.max_t)
     if args.format == "json":
         payload = series.to_json()
         payload.update({"p": args.p, "mode": args.mode})
@@ -336,10 +353,11 @@ def cmd_verify(args) -> int:
             checks.append(verify_covering_iso(1, d_odd, 2, pair))
     failures = [c for c in checks if not c.ok]
     if args.format == "json":
+        check_type_b_gates()
         _emit_json({
             "suite": "reference",
             "window": {str(d): n for d, n in sorted(window.items())},
-            "t_variant": calibrate_t_variant(),
+            "t_variant": T_VARIANT,
             "fingerprints": {str(d): fp
                              for d, fp in sorted(fingerprints.items())},
             "checks": [{"name": c.name, "ok": c.ok, "checked": c.checked,
@@ -375,11 +393,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     hom = sub.add_parser("homology", help="homology groups for one (n, d)")
     hom.add_argument("--n", type=size, required=True)
-    hom.add_argument("--d", type=size, default=2)
+    hom.add_argument("--d", type=size, help="default 2; not with --trivial")
     hom.add_argument("--coeff", type=_reasoned(_coeff), default="z")
     hom.add_argument("--trivial", action="store_true",
                      help="use trivial coefficients instead of the twist")
-    hom.add_argument("--cache-dir", default=None)
+    hom.add_argument("--cache-dir", help="not with --trivial")
     hom.add_argument("--format", choices=("text", "json"), default="text")
     hom.set_defaults(func=cmd_homology)
 
@@ -398,7 +416,8 @@ def build_parser() -> argparse.ArgumentParser:
     series.add_argument("--mode", choices=("local", "stable"),
                         default="stable")
     series.add_argument("--max-q", type=size, default=11)
-    series.add_argument("--max-t", type=size, default=9)
+    series.add_argument("--max-t", type=size,
+                        help="default 9; --mode local only")
     series.add_argument("--format", choices=("text", "json"), default="text")
     series.set_defaults(func=cmd_series)
 

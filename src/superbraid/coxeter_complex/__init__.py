@@ -9,7 +9,6 @@ from .complexes import (
 )
 from .groups import CosetRep, CoxeterSpec, min_coset_reps
 from .systems import (
-    T_VARIANTS,
     LocalSystem,
     RelationError,
     companion_t_matrix,
@@ -26,7 +25,6 @@ __all__ = [
     "DEFAULT_CONVENTION",
     "LocalSystem",
     "RelationError",
-    "T_VARIANTS",
     "build_complex",
     "companion_t_matrix",
     "min_coset_reps",

@@ -85,9 +85,6 @@ def trivial_system(spec: CoxeterSpec, dim: int = 1) -> LocalSystem:
                        dimension=dim)
 
 
-T_VARIANTS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
-
-
 def companion_t_matrix(d: int) -> IntMatrix:
     """Companion matrix C of the variable t in Z[t]/(1 - (-t)^d).
 
@@ -101,18 +98,13 @@ def companion_t_matrix(d: int) -> IntMatrix:
     return IntMatrix(d, d, ent)
 
 
-def t_local_system(n: int, d: int, variant: int = 0) -> LocalSystem:
-    """Type-B local system of rank d realizing the quotient module of t.
+def t_local_system(n: int, d: int) -> LocalSystem:
+    """Type-B local system on the rank-d module Z[t]/(1 - (-t)^d).
 
-    The special generator acts by the companion matrix of t up to sign and
-    the type-A generators act by a global sign, per the chosen variant in
-    ``T_VARIANTS`` (s0 sign, s_i sign).
+    The special generator s_0 acts by -t, minus the companion matrix, and
+    s_1, ..., s_(n-1) act trivially.  Up to the signs of the basis vectors
+    this is the group ring Z[Z/d] with s_0 acting as its generator.
     """
-    if not 0 <= variant < len(T_VARIANTS):
-        raise ValueError(f"variant must be in 0..{len(T_VARIANTS) - 1}")
-    s0_sign, si_sign = T_VARIANTS[variant]
-    spec = CoxeterSpec("B", n)
-    c = companion_t_matrix(d)
-    s0 = c if s0_sign == 1 else -c
-    si = IntMatrix.identity(d) if si_sign == 1 else -IntMatrix.identity(d)
-    return LocalSystem(spec, [s0] + [si] * (n - 1))
+    eye = IntMatrix.identity(d)
+    return LocalSystem(CoxeterSpec("B", n),
+                       [-companion_t_matrix(d)] + [eye] * (n - 1))

@@ -32,8 +32,14 @@ class CacheFormatError(CacheConflictError):
 
 
 def cache_root(explicit=None) -> Path | None:
-    """The cache directory: explicit argument, else SUPERBRAID_CACHE, else none."""
+    """The cache directory: explicit argument, else SUPERBRAID_CACHE, else none.
+
+    An empty explicit path raises CacheFormatError: Path('') would name
+    the working directory, while an empty SUPERBRAID_CACHE means no cache.
+    """
     if explicit is not None:
+        if not os.fspath(explicit):
+            raise CacheFormatError("the cache directory is an empty path")
         return Path(explicit)
     env = os.environ.get("SUPERBRAID_CACHE")
     return Path(env) if env else None

@@ -26,7 +26,6 @@ from ..coxeter_complex import (
     CoxeterSpec,
     LocalSystem,
     RelationError,
-    T_VARIANTS,
     build_complex,
     t_local_system,
     trivial_system,
@@ -47,7 +46,8 @@ GATE_ROWS = (3, 4, 5)
 
 
 class CalibrationError(RuntimeError):
-    """No candidate configuration fits the gates."""
+    """No candidate configuration fits the gates, or the type-B module
+    fails its own (check_type_b_gates)."""
 
 
 @functools.cache
@@ -285,36 +285,20 @@ def compute_table(d: int, n_max: int, coeff: str = "z",
 
 # Signed-permutation (type B) side.  The rank-d module splits one dimension
 # off rationally: the companion matrix has eigenvalue -1 for every d, and on
-# that line the calibrated variant acts trivially.  Total Betti numbers
-# therefore decompose as trivial-coefficient Betti numbers plus the reduced
-# part, and the even-n reference polynomials concern the reduced part.
+# that line s_0 = -t acts trivially.  Total Betti numbers therefore
+# decompose as trivial-coefficient Betti numbers plus the reduced part, and
+# the even-n reference polynomials concern the reduced part.
 
 
-def _betti_gate_odd(n: int) -> list[int]:
-    return [1] + [2] * (n - 1) + [1]
-
-
-def _betti_gate_even_reduced(n: int, d: int) -> list[int]:
-    out = [0] * (n + 1)
-    if d % 2 == 0:
-        out[n - 1] = 1
-        out[n] = 1
-    return out
-
-
-def artinB_homology(n: int, d: int, coeff: str = "z",
-                    variant: int | None = None) -> list[AbelianGroup]:
+def artinB_homology(n: int, d: int, coeff: str = "z") -> list[AbelianGroup]:
     """Homology of the type-B Artin group on the rank-d cyclic module."""
-    if variant is None:
-        variant = calibrate_t_variant()
-    spec = CoxeterSpec("B", n)
-    cx = build_complex(spec, t_local_system(n, d, variant=variant))
-    return homology(cx, coeff)
+    return homology(build_complex(CoxeterSpec("B", n), t_local_system(n, d)),
+                    coeff)
 
 
-def artinB_betti(n: int, d: int, variant: int | None = None) -> list[int]:
+def artinB_betti(n: int, d: int) -> list[int]:
     """Rational Betti numbers of the full rank-d module, degrees 0..n."""
-    return [g.rank for g in artinB_homology(n, d, "z", variant)]
+    return [g.rank for g in artinB_homology(n, d)]
 
 
 def artinB_trivial_betti(n: int) -> list[int]:
@@ -323,11 +307,9 @@ def artinB_trivial_betti(n: int) -> list[int]:
     return [g.rank for g in homology(cx, "z")]
 
 
-def artinB_reduced_betti(n: int, d: int,
-                         variant: int | None = None) -> list[int]:
+def artinB_reduced_betti(n: int, d: int) -> list[int]:
     """Betti numbers of the module minus its one-dimensional trivial summand."""
-    return _split_trivial(n, d, artinB_betti(n, d, variant=variant),
-                          artinB_trivial_betti(n))
+    return _split_trivial(n, d, artinB_betti(n, d), artinB_trivial_betti(n))
 
 
 def _split_trivial(n: int, d: int, full: list[int],
@@ -343,31 +325,28 @@ def _split_trivial(n: int, d: int, full: list[int],
 
 
 @functools.cache
-def calibrate_t_variant() -> int:
-    """Select the sign variant reproducing the type-B Betti gates.
+def check_type_b_gates() -> None:
+    """Check the type-B module against its Betti gates, once per process.
 
     Gates, for d in {2, 3}: the full module at n = 3 has Betti numbers
-    (1, 2, 2, 1), and the reduced module at n = 2 has (0, 0, 0) for odd d
-    and (0, 1, 1) for even d.  Kept once per process.
+    (1, 2, 2, 1), and the reduced module at n = 2 has (0, 1, 1) for even d
+    and (0, 0, 0) for odd d.  A failed gate raises CalibrationError naming
+    it, and so does a module that breaks its relations or whose trivial
+    summand does not split off.  A failure is retried.
     """
-    plain = artinB_trivial_betti(2)  # the same for every gate tried
-    outcomes = []
-    for v in range(len(T_VARIANTS)):
-        verdict = "match"
-        for d in (2, 3):
-            try:
-                if artinB_betti(3, d, variant=v) != _betti_gate_odd(3):
-                    verdict = f"mismatch: full Betti gate at (n=3, d={d})"
-                    break
-                reduced = _split_trivial(
-                    2, d, artinB_betti(2, d, variant=v), plain)
-            except (RelationError, ArithmeticError) as err:
-                verdict = f"rejected: {err}"
-                break
-            if reduced != _betti_gate_even_reduced(2, d):
-                verdict = f"mismatch: reduced Betti gate at (n=2, d={d})"
-                break
-        outcomes.append((v, verdict))
-        if verdict == "match":
-            return v
-    raise CalibrationError(f"no sign variant fits the type-B gates: {outcomes}")
+    plain = artinB_trivial_betti(2)  # the same for both reduced gates
+    for d, reduced_gate in ((2, [0, 1, 1]), (3, [0, 0, 0])):
+        try:
+            full = artinB_betti(3, d)
+            if full != [1, 2, 2, 1]:
+                raise CalibrationError(
+                    f"type-B full Betti gate fails at (n=3, d={d}): {full}, "
+                    "not [1, 2, 2, 1]")
+            reduced = _split_trivial(2, d, artinB_betti(2, d), plain)
+        except (RelationError, ArithmeticError) as err:
+            raise CalibrationError(
+                f"type-B module rejected at d={d}: {err}") from err
+        if reduced != reduced_gate:
+            raise CalibrationError(
+                f"type-B reduced Betti gate fails at (n=2, d={d}): {reduced}, "
+                f"not {reduced_gate}")

@@ -29,9 +29,9 @@ def bit_budget() -> int:
     return value
 
 
-def charge(nrows: int, ncols: int, max_abs: int, budget: int | None = None):
+def charge(nrows: int, ncols: int, max_abs: int):
     """Raise ResourceLimitError if a dense reduction might not fit."""
-    limit = bit_budget() if budget is None else budget
+    limit = bit_budget()
     entry_bits = max(max_abs, 1).bit_length() + 1
     needed = nrows * ncols * entry_bits
     if needed > limit:

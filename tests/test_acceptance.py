@@ -129,7 +129,7 @@ def test_criterion_02_complex_soundness():
         build_complex(spec, trivial_system(spec))
         built += 1
         for d in range(2, 7):
-            build_complex(spec, t_local_system(rank, d, variant=2))
+            build_complex(spec, t_local_system(rank, d))
             built += 1
     assert built == 96
     for n in range(2, 11):

@@ -452,6 +452,47 @@ class TestExitCodes:
         assert exc.value.code == 2
         assert "unrecognized arguments: --suite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, option, mode", [
+        (["series", "--p", "2", "--mode", "stable", "--max-t", "3"],
+         "--max-t", "--mode stable"),
+        (["homology", "--n", "4", "--d", "5", "--trivial"],
+         "--d", "--trivial"),
+        (["homology", "--n", "4", "--trivial", "--cache-dir", "X"],
+         "--cache-dir", "--trivial"),
+    ], ids=["series-stable-max-t", "homology-trivial-d",
+            "homology-trivial-cache-dir"])
+    def test_option_its_mode_ignores_is_refused(
+            self, capsys, tmp_path, monkeypatch, argv, option, mode):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"argument {option}: not allowed with {mode}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv, default", [
+        (["series", "--p", "2", "--mode", "local"], ["--max-t", "9"]),
+        (["homology", "--n", "4"], ["--d", "2"])], ids=["series", "homology"])
+    def test_defaults_apply_where_the_option_is_read(self, capsys, argv,
+                                                     default):
+        json_argv = argv + ["--format", "json"]
+        assert (run(capsys, *json_argv)
+                == run(capsys, *json_argv, *default))
+
+    @pytest.mark.parametrize("argv", [
+        ["table", "--d", "2", "--n-max", "3"],
+        ["homology", "--n", "3"],
+        ["verify", "--window", "2:3", "--format", "json"]],
+        ids=["table", "homology", "verify"])
+    def test_empty_cache_dir_maps_to_two(self, capsys, tmp_path, monkeypatch,
+                                         argv):
+        """An empty --cache-dir names no directory; Path('') would be the
+        working directory, which must stay clean."""
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, *argv, "--cache-dir", "")
+        assert (code, out) == (2, "")
+        assert err.startswith("cache error: ")
+        assert list(tmp_path.iterdir()) == []
+
     def test_resource_limit_maps_to_three(self, capsys, monkeypatch):
         from superbraid.homology_engine import calibrate
 

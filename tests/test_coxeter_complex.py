@@ -19,7 +19,6 @@ from superbraid.coxeter_complex import (
     CoxeterSpec,
     LocalSystem,
     RelationError,
-    T_VARIANTS,
     build_complex,
     companion_t_matrix,
     min_coset_reps,
@@ -71,6 +70,19 @@ def surface_system(n, d):
     """Braid generators acting on curve classes, packaged as a local system."""
     rho = build_rep(n, d, construction="B", order="left_to_right").system
     return rho.spec, rho
+
+
+# (s_0 sign, s_i sign): every sign pattern of the type-B module, to cover
+# the assembly on systems the engine does not use.
+SIGN_PAIRS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
+
+
+def signed_t_system(n, d, s0, si):
+    """Type-B system with s_0 acting by s0 * t and s_i by si * 1."""
+    c, eye = companion_t_matrix(d), IntMatrix.identity(d)
+    return LocalSystem(CoxeterSpec("B", n),
+                       [c if s0 == 1 else -c]
+                       + [eye if si == 1 else -eye] * (n - 1))
 
 
 def reference_boundary(spec, rho, k):
@@ -383,24 +395,20 @@ class TestLocalSystems:
             for k in range(1, d):
                 assert minus_c.pow(k) != IntMatrix.identity(d)
 
-    def test_t_variant_catalogue(self):
-        assert T_VARIANTS == ((1, 1), (1, -1), (-1, 1), (-1, -1))
-
-    @pytest.mark.parametrize("variant", [0, 1, 2, 3])
+    @pytest.mark.parametrize("pair", range(len(SIGN_PAIRS)))
     @pytest.mark.parametrize("n,d", [(2, 2), (2, 3), (3, 2), (3, 4)])
-    def test_t_systems_satisfy_artin_relations(self, variant, n, d):
-        sys = t_local_system(n, d, variant=variant)
+    def test_t_systems_satisfy_artin_relations(self, pair, n, d):
+        sys = signed_t_system(n, d, *SIGN_PAIRS[pair])
         assert sys.spec == CoxeterSpec("B", n)
         assert sys.dimension == d
 
     def test_t_system_signs(self):
         c = companion_t_matrix(3)
         eye = IntMatrix.identity(3)
-        sys = t_local_system(3, 3, variant=2)
+        sys = t_local_system(3, 3)
         assert sys.actions[0] == -c
         assert sys.actions[1] == eye and sys.actions[2] == eye
-        sys0 = t_local_system(3, 3, variant=0)
-        assert sys0.actions[0] == c
+        assert sys.actions == signed_t_system(3, 3, -1, 1).actions
 
 
 class TestChainComplexes:
@@ -477,9 +485,9 @@ class TestRunBlocks:
     def test_braid_systems(self, n, d):
         assert assert_reference_boundaries(*surface_system(n, d)) == INT64_COO
 
-    @pytest.mark.parametrize("variant", [0, 1, 2, 3])
-    def test_t_systems(self, variant):
-        rho = t_local_system(4, 3, variant=variant)
+    @pytest.mark.parametrize("pair", range(len(SIGN_PAIRS)))
+    def test_t_systems(self, pair):
+        rho = signed_t_system(4, 3, *SIGN_PAIRS[pair])
         assert assert_reference_boundaries(rho.spec, rho) == INT64_COO
 
     def test_trivial_systems(self):
@@ -619,7 +627,7 @@ class TestRunBlocks:
         monkeypatch.setattr(complexes, "min_coset_reps", recording)
         for (spec, rho), asks in ((surface_system(6, 2), 15),
                                   ((CoxeterSpec("B", 4),
-                                    t_local_system(4, 3, variant=2)), 16)):
+                                    t_local_system(4, 3)), 16)):
             asked.clear()
             _boundaries(spec, rho)
             for shape, gamma, _ in asked:

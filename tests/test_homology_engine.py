@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -19,7 +20,10 @@ import superbraid
 from superbraid.cli.fixtures import fixture
 from superbraid.coxeter_complex import (
     CoxeterSpec,
+    LocalSystem,
+    RelationError,
     build_complex,
+    companion_t_matrix,
     t_local_system,
     trivial_system,
 )
@@ -54,7 +58,7 @@ from superbraid.homology_engine import (
     cache_path,
     cache_root,
     calibrate,
-    calibrate_t_variant,
+    check_type_b_gates,
     coeff_tag,
     compute_table,
     compute_tables,
@@ -335,7 +339,7 @@ class TestSeveralRings:
         from superbraid.cli.main import main
 
         calibrate(1)
-        calibrate_t_variant()
+        check_type_b_gates()
         engine.calibrate.cache_clear()
         builds = count_builds(monkeypatch)
         assert main(["verify", "--window", "2:5,3:5,6:5",
@@ -353,7 +357,7 @@ class TestSeveralRings:
         the rows it lacks, so no row is built twice."""
         from superbraid.cli.main import _window, main
 
-        calibrate_t_variant()  # its type-B complexes are not counted here
+        check_type_b_gates()  # its type-B complexes are not counted here
         builds = count_builds(monkeypatch)
         assert main(["verify", "--window", window, "--format", "json"]) == 0
         capsys.readouterr()
@@ -373,7 +377,7 @@ class TestSeveralRings:
         from superbraid.cli.main import main
 
         for cached in (engine.braid_system, engine.calibrate,
-                       engine.calibrate_t_variant):
+                       engine.check_type_b_gates):
             cached.cache_clear()
         reps = Counter()
         real_build_rep = engine.build_rep
@@ -445,6 +449,14 @@ class TestCache:
         monkeypatch.setenv("SUPERBRAID_CACHE", str(tmp_path))
         assert cache_root() == tmp_path
         assert cache_root(tmp_path / "other") == tmp_path / "other"
+
+    def test_empty_explicit_root_is_refused(self, monkeypatch):
+        """Path('') would be the working directory; an empty
+        SUPERBRAID_CACHE already means no cache."""
+        monkeypatch.setenv("SUPERBRAID_CACHE", "")
+        assert cache_root() is None
+        with pytest.raises(CacheFormatError, match="empty path"):
+            cache_root("")
 
     def test_round_trip_through_engine(self, tmp_path):
         row = braid_twisted_homology(4, 3, cache_dir=tmp_path)
@@ -570,10 +582,11 @@ class TestResourceLimits:
         with pytest.raises(ResourceLimitError):
             bit_budget()
 
-    def test_charge(self):
-        charge(10, 10, 1, budget=1000)
+    def test_charge(self, monkeypatch):
+        monkeypatch.setenv("SUPERBRAID_BIT_BUDGET", "1000")
+        charge(10, 10, 1)
         with pytest.raises(ResourceLimitError, match="exceeds the budget"):
-            charge(100, 100, 1 << 20, budget=1000)
+            charge(100, 100, 1 << 20)
 
     def test_engine_respects_budget(self, monkeypatch):
         calibrate(2)
@@ -799,13 +812,52 @@ class TestUniversalCoefficients:
 
 class TestSignedPermutationSide:
     def test_variant_selection(self):
-        assert calibrate_t_variant() == 2
+        engine.check_type_b_gates.cache_clear()
+        assert check_type_b_gates() is None
+
+    @pytest.mark.parametrize("signs, gate", [
+        ((1, 1), "full Betti gate fails at (n=3, d=3)"),
+        ((1, -1), "full Betti gate fails at (n=3, d=2)")])
+    def test_gate_check_fails_loudly(self, monkeypatch, capsys, signs, gate):
+        """A type-B module of other signs fails a named gate, and a JSON
+        verify then exits 1 with the reason on stderr."""
+        from superbraid.cli.main import main
+
+        s0, si = signs
+
+        def signed(n, d):
+            c, eye = companion_t_matrix(d), IntMatrix.identity(d)
+            return LocalSystem(CoxeterSpec("B", n),
+                               [c if s0 == 1 else -c]
+                               + [eye if si == 1 else -eye] * (n - 1))
+
+        engine.check_type_b_gates.cache_clear()
+        monkeypatch.setattr(engine, "t_local_system", signed)
+        with pytest.raises(CalibrationError, match=re.escape(gate)):
+            check_type_b_gates()
+        assert main(["verify", "--window", "2:3", "--format", "json"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("calibration failed: ") and gate in err
+        monkeypatch.undo()
+        assert check_type_b_gates() is None  # a failure is not kept
+
+    def test_gate_check_wraps_a_rejected_module(self, monkeypatch):
+        def broken(n, d):
+            raise RelationError("T1 T2 T1 T2 = T2 T1 T2 T1")
+
+        engine.check_type_b_gates.cache_clear()
+        monkeypatch.setattr(engine, "t_local_system", broken)
+        with pytest.raises(CalibrationError,
+                           match=r"rejected at d=2: T1 T2 T1 T2") as exc:
+            check_type_b_gates()
+        assert isinstance(exc.value.__cause__, RelationError)
 
     def test_variant_selection_builds_the_trivial_b2_complex_once(
             self, monkeypatch):
         """Every reduced gate subtracts the same trivial-coefficient Betti
         numbers of B_2, so one call builds that complex once."""
-        engine.calibrate_t_variant.cache_clear()
+        engine.check_type_b_gates.cache_clear()
         trivial_b2 = []
         real_build = engine.build_complex
 
@@ -815,7 +867,7 @@ class TestSignedPermutationSide:
             return real_build(spec, rho, *args, **kwargs)
 
         monkeypatch.setattr(engine, "build_complex", build_complex)
-        assert calibrate_t_variant() == 2
+        assert check_type_b_gates() is None
         assert len(trivial_b2) == 1
         assert all(a == IntMatrix.identity(1) for a in trivial_b2[0].actions)
 
@@ -859,11 +911,10 @@ def _sweep_complexes():
             spec = CoxeterSpec(family, rank)
             yield f"trivial {family}{rank}", build_complex(
                 spec, trivial_system(spec))
-    variant = calibrate_t_variant()
     for n in range(2, 7):
         for d in range(2, 5):
             yield (f"t-system n={n} d={d}", build_complex(
-                CoxeterSpec("B", n), t_local_system(n, d, variant=variant)))
+                CoxeterSpec("B", n), t_local_system(n, d)))
 
 
 @pytest.fixture(scope="module")

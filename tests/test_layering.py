@@ -1,13 +1,16 @@
 """Layering: no module imports a private name from another subpackage,
 nothing outside the command-line front end imports it, the engine does not
 read the reference tables, the local systems of coxeter_complex do not
-import the curve representation built on them, and no module keeps mutable
-state of its own (what a process keeps lives in functools caches)."""
+import the curve representation built on them, no module keeps mutable
+state of its own (what a process keeps lives in functools caches), and the
+program's environment variables and options match a pinned inventory."""
 
 from __future__ import annotations
 
+import argparse
 import ast
 from pathlib import Path
+from types import MappingProxyType
 
 import superbraid
 
@@ -205,3 +208,65 @@ def test_checker_flags_mutable_module_state():
     assert not mutable_module_state("def f():\n    seen = []")
     assert not mutable_module_state("class C:\n    rows = []")
     assert not mutable_module_state("_ANNOTATED: dict")
+
+
+def environment_reads(source: str) -> list[str]:
+    """The variables source reads through os.environ.get, os.environ[...]
+    or os.getenv.  A key that is not a string literal reads as its source
+    text, so it cannot pass for a name of the inventory."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        key = None
+        if (isinstance(node, ast.Call) and node.args and ast.unparse(
+                node.func) in ("os.environ.get", "os.getenv")):
+            key = node.args[0]
+        elif (isinstance(node, ast.Subscript)
+              and ast.unparse(node.value) == "os.environ"):
+            key = node.slice
+        if key is not None:
+            literal = (isinstance(key, ast.Constant)
+                       and isinstance(key.value, str))
+            found.append(key.value if literal else ast.unparse(key))
+    return found
+
+
+# Every knob of the program: the environment variables it reads and each
+# subcommand's options (help aside).  A new one is an edit to this table.
+ENVIRONMENT = frozenset({"SUPERBRAID_BIT_BUDGET", "SUPERBRAID_CACHE"})
+OPTIONS = MappingProxyType({
+    "twist": ("--n", "--d", "--k", "--construction", "--format"),
+    "homology": ("--n", "--d", "--coeff", "--trivial", "--cache-dir",
+                 "--format"),
+    "table": ("--d", "--n-max", "--cache-dir", "--format"),
+    "series": ("--p", "--mode", "--max-q", "--max-t", "--format"),
+    "verify": ("--window", "--inject-fault", "--cache-dir", "--format"),
+})
+
+
+def test_knob_inventory():
+    from superbraid.cli.main import build_parser
+
+    read = {name for _, source, _ in _modules()
+            for name in environment_reads(source)}
+    assert read == ENVIRONMENT
+    parser = build_parser()
+    [commands] = [action for action in parser._actions
+                  if isinstance(action, argparse._SubParsersAction)]
+    options = {name: tuple(option for action in sub._actions
+                           if not isinstance(action, argparse._HelpAction)
+                           for option in action.option_strings)
+               for name, sub in commands.choices.items()}
+    assert options == dict(OPTIONS)
+
+
+def test_checker_finds_environment_reads():
+    assert environment_reads('import os\nos.environ.get("A", "1")') == ["A"]
+    assert environment_reads('x = os.environ["B"]') == ["B"]
+    assert environment_reads('os.getenv("C")') == ["C"]
+    assert environment_reads("os.getenv(NAME)") == ["NAME"]
+    assert environment_reads('os.environ.get(f"X_{k}")') == ["f'X_{k}'"]
+    assert environment_reads(
+        'def f():\n    return os.environ["D"]') == ["D"]
+    assert not environment_reads('config.get("A")')
+    assert not environment_reads('os.environ.copy()')
+    assert not environment_reads('"os.getenv(\'A\')"')
