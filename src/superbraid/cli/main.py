@@ -17,6 +17,7 @@ from ..homology_engine import (
     braid_trivial_homology,
     braid_twisted_homology,
     braid_twisted_rows,
+    cache_root,
     calibrate,
     check_type_b_gates,
     compute_table,
@@ -40,10 +41,6 @@ LOCAL_PRIMES = ((2, 2), (3, 3), (2, 4), (5, 5), (2, 6), (3, 6))
 
 # Every table verify reads: the integral one and the three the laws need.
 VERIFY_RINGS = ("z", "f:2", "f:3", "f:5")
-
-# The type-B signs (s_0 by -t, s_i by +1) as index 2 of the (s_0, s_i) sign
-# pairs (+, +), (+, -), (-, +), (-, -).
-T_VARIANT = 2
 
 
 def _reasoned(parse):
@@ -185,6 +182,7 @@ def _cell_status(fix, n: int, i: int, computed) -> tuple[str, str | None]:
 
 def cmd_table(args) -> int:
     if args.d == 1:
+        cache_root(args.cache_dir)  # an empty path is refused here too
         if args.format == "json":
             _emit_json({"d": 1, "coeff": "z", "cells": [], "mismatches": []})
         elif args.format == "csv":
@@ -258,7 +256,7 @@ def cmd_series(args) -> int:
 def _injected_fault_report() -> Report:
     """Flip one boundary sign and confirm the composition check trips."""
     spec = CoxeterSpec("A", 3)
-    cx = build_complex(spec, braid_system(4, 2, "B", "left_to_right"))
+    cx = build_complex(spec, braid_system(4, 2))
     for k in range(spec.rank, 1, -1):
         low, high = cx.boundary(k - 1), cx.boundary(k)
         for r, c, at in sorted(zip(high.rows.tolist(), high.cols.tolist(),
@@ -295,6 +293,8 @@ def _golden_report(d: int, table) -> Report:
 
 
 def cmd_verify(args) -> int:
+    cache_root(args.cache_dir)  # refused even when no row reaches the cache
+    check_type_b_gates()
     window = args.window
     checks: list[Report] = []
     if args.inject_fault:
@@ -311,10 +311,9 @@ def cmd_verify(args) -> int:
             checks.append(Report(f"calibration d={d}", False, 0,
                                  (str(err),)))
             continue
-        fingerprints[d] = cal.fingerprint()
-        checks.append(Report(f"calibration d={d}", True, len(cal.outcomes),
-                             (), tuple(f"{c}/{o}: {msg}"
-                                       for c, o, msg in cal.outcomes)))
+        fingerprints[d] = fp = cal.fingerprint()
+        checks.append(Report(f"calibration d={d}", True, len(cal.rows), (),
+                             (f"{fp['construction']}/{fp['order']}: match",)))
         by_ring = compute_tables(d, n_max, VERIFY_RINGS,
                                  cache_dir=args.cache_dir)
         table = by_ring["z"]
@@ -353,11 +352,8 @@ def cmd_verify(args) -> int:
             checks.append(verify_covering_iso(1, d_odd, 2, pair))
     failures = [c for c in checks if not c.ok]
     if args.format == "json":
-        check_type_b_gates()
         _emit_json({
-            "suite": "reference",
             "window": {str(d): n for d, n in sorted(window.items())},
-            "t_variant": T_VARIANT,
             "fingerprints": {str(d): fp
                              for d, fp in sorted(fingerprints.items())},
             "checks": [{"name": c.name, "ok": c.ok, "checked": c.checked,

@@ -1,12 +1,13 @@
 """Calibrated homology of braid and signed-permutation Artin groups.
 
-The twist construction and composition order are not pinned down by the
-defining relations alone, so the engine calibrates once per d: it keeps
-the first candidate configuration whose generators are the reduced Burau
-representation at t = zeta_d, certified at n = 3, 4, 5 by an integral
-unimodular intertwiner (surface_rep.burau).  It builds no complex and
-reads no reference table to do so.  Every cached result records the
-winning fingerprint.
+The engine computes with one representation of the braid group on the
+curve classes: construction B, its transvections composed left to right
+(surface_rep.twists).  The defining relations alone do not pin it down, so
+the engine certifies it once per d: at n = 3, 4, 5 its generators are the
+reduced Burau representation at t = zeta_d, by an integral unimodular
+intertwiner (surface_rep.burau).  It builds no complex and reads no
+reference table to do so.  Every cached result records the
+representation's fingerprint.
 
 A row is computed over every coefficient ring a caller needs from one
 build of its complex: the representation, the Salvetti complex and its
@@ -36,25 +37,22 @@ from ..surface_rep.burau import burau, intertwiner
 from .cache import cache_root, load, parse_coeff, store
 from .limits import charge
 
-CALIBRATION_GRID = (
-    ("B", "left_to_right"),
-    ("B", "right_to_left"),
-    ("A", "left_to_right"),
-)
+# The one representation the engine computes with, as build_rep names it.
+CONSTRUCTION, ORDER = "B", "left_to_right"
 
 GATE_ROWS = (3, 4, 5)
 
 
 class CalibrationError(RuntimeError):
-    """No candidate configuration fits the gates, or the type-B module
-    fails its own (check_type_b_gates)."""
+    """The representation is not reduced Burau on a gate row, or the
+    type-B module fails its own gates (check_type_b_gates)."""
 
 
 @functools.cache
-def braid_system(n: int, d: int, construction: str, order: str) -> LocalSystem:
+def braid_system(n: int, d: int) -> LocalSystem:
     """The n-strand braid generators acting on the curve classes, as a
     local system on the type-A Salvetti complex, built once per process."""
-    return build_rep(n, d, construction=construction, order=order).system
+    return build_rep(n, d, construction=CONSTRUCTION, order=ORDER).system
 
 
 def homology(cx, coeff: str) -> list[AbelianGroup]:
@@ -100,17 +98,16 @@ def homology(cx, coeff: str) -> list[AbelianGroup]:
 
 @dataclass(frozen=True)
 class CalibrationResult:
-    """The configuration selected for one d, with the full grid record."""
+    """The certificate for one d: on each gate row the representation is
+    reduced Burau at t = zeta_d."""
 
     d: int
-    construction: str
-    order: str
-    outcomes: tuple[tuple[str, str, str], ...]
+    rows: tuple[int, ...] = GATE_ROWS
 
     def fingerprint(self) -> dict:
         return {
-            "construction": self.construction,
-            "order": self.order,
+            "construction": CONSTRUCTION,
+            "order": ORDER,
             "side": DEFAULT_CONVENTION.side,
             "mu_base": DEFAULT_CONVENTION.mu_base,
         }
@@ -132,48 +129,32 @@ def _burau_mismatch(n: int, d: int, rho: LocalSystem) -> str | None:
 
 @functools.cache
 def calibrate(d: int) -> CalibrationResult:
-    """Select the construction/order pair whose generators are reduced
-    Burau at t = zeta_d.
+    """Certify that the representation is reduced Burau at t = zeta_d.
 
-    A candidate's gate representations n = 3, 4, 5 are built, with their
-    relations checked, and then each generator T_k is tested against
-    X * T_k = B_k * X, n by n and k by k; the first generator that fails
-    ends it.  For d = 1 the coefficient module is zero and every
-    configuration agrees, so the first grid entry is returned without
-    gating.  Each d is calibrated once per process; a failure is retried.
+    The gate representations n = 3, 4, 5 are built, with their relations
+    checked, and then each generator T_k is tested against
+    X * T_k = B_k * X, n by n and k by k.  A rejected relation, or the
+    first generator that fails, raises CalibrationError naming it.  At
+    d = 1 every matrix is 0 x 0 and the same check passes.  X is
+    invertible, so the certified matrices are X^-1 B_k X.  Each d is
+    certified once per process; a failure is retried.
     """
     if d < 1:
         raise ValueError("d must be >= 1")
-    if d == 1:
-        return CalibrationResult(
-            1, *CALIBRATION_GRID[0],
-            outcomes=((*CALIBRATION_GRID[0], "match: rank-0 module"),))
-    outcomes = []
-    for construction, order in CALIBRATION_GRID:
-        # Every gate representation is built, and its relations checked,
-        # before any generator is compared, so a rejection outranks a
-        # mismatch.
-        try:
-            systems = {n: braid_system(n, d, construction, order)
-                       for n in GATE_ROWS}
-        except RelationError as err:
-            outcomes.append((construction, order, f"rejected: {err}"))
-            continue
-        why = None
-        for n, rho in systems.items():
-            why = _burau_mismatch(n, d, rho)
-            if why is not None:
-                break
-        outcomes.append((construction, order,
-                         "match" if why is None else f"mismatch at {why}"))
-    # X is invertible, so T_k = X^-1 B_k X: every candidate that matches
-    # has the same matrices, and the first one stands for them all.
-    matches = [(c, o) for c, o, msg in outcomes if msg == "match"]
-    if not matches:
-        detail = "; ".join(f"{c}/{o}: {msg}" for c, o, msg in outcomes)
+    failed = f"the representation is not reduced Burau at t = zeta_{d}"
+    # Every gate representation is built, and its relations checked,
+    # before any generator is compared, so a rejection outranks a mismatch.
+    try:
+        systems = {n: braid_system(n, d) for n in GATE_ROWS}
+    except RelationError as err:
         raise CalibrationError(
-            f"no configuration is reduced Burau at t = zeta_{d} ({detail})")
-    return CalibrationResult(d, *matches[0], tuple(outcomes))
+            f"{failed} ({CONSTRUCTION}/{ORDER}: rejected: {err})") from err
+    for n, rho in systems.items():
+        why = _burau_mismatch(n, d, rho)
+        if why is not None:
+            raise CalibrationError(
+                f"{failed} ({CONSTRUCTION}/{ORDER}: mismatch at {why})")
+    return CalibrationResult(d)
 
 
 def braid_twisted_rows(n: int, d: int, coeffs=("z",),
@@ -192,8 +173,7 @@ def braid_twisted_rows(n: int, d: int, coeffs=("z",),
         raise ValueError("need n >= 1 and d >= 1")
     for coeff in coeffs:
         parse_coeff(coeff)
-    cal = calibrate(d)
-    fp = cal.fingerprint()
+    fp = calibrate(d).fingerprint()
     root = cache_root(cache_dir)
     rows = {}
     if root is not None:
@@ -203,7 +183,7 @@ def braid_twisted_rows(n: int, d: int, coeffs=("z",),
                 rows[coeff] = hit
     missing = [coeff for coeff in coeffs if coeff not in rows]
     if missing:
-        rho = braid_system(n, d, cal.construction, cal.order)
+        rho = braid_system(n, d)
         cx = build_complex(rho.spec, rho)
         fresh = {coeff: homology(cx, coeff) for coeff in missing}
         if root is not None:

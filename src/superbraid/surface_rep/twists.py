@@ -14,9 +14,10 @@ construction.
 
 The constructions genuinely differ (at n = 2 they are negatives of each
 other), and only B is symplectic for n >= 3; :func:`convention_audit`
-reports the comparison.  Downstream homology selects a construction by
-calibration (engine.calibrate): the first whose generators intertwine
-unimodularly with the reduced Burau representation at t = zeta_d.
+reports the comparison.  Downstream homology computes with construction
+B composed left to right, and engine.calibrate certifies that its
+generators intertwine unimodularly with the reduced Burau representation
+at t = zeta_d.
 
 A :class:`SurfaceRep` is a type-A local system
 (:class:`~superbraid.coxeter_complex.LocalSystem`), which checks the braid

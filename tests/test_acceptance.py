@@ -13,7 +13,12 @@ from itertools import product
 import pytest
 
 from superbraid.cli.fixtures import UNKNOWN, fixture
-from superbraid.coxeter_complex import CoxeterSpec, build_complex, trivial_system
+from superbraid.coxeter_complex import (
+    CoxeterSpec,
+    RelationError,
+    build_complex,
+    trivial_system,
+)
 from superbraid.coxeter_complex.systems import t_local_system
 from superbraid.exact_linalg import IntMatrix, product_is_zero, snf
 from superbraid.homology_engine import (
@@ -33,6 +38,7 @@ from superbraid.homology_engine import (
 )
 from superbraid.series import compare_local, stable_series
 from superbraid.surface_rep import build_rep, convention_audit, root_check
+from superbraid.surface_rep.burau import burau, intertwiner
 
 WINDOWS = {2: 10, 3: 10, 4: 9, 5: 9, 6: 8}
 
@@ -121,8 +127,7 @@ def test_criterion_02_complex_soundness():
         build_complex(spec, trivial_system(spec))
         built += 1
         for d in range(2, 7):
-            build_complex(spec, braid_system(rank + 1, d, "B",
-                                              "left_to_right"))
+            build_complex(spec, braid_system(rank + 1, d))
             built += 1
     for rank in range(1, 8):
         spec = CoxeterSpec("B", rank)
@@ -143,19 +148,21 @@ def test_criterion_02_complex_soundness():
 
 def test_criterion_03_calibration():
     for d in range(2, 7):
-        cal = calibrate(d)
-        assert cal.construction == "B"
-        assert cal.order == "left_to_right"
-        matches = [(c, o) for c, o, msg in cal.outcomes if msg == "match"]
+        fp = calibrate(d).fingerprint()
+        assert fp["construction"] == "B"
+        assert fp["order"] == "left_to_right"
         if d == 2:
-            assert matches == [("B", "left_to_right"),
-                               ("B", "right_to_left")]
             for n in (3, 4, 5):
                 ltr = build_rep(n, 2, order="left_to_right")
                 rtl = build_rep(n, 2, order="right_to_left")
                 assert ltr.matrices == rtl.matrices
         else:
-            assert matches == [("B", "left_to_right")]
+            with pytest.raises(RelationError, match="T1 T2 T1 = T2 T1 T2"):
+                build_rep(3, d, order="right_to_left")
+        # construction A's first generator is not reduced Burau at n = 3
+        x = intertwiner(3, d)
+        assert (x * build_rep(3, d, construction="A").generator(1)
+                != burau(3, d, 1) * x)
     audit = convention_audit(3, 2)
     assert not audit["agree"]
     assert audit["blocks"]["1,1"] == "negated"

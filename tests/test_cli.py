@@ -359,6 +359,15 @@ class TestVerify:
         }
         assert payload["failures"] == []
 
+    def test_rank_zero_module_is_certified_like_the_rest(self, capsys):
+        code, out, _ = run(capsys, "verify", "--window", "1:4",
+                           "--format", "json")
+        assert code == 0
+        (report,) = [c for c in json.loads(out)["checks"]
+                     if c["name"] == "calibration d=1"]
+        assert report["ok"] and report["checked"] == 3
+        assert report["notes"] == ["B/left_to_right: match"]
+
     def test_injected_fault_is_caught(self, capsys):
         code, out, _ = run(capsys, "verify", "--window", "",
                            "--inject-fault")
@@ -406,8 +415,8 @@ class TestVerify:
                            "--format", "json")
         assert code == 0
         payload = json.loads(out)
-        assert payload["suite"] == "reference"
-        assert payload["t_variant"] == 2
+        assert "suite" not in payload
+        assert "t_variant" not in payload
         assert payload["fingerprints"]["2"]["order"] == "left_to_right"
         assert payload["window"] == {"2": 4}
 
@@ -481,8 +490,10 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [
         ["table", "--d", "2", "--n-max", "3"],
         ["homology", "--n", "3"],
-        ["verify", "--window", "2:3", "--format", "json"]],
-        ids=["table", "homology", "verify"])
+        ["verify", "--window", "2:3", "--format", "json"],
+        ["table", "--d", "1", "--n-max", "3"],
+        ["verify", "--window", ""]],
+        ids=["table", "homology", "verify", "table-d1", "verify-empty"])
     def test_empty_cache_dir_maps_to_two(self, capsys, tmp_path, monkeypatch,
                                          argv):
         """An empty --cache-dir names no directory; Path('') would be the

@@ -40,7 +40,6 @@ from superbraid.exact_linalg import (
 from superbraid.exact_linalg.snf import _unit_pivot_phase
 from superbraid.homology_engine import (
     CACHE_VERSION,
-    CALIBRATION_GRID,
     CacheConflictError,
     CacheFormatError,
     CalibrationError,
@@ -73,7 +72,8 @@ from superbraid.homology_engine import (
 from superbraid.homology_engine import engine
 from superbraid.homology_engine.cache import decode_groups, load, store
 from superbraid.homology_engine.limits import charge
-from superbraid.surface_rep import basis, twists
+from superbraid.surface_rep import basis, build_rep, twists
+from superbraid.surface_rep.burau import burau, intertwiner
 
 
 def group(rank, *torsion):
@@ -114,51 +114,82 @@ class TestParseCoeff:
             parse_coeff(bad)
 
 
+def a_misses_burau(n, d):
+    """Whether X * T_1 = B_1 * X fails for construction A's T_1."""
+    a = build_rep(n, d, construction="A")
+    x = intertwiner(n, d)
+    return x * a.generator(1) != burau(n, d, 1) * x
+
+
 class TestCalibration:
     def test_geometric_order_wins_for_every_d(self):
         for d in range(2, 7):
-            cal = calibrate(d)
-            assert (cal.construction, cal.order) == ("B", "left_to_right")
+            fp = calibrate(d).fingerprint()
+            assert (fp["construction"], fp["order"]) == ("B", "left_to_right")
 
     def test_grid_record_d2(self):
-        # both composition orders coincide at d=2 (a single twist factor),
-        # so they count as one configuration; the other construction's
-        # first generator is not reduced Burau
-        outcomes = {(c, o): msg for c, o, msg in calibrate(2).outcomes}
-        assert outcomes[("B", "left_to_right")] == "match"
-        assert outcomes[("B", "right_to_left")] == "match"
-        a_msg = outcomes[("A", "left_to_right")]
-        assert a_msg.startswith("mismatch at (n=3, k=1)")
-        assert a_msg.endswith("not reduced Burau at t = zeta_d")
+        # both composition orders coincide at d=2 (a single twist factor);
+        # the other construction's first generator is not reduced Burau
+        calibrate(2)
+        for n in engine.GATE_ROWS:
+            assert (build_rep(n, 2, order="right_to_left").matrices
+                    == build_rep(n, 2, order="left_to_right").matrices)
+        assert a_misses_burau(3, 2)
 
     @pytest.mark.parametrize("d", [3, 4, 5, 6])
     def test_grid_record_deeper_twists(self, d):
-        outcomes = {(c, o): msg for c, o, msg in calibrate(d).outcomes}
-        assert outcomes[("B", "left_to_right")] == "match"
-        assert outcomes[("B", "right_to_left")].startswith("rejected:")
-        assert outcomes[("A", "left_to_right")].startswith(
-            "mismatch at (n=3, k=1)")
+        calibrate(d)
+        with pytest.raises(RelationError, match="T1 T2 T1 = T2 T1 T2"):
+            build_rep(3, d, order="right_to_left")
+        assert a_misses_burau(3, d)
 
-    def test_reversed_order_rejection_names_the_relation(self):
-        outcomes = {(c, o): msg for c, o, msg in calibrate(3).outcomes}
-        assert "T1 T2 T1" in outcomes[("B", "right_to_left")]
+    def test_reversed_order_rejection_names_the_relation(self, monkeypatch):
+        """A representation that breaks a braid relation is rejected, with
+        the relation named, and the rejection is not kept."""
+        real = engine.build_rep
 
-    def test_rank_zero_module_shortcut(self):
-        cal = calibrate(1)
-        assert (cal.construction, cal.order) == CALIBRATION_GRID[0]
-        assert "rank-0" in cal.outcomes[0][2]
+        def reversed_order(n, d, **kwargs):
+            return real(n, d, construction="B", order="right_to_left")
+
+        for cached in (engine.calibrate, engine.braid_system):
+            cached.cache_clear()
+        monkeypatch.setattr(engine, "build_rep", reversed_order)
+        with pytest.raises(CalibrationError) as err:
+            calibrate(3)
+        assert ("B/left_to_right: rejected: T1 T2 T1 = T2 T1 T2"
+                in str(err.value))
+        assert isinstance(err.value.__cause__, RelationError)
+        assert calibrate.cache_info().currsize == 0
+        monkeypatch.undo()
+        assert calibrate(3).d == 3
+
+    def test_rank_zero_module_takes_the_same_check(self, monkeypatch):
+        """At d = 1 the gate systems are built and compared like any
+        other d; every matrix is 0 x 0."""
+        engine.calibrate.cache_clear()
+        engine.braid_system.cache_clear()
+        compared = []
+        real = engine._burau_mismatch
+
+        def mismatch(n, d, rho):
+            compared.append((n, d, rho.dimension))
+            return real(n, d, rho)
+
+        monkeypatch.setattr(engine, "_burau_mismatch", mismatch)
+        assert calibrate(1).rows == engine.GATE_ROWS
+        assert compared == [(n, 1, 0) for n in engine.GATE_ROWS]
 
     def test_uncalibratable_d(self):
         """Only d < 1 is refused: calibration reads no reference rows, so
         d = 7, past the reference tables, calibrates like the rest."""
-        cal = calibrate(7)
-        assert (cal.construction, cal.order) == ("B", "left_to_right")
+        fp = calibrate(7).fingerprint()
+        assert (fp["construction"], fp["order"]) == ("B", "left_to_right")
         with pytest.raises(ValueError):
             calibrate(0)
 
     def test_no_burau_candidate_is_an_error(self, monkeypatch):
-        """With one sign of the intertwiner flipped no candidate matches,
-        and the error lists every verdict."""
+        """With one sign of the intertwiner flipped the representation
+        fails its first generator, and the error names it."""
         real = engine.intertwiner
 
         def flipped(n, d):
@@ -172,8 +203,36 @@ class TestCalibration:
         with pytest.raises(CalibrationError) as err:
             calibrate(3)
         assert "B/left_to_right: mismatch at (n=3, k=1)" in str(err.value)
-        assert "B/right_to_left: rejected" in str(err.value)
+        assert "zeta_3" in str(err.value)
         assert calibrate.cache_info().currsize == kept
+
+    def test_certificate_covers_every_gate_row(self, monkeypatch, capsys):
+        """An intertwiner wrong only at n = 5 fails calibration there, not
+        at n = 3, and a verify of that d then fails its calibration
+        report."""
+        from superbraid.cli.main import main
+
+        real = engine.intertwiner
+
+        def wrong_at_five(n, d):
+            x = real(n, d)
+            if n == 5:
+                x.entries[(0, 0)] = -x.entries[(0, 0)]
+            return x
+
+        engine.calibrate.cache_clear()
+        monkeypatch.setattr(engine, "intertwiner", wrong_at_five)
+        with pytest.raises(CalibrationError,
+                           match=re.escape("mismatch at (n=5, k=1)")):
+            calibrate(3)
+        assert calibrate.cache_info().currsize == 0
+        assert main(["verify", "--window", "3:5", "--format", "json"]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["failures"] == ["calibration d=3"]
+        (report,) = payload["checks"]
+        assert "(n=5, k=1)" in report["violations"][0]
+        monkeypatch.undo()
+        assert calibrate(3).d == 3  # a failure is not kept
 
     def test_fingerprint_records_every_convention(self):
         assert calibrate(3).fingerprint() == {
@@ -188,17 +247,15 @@ class TestCalibration:
 
     @pytest.mark.parametrize("d", [2, 4])
     def test_calibration_builds_no_complex(self, monkeypatch, d):
-        """Calibration compares each candidate's generators with reduced
-        Burau and builds no complex.  A/left_to_right mismatches at its
-        first generator; B/right_to_left is rejected at d >= 3 while its
-        representations are built."""
-        engine.calibrate.cache_clear()
+        """Calibration builds the gate systems n = 3, 4, 5, compares their
+        generators with reduced Burau, and builds no complex."""
+        systems = engine.braid_system
+        for cached in (engine.calibrate, systems):
+            cached.cache_clear()
         builds = count_builds(monkeypatch)
-        outcomes = calibrate(d).outcomes
+        assert calibrate(d).rows == engine.GATE_ROWS
         assert not builds
-        assert [msg.split(":")[0] for _, _, msg in outcomes] == (
-            ["match", "match", "mismatch at (n=3, k=1)"] if d == 2 else
-            ["match", "rejected", "mismatch at (n=3, k=1)"])
+        assert systems.cache_info().currsize == len(engine.GATE_ROWS)
 
 
 class TestTwistedHomology:
@@ -243,6 +300,10 @@ class TestBraidSystem:
                               (4, 3, "A")])
     def test_is_the_local_system_of_the_rep(self, monkeypatch, n, d,
                                             construction):
+        """braid_system builds one representation, construction B composed
+        left to right, and is its local system; it agrees with
+        build_rep(n, d, construction) exactly when that names B (at
+        (4, 3) construction A has other matrices)."""
         real_build_rep, reps = engine.build_rep, []
 
         def build_rep(*args, **kwargs):
@@ -251,12 +312,15 @@ class TestBraidSystem:
 
         engine.braid_system.cache_clear()
         monkeypatch.setattr(engine, "build_rep", build_rep)
-        rho = engine.braid_system(n, d, construction, "left_to_right")
+        rho = engine.braid_system(n, d)
         (rep,) = reps
+        assert (rep.construction, rep.order) == ("B", "left_to_right")
         assert rho is rep.system
         assert rho.actions == tuple(rep.matrices)
         assert rho.spec == CoxeterSpec("A", n - 1)
         assert rho.dimension == rep.dim
+        other = real_build_rep(n, d, construction=construction)
+        assert (rho.actions == tuple(other.matrices)) == (construction == "B")
 
     def test_unimodularity_is_checked_once_per_generator(self, monkeypatch):
         n = 5
@@ -268,7 +332,7 @@ class TestBraidSystem:
 
             monkeypatch.setattr(module, "snf", counted)
         engine.braid_system.cache_clear()
-        engine.braid_system(n, 3, "B", "left_to_right")
+        engine.braid_system(n, 3)
         assert len(calls) == n - 1
 
 
@@ -304,15 +368,15 @@ RINGS = ("z", "f:2", "f:3", "f:5")
 
 
 def count_builds(monkeypatch) -> Counter:
-    """Count the engine's complex builds by (n, d, construction, order) of
-    their braid system; a complex of any other system counts under None."""
+    """Count the engine's complex builds by (n, d) of their braid system; a
+    complex of any other system counts under None."""
     systems = {}
     builds = Counter()
     real_system, real_build = engine.braid_system, engine.build_complex
 
-    def braid_system(n, d, construction, order):
-        rho = real_system(n, d, construction, order)
-        systems[id(rho)] = (rho, (n, d, construction, order))
+    def braid_system(n, d):
+        rho = real_system(n, d)
+        systems[id(rho)] = (rho, (n, d))
         return rho
 
     def build_complex(spec, rho, *args, **kwargs):
@@ -335,7 +399,7 @@ class TestSeveralRings:
     def test_verify_builds_each_complex_once(self, monkeypatch, capsys):
         """Counting the calibrations too: they build no complex, so each
         row of the window, the gate rows n = 3, 4, 5 included, is built
-        once, by the winning configuration, and no other is built."""
+        once."""
         from superbraid.cli.main import main
 
         calibrate(1)
@@ -345,7 +409,7 @@ class TestSeveralRings:
         assert main(["verify", "--window", "2:5,3:5,6:5",
                      "--format", "json"]) == 0
         capsys.readouterr()
-        assert builds == Counter({(n, d, "B", "left_to_right"): 1
+        assert builds == Counter({(n, d): 1
                                   for d in (1, 2, 3, 6) for n in range(1, 6)})
 
     @pytest.mark.parametrize("window, twice", [
@@ -363,11 +427,11 @@ class TestSeveralRings:
         capsys.readouterr()
         rows = _window(window)
         reach = max(rows[d] for d in (3, 5) if d in rows)
-        expected = Counter({(n, d, "B", "left_to_right"): 1
+        expected = Counter({(n, d): 1
                             for d, n_max in rows.items()
                             for n in range(1, n_max + 1)})
         for n in range(1, reach + 1):
-            expected[(n, 1, "B", "left_to_right")] = 1 + (n in twice)
+            expected[(n, 1)] = 1 + (n in twice)
         assert builds == expected
 
     def test_verify_builds_each_braid_system_once(self, monkeypatch, capsys):
@@ -428,9 +492,9 @@ class TestSeveralRings:
     @pytest.mark.parametrize("n", [4, 6])
     def test_cache_serves_what_it_holds(self, tmp_path, monkeypatch, n):
         """A gate row (n = 4) misses the cache like any other row: its
-        complex is built once, by the winning configuration."""
+        complex is built once."""
         assert self.fill_from_cache(tmp_path, monkeypatch, n) == Counter(
-            {(n, 3, "B", "left_to_right"): 1})
+            {(n, 3): 1})
 
 
 class TestCache:
@@ -819,8 +883,8 @@ class TestSignedPermutationSide:
         ((1, 1), "full Betti gate fails at (n=3, d=3)"),
         ((1, -1), "full Betti gate fails at (n=3, d=2)")])
     def test_gate_check_fails_loudly(self, monkeypatch, capsys, signs, gate):
-        """A type-B module of other signs fails a named gate, and a JSON
-        verify then exits 1 with the reason on stderr."""
+        """A type-B module of other signs fails a named gate, and a verify
+        in either format then exits 1 with the reason on stderr."""
         from superbraid.cli.main import main
 
         s0, si = signs
@@ -835,10 +899,11 @@ class TestSignedPermutationSide:
         monkeypatch.setattr(engine, "t_local_system", signed)
         with pytest.raises(CalibrationError, match=re.escape(gate)):
             check_type_b_gates()
-        assert main(["verify", "--window", "2:3", "--format", "json"]) == 1
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err.startswith("calibration failed: ") and gate in err
+        for form in (["--format", "json"], []):
+            assert main(["verify", "--window", "2:3", *form]) == 1
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err.startswith("calibration failed: ") and gate in err
         monkeypatch.undo()
         assert check_type_b_gates() is None  # a failure is not kept
 
@@ -901,11 +966,9 @@ class TestSignedPermutationSide:
 
 def _sweep_complexes():
     for d in range(2, 7):
-        cal = calibrate(d)
         for n in range(2, 9):
             yield (f"braid n={n} d={d}", build_complex(
-                CoxeterSpec("A", n - 1),
-                engine.braid_system(n, d, cal.construction, cal.order)))
+                CoxeterSpec("A", n - 1), engine.braid_system(n, d)))
     for family in ("A", "B"):
         for rank in range(1, 9):
             spec = CoxeterSpec(family, rank)
@@ -924,9 +987,7 @@ def sweep_complexes():
 
 @pytest.fixture(scope="module")
 def braid_complex_6_3():
-    cal = calibrate(3)
-    return build_complex(CoxeterSpec("A", 5),
-                         engine.braid_system(6, 3, cal.construction, cal.order))
+    return build_complex(CoxeterSpec("A", 5), engine.braid_system(6, 3))
 
 
 @settings(max_examples=20, deadline=None)
@@ -1060,10 +1121,7 @@ class TestBottomUpSweep:
             return form
 
         monkeypatch.setattr(engine, "snf", recording_snf)
-        cal = calibrate(2)
-        cx = build_complex(
-            CoxeterSpec("A", 4),
-            engine.braid_system(5, 2, cal.construction, cal.order))
+        cx = build_complex(CoxeterSpec("A", 4), engine.braid_system(5, 2))
         engine.homology(cx, "z")
         assert list(calls[0][0].stored()) == list(cx.boundary(1).stored())
         for k, ((_, lower), (m, _)) in enumerate(zip(calls, calls[1:]),
@@ -1142,9 +1200,7 @@ PIVOT_ROWS = ((8, 2), (7, 3), (8, 4))
 def _swept_pivots(n: int, d: int, coeff: str) -> list[list[int]]:
     """pivot_cols of each boundary of row (n, d), in degree order, as the
     bottom-up sweep of engine.homology takes them over coeff."""
-    cal = calibrate(d)
-    cx = build_complex(CoxeterSpec("A", n - 1),
-                       engine.braid_system(n, d, cal.construction, cal.order))
+    cx = build_complex(CoxeterSpec("A", n - 1), engine.braid_system(n, d))
     forms = []
     name = "rank_mod_p" if coeff != "z" else "snf"
     real = getattr(engine, name)

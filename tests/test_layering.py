@@ -2,8 +2,9 @@
 nothing outside the command-line front end imports it, the engine does not
 read the reference tables, the local systems of coxeter_complex do not
 import the curve representation built on them, no module keeps mutable
-state of its own (what a process keeps lives in functools caches), and the
-program's environment variables and options match a pinned inventory."""
+state of its own (what a process keeps lives in functools caches), no
+module imports a name it never reads, and the program's environment
+variables and options match a pinned inventory."""
 
 from __future__ import annotations
 
@@ -208,6 +209,49 @@ def test_checker_flags_mutable_module_state():
     assert not mutable_module_state("def f():\n    seen = []")
     assert not mutable_module_state("class C:\n    rows = []")
     assert not mutable_module_state("_ANNOTATED: dict")
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names that source imports and never reads.  A module that defines
+    __all__ imports to re-export, and a from __future__ import is a
+    directive, so neither is checked."""
+    tree = ast.parse(source)
+    if any(isinstance(target, ast.Name) and target.id == "__all__"
+           for node in tree.body if isinstance(node, ast.Assign)
+           for target in node.targets):
+        return []
+    imported = {}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Import) or (
+                isinstance(node, ast.ImportFrom)
+                and node.module != "__future__")):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported.setdefault(name, node.lineno)
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [f"line {line}: {name}" for name, line in imported.items()
+            if name not in read and name != "*"]
+
+
+def test_no_unused_imports():
+    violations = [f"{rel}: {hit}" for rel, source, _ in _modules()
+                  for hit in unused_imports(source)]
+    assert not violations, "\n".join(violations)
+
+
+def test_checker_flags_unused_imports():
+    assert unused_imports("import os") == ["line 1: os"]
+    assert unused_imports("from .systems import RelationError, LocalSystem\n"
+                          "x: LocalSystem") == ["line 1: RelationError"]
+    assert unused_imports("import numpy as np") == ["line 1: np"]
+    assert unused_imports("def f():\n    import json") == ["line 2: json"]
+    assert not unused_imports("import os.path\nos.path.join('a')")
+    assert not unused_imports("from .a import b\ndef f(x: b): pass")
+    assert not unused_imports("from __future__ import annotations")
+    assert not unused_imports("from .a import b\n__all__ = ['b']")
+    assert not unused_imports("from .a import b\ntry:\n    b()\n"
+                              "except ImportError:\n    pass")
 
 
 def environment_reads(source: str) -> list[str]:
