@@ -116,20 +116,15 @@ def cmd_twist(args) -> int:
     if args.k < 1 or args.k >= args.n:
         print(f"k must be in 1..{args.n - 1}", file=sys.stderr)
         return 2
-    if args.d == 1:
-        if args.format == "json":
-            _emit_json({"n": args.n, "d": 1, "k": args.k,
-                        "construction": args.construction, "matrix": []})
-        else:
-            print("empty matrix (rank-0 module)")
-        return 0
     rep = build_rep(args.n, args.d, construction=args.construction,
                     order="left_to_right")
-    matrix = rep.generator(args.k).to_dense()
+    matrix = rep.generator(args.k).array.tolist()
     if args.format == "json":
         _emit_json({"n": args.n, "d": args.d, "k": args.k,
                     "construction": args.construction,
                     "order": "left_to_right", "matrix": matrix})
+    elif args.d == 1:
+        print("empty matrix (rank-0 module)")
     else:
         print(json.dumps(matrix))
     return 0
@@ -246,10 +241,10 @@ def cmd_series(args) -> int:
     elif args.mode == "stable":
         print(_poly_text(series.q_coefficients(), "q"))
     else:
-        for n in range(series.max_t + 1):
-            row = series.q_coefficients(n)
-            if any(row):
-                print(f"t^{n}: " + _poly_text(row, "q"))
+        rows = map(series.q_coefficients, range(series.max_t + 1))
+        lines = [f"t^{n}: " + _poly_text(row, "q")
+                 for n, row in enumerate(rows) if any(row)]
+        print("\n".join(lines) or "0")
     return 0
 
 

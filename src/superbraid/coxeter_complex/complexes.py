@@ -150,7 +150,7 @@ def _block_table(spec: CoxeterSpec, rho: LocalSystem) -> dict[tuple, tuple]:
     dim = rho.dimension
     gen_max = max((a.max_abs() for a in rho.actions), default=0)
     dtype = np.int64 if gen_max < INT64_SAFE else object
-    gens = np.array([a.to_dense() for a in rho.actions],
+    gens = np.array([a.array for a in rho.actions],
                     dtype=dtype).reshape(spec.rank, dim, dim)
     table = {}
     for size in range(1, spec.rank + 1):

@@ -8,7 +8,9 @@ layer imports nothing from there.
 
 from __future__ import annotations
 
-from ..exact_linalg import IntMatrix, snf
+import numpy as np
+
+from ..exact_linalg import CooMatrix, IntMatrix, snf
 from .groups import CoxeterSpec
 
 
@@ -69,7 +71,7 @@ class LocalSystem:
                 if lhs != rhs:
                     raise RelationError(f"{_word(i, j, m)} = {_word(j, i, m)}")
         for g, m in enumerate(self.actions):
-            s = snf(m)
+            s = snf(CooMatrix.from_dense(m.array))
             if s.rank != self.dimension or any(v != 1 for v in s.divisors):
                 raise RelationError(f"det T{g + 1} = +-1")
 
@@ -93,9 +95,9 @@ def companion_t_matrix(d: int) -> IntMatrix:
     """
     if d < 1:
         raise ValueError("need d >= 1")
-    ent = {(j + 1, j): 1 for j in range(d - 1)}
-    ent[(0, d - 1)] = (-1) ** d
-    return IntMatrix(d, d, ent)
+    c = np.eye(d, k=-1, dtype=np.int64)
+    c[0, d - 1] = (-1) ** d
+    return IntMatrix(c)
 
 
 def t_local_system(n: int, d: int) -> LocalSystem:

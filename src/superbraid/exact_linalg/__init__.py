@@ -1,7 +1,7 @@
-"""Exact integer linear algebra: sparse matrices, Smith form, modular ranks,
+"""Exact integer linear algebra: integer matrices, Smith form, modular ranks,
 integer factorisation, and the primality of the moduli."""
 
-from .matrix import (CooMatrix, IntMatrix, exact, first_nonzero_product,
+from .matrix import (CooMatrix, IntMatrix, first_nonzero_product,
                      product_is_zero)
 from .primes import prime_power_base, require_prime
 from .snf import AbelianGroup, SmithForm, prime_factors, rank_mod_p, snf
@@ -9,7 +9,6 @@ from .snf import AbelianGroup, SmithForm, prime_factors, rank_mod_p, snf
 __all__ = [
     "CooMatrix",
     "IntMatrix",
-    "exact",
     "first_nonzero_product",
     "prime_factors",
     "prime_power_base",

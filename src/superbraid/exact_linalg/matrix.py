@@ -1,18 +1,18 @@
-"""Sparse integer matrices: exact Python-int maps and coordinate arrays.
+"""Integer matrices: small dense values, and coordinate arrays for the
+product path.
 
-Both types expose the same read-only members, so the elimination kernel and
-the composition check each load either one the same way: nrows and ncols,
-nnz, max_abs, coo (the nonzeros in storage order as arrays) and triples
-(sorted).  Values are int64 while every |value| < 2^63, and exact Python
+IntMatrix holds a generator, an intertwiner or a form: one read-only
+numpy array, compared and hashed by value.  CooMatrix holds a boundary,
+and it is the only type the Smith form, the mod-p rank and the
+composition check read; CooMatrix.from_dense hands them a dense matrix.
+Values of both are int64 while every |value| < 2^63, and exact Python
 ints in an object array otherwise: one array path, two dtypes.  A
 CooMatrix holds its rows and columns as int32 while both dimensions are
 below 2^31 (int64 otherwise), so code that multiplies or offsets indices
-casts them to int64 first; IntMatrix.coo() hands out int64.
+casts them to int64 first.
 """
 
 from __future__ import annotations
-
-from itertools import chain
 
 import numpy as np
 
@@ -24,167 +24,102 @@ INT64_SAFE = 1 << 62
 PRODUCT_SLICE_TERMS = 1 << 12
 
 
-class IntMatrix:
-    """Integer matrix stored as a {(row, col): value} map plus explicit shape.
+def _int_array(values) -> np.ndarray:
+    """values, an int64 array or equal-length rows of ints ([] is 0 x 0),
+    as a 2-D array: int64 if every |value| < 2^63, else exact Python ints
+    in an object array.  An int64 array is taken as it is."""
+    if isinstance(values, np.ndarray) and values.dtype == np.int64:
+        a = values
+    else:
+        a = np.array(values, dtype=object)
+        if a.size == 0 and a.ndim < 2:
+            a = a.reshape(0, 0)
+        if a.ndim == 2 and np.abs(a).max(initial=0) < 1 << 63:
+            a = a.astype(np.int64)
+    if a.ndim != 2:
+        raise ValueError("a matrix needs equal-length rows")
+    return a
 
-    Entries are Python ints (never overflow); zeros are not stored.
+
+def _exact_if(bound: int, *arrays: np.ndarray) -> list[np.ndarray]:
+    """The arrays, cast to exact Python ints if bound, a bound on every
+    entry of the result computed from them, reaches INT64_SAFE."""
+    if bound < INT64_SAFE:
+        return list(arrays)
+    return [a.astype(object) for a in arrays]
+
+
+class IntMatrix:
+    """A small dense integer matrix, held by value in one read-only numpy
+    array (int64 or exact Python ints, see _int_array).
+
+    Equal values are == and hash alike whatever their dtype, so a tuple of
+    generators can key a set.  Arithmetic is numpy on the arrays, in int64
+    while a bound on the result stays below INT64_SAFE, and in exact
+    Python ints past it.
     """
 
-    __slots__ = ("nrows", "ncols", "entries")
+    __slots__ = ("array",)
 
-    def __init__(self, nrows: int, ncols: int, entries: dict | None = None):
-        if nrows < 0 or ncols < 0:
-            raise ValueError("negative matrix dimension")
-        self.nrows = nrows
-        self.ncols = ncols
-        self.entries: dict[tuple[int, int], int] = {}
-        if entries:
-            for (i, j), v in entries.items():
-                if not (0 <= i < nrows and 0 <= j < ncols):
-                    raise ValueError(f"entry ({i},{j}) outside {nrows}x{ncols}")
-                if v:
-                    self.entries[(i, j)] = int(v)
-
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def from_dense(cls, rows) -> "IntMatrix":
-        rows = [list(r) for r in rows]
-        nrows = len(rows)
-        ncols = len(rows[0]) if rows else 0
-        ent = {}
-        for i, row in enumerate(rows):
-            if len(row) != ncols:
-                raise ValueError("ragged rows")
-            for j, v in enumerate(row):
-                if v:
-                    ent[(i, j)] = int(v)
-        return cls(nrows, ncols, ent)
-
-    @classmethod
-    def from_triples(cls, nrows: int, ncols: int, triples) -> "IntMatrix":
-        """Build from an iterable of (row, col, value); repeats accumulate."""
-        m = cls(nrows, ncols)
-        for i, j, v in triples:
-            if not (0 <= i < nrows and 0 <= j < ncols):
-                raise ValueError(f"entry ({i},{j}) outside {nrows}x{ncols}")
-            if v:
-                w = m.entries.get((i, j), 0) + int(v)
-                if w:
-                    m.entries[(i, j)] = w
-                else:
-                    m.entries.pop((i, j), None)
-        return m
+    def __init__(self, values):
+        a = _int_array(values)
+        a.flags.writeable = False
+        self.array = a
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls(n, n, {(i, i): 1 for i in range(n)})
+        return cls(np.eye(n, dtype=np.int64))
 
-    @classmethod
-    def zero(cls, nrows: int, ncols: int) -> "IntMatrix":
-        return cls(nrows, ncols)
+    @property
+    def nrows(self) -> int:
+        return self.array.shape[0]
 
-    # -- views -------------------------------------------------------------
-
-    def to_dense(self) -> list[list[int]]:
-        out = [[0] * self.ncols for _ in range(self.nrows)]
-        for (i, j), v in self.entries.items():
-            out[i][j] = v
-        return out
-
-    def triples(self) -> list[tuple[int, int, int]]:
-        return sorted((i, j, v) for (i, j), v in self.entries.items())
-
-    def coo(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Rows and columns in storage order as int64 arrays, and the values
-        as int64 if every |value| < 2^63, else as exact Python ints in an
-        object array."""
-        n = len(self.entries)
-        ij = np.fromiter(chain.from_iterable(self.entries), dtype=np.int64,
-                         count=2 * n).reshape(n, 2)
-        dtype = np.int64 if self.max_abs() < 1 << 63 else object
-        v = np.fromiter(self.entries.values(), dtype=dtype, count=n)
-        return ij[:, 0], ij[:, 1], v
-
-    def rows_map(self) -> dict[int, dict[int, int]]:
-        rows: dict[int, dict[int, int]] = {}
-        for (i, j), v in self.entries.items():
-            rows.setdefault(i, {})[j] = v
-        return rows
-
-    # -- basic queries -----------------------------------------------------
-
-    def nnz(self) -> int:
-        return len(self.entries)
+    @property
+    def ncols(self) -> int:
+        return self.array.shape[1]
 
     def max_abs(self) -> int:
-        return max((abs(v) for v in self.entries.values()), default=0)
+        return int(np.abs(self.array).max(initial=0))
 
-    def is_zero(self) -> bool:
-        return not self.entries
-
-    def __getitem__(self, key):
-        return self.entries.get(key, 0)
+    def triples(self) -> list[tuple[int, int, int]]:
+        """(row, col, value) of every nonzero, sorted."""
+        rows, cols = np.nonzero(self.array)
+        return list(zip(rows.tolist(), cols.tolist(),
+                        self.array[rows, cols].tolist()))
 
     def __eq__(self, other):
-        return (
-            isinstance(other, IntMatrix)
-            and self.nrows == other.nrows
-            and self.ncols == other.ncols
-            and self.entries == other.entries
-        )
+        return (isinstance(other, IntMatrix)
+                and self.array.shape == other.array.shape
+                and bool((self.array == other.array).all()))
 
     def __hash__(self):
-        return hash((self.nrows, self.ncols, tuple(sorted(self.entries.items()))))
+        return hash((self.array.shape, tuple(self.array.ravel().tolist())))
 
     def __repr__(self):
-        return f"IntMatrix({self.nrows}x{self.ncols}, nnz={self.nnz()})"
-
-    # -- arithmetic --------------------------------------------------------
+        return f"IntMatrix({self.array.tolist()})"
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(
-            self.ncols, self.nrows, {(j, i): v for (i, j), v in self.entries.items()}
-        )
+        return IntMatrix(self.array.T)
 
     def __neg__(self) -> "IntMatrix":
-        return IntMatrix(
-            self.nrows, self.ncols, {k: -v for k, v in self.entries.items()}
-        )
+        return IntMatrix(-self.array)
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
+        if self.array.shape != other.array.shape:
             raise ValueError("shape mismatch")
-        ent = dict(self.entries)
-        for k, v in other.entries.items():
-            w = ent.get(k, 0) + v
-            if w:
-                ent[k] = w
-            else:
-                ent.pop(k, None)
-        return IntMatrix(self.nrows, self.ncols, ent)
+        a, b = _exact_if(self.max_abs() + other.max_abs(),
+                         self.array, other.array)
+        return IntMatrix(a + b)
 
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
         return self + (-other)
 
     def __mul__(self, other: "IntMatrix") -> "IntMatrix":
-        """Exact product, sparse accumulation."""
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch")
-        other_rows = other.rows_map()
-        acc: dict[tuple[int, int], int] = {}
-        for (i, k), v in self.entries.items():
-            row = other_rows.get(k)
-            if not row:
-                continue
-            for j, w in row.items():
-                key = (i, j)
-                s = acc.get(key, 0) + v * w
-                if s:
-                    acc[key] = s
-                else:
-                    acc.pop(key, None)
-        return IntMatrix(self.nrows, other.ncols, acc)
+        a, b = _exact_if(self.ncols * self.max_abs() * other.max_abs(),
+                         self.array, other.array)
+        return IntMatrix(a @ b)
 
     def pow(self, e: int) -> "IntMatrix":
         if self.nrows != self.ncols or e < 0:
@@ -224,6 +159,13 @@ class CooMatrix:
         self.cols = cols.astype(index, copy=False)
         self.vals = vals
 
+    @classmethod
+    def from_dense(cls, values) -> "CooMatrix":
+        """The nonzeros of a dense matrix (see _int_array), row-major."""
+        a = _int_array(values)
+        rows, cols = np.nonzero(a)
+        return cls(*a.shape, rows, cols, a[rows, cols])
+
     def nnz(self) -> int:
         return len(self.vals)
 
@@ -243,10 +185,6 @@ class CooMatrix:
         """(row, col, value) of every nonzero, in storage order."""
         return zip(self.rows.tolist(), self.cols.tolist(), self.vals.tolist())
 
-    def coo(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Rows, columns and values in storage order."""
-        return self.rows, self.cols, self.vals
-
     def triples(self) -> list[tuple[int, int, int]]:
         order = np.lexsort((self.cols, self.rows))
         return list(zip(self.rows[order].tolist(), self.cols[order].tolist(),
@@ -254,15 +192,6 @@ class CooMatrix:
 
     def __repr__(self):
         return f"CooMatrix({self.nrows}x{self.ncols}, nnz={self.nnz()})"
-
-
-def exact(m: IntMatrix | CooMatrix) -> IntMatrix:
-    """m as an IntMatrix, for exact arithmetic; m itself if it is one."""
-    if isinstance(m, IntMatrix):
-        return m
-    out = IntMatrix(m.nrows, m.ncols)
-    out.entries = {(i, j): v for i, j, v in m.stored()}
-    return out
 
 
 def _runs(keys: np.ndarray, order: np.ndarray):
@@ -274,14 +203,14 @@ def _runs(keys: np.ndarray, order: np.ndarray):
     return ordered[ends - 1], ends
 
 
-def first_nonzero_product(a: IntMatrix | CooMatrix,
-                          b: IntMatrix | CooMatrix) -> tuple[int, int] | None:
+def first_nonzero_product(a: CooMatrix,
+                          b: CooMatrix) -> tuple[int, int] | None:
     """The least (row, col) at which a*b is nonzero, or None if a*b == 0.
 
-    Exact, for either matrix type on either side.  Neither factor is
-    copied or sorted: the function holds a stable order of a's entries by
-    row and one of b's by row, with the count of b's entries in each row,
-    and each slice gathers its entries through them.  a's entries are
+    Exact.  Neither factor is copied or sorted: the function holds a
+    stable order of a's entries by row and one of b's by row, with the
+    count of b's entries in each row, and each slice gathers its entries
+    through them.  a's entries are
     joined to b's rows in numpy: the product terms of each entry of a are
     expanded with np.repeat, keyed by output cell i * b.ncols + j, sorted,
     and summed per key.  a's rows go through in ascending slices of at
@@ -299,8 +228,8 @@ def first_nonzero_product(a: IntMatrix | CooMatrix,
         raise ValueError("shape mismatch")
     if not a.nnz() or not b.nnz():
         return None
-    ai, ak, av = a.coo()
-    bk, bj, bv = b.coo()
+    ai, ak, av = a.rows, a.cols, a.vals
+    bk, bj, bv = b.rows, b.cols, b.vals
     exact_sums = a.ncols * a.max_abs() * b.max_abs() >= INT64_SAFE
     key_type = object if a.nrows * b.ncols >= 1 << 63 else np.int64
     by_k = np.argsort(bk, kind="stable")
@@ -355,7 +284,6 @@ def first_nonzero_product(a: IntMatrix | CooMatrix,
     return None
 
 
-def product_is_zero(a: IntMatrix | CooMatrix,
-                    b: IntMatrix | CooMatrix) -> bool:
+def product_is_zero(a: CooMatrix, b: CooMatrix) -> bool:
     """Exact test a*b == 0 (see first_nonzero_product)."""
     return first_nonzero_product(a, b) is None

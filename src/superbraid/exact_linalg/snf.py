@@ -14,8 +14,8 @@ object per row and column index.  It takes each pivot from the column
 with fewest entries (Markowitz, Management Science 3 (1957), restricted
 to the columns of least count as in Zlatev, SIAM J. Numer. Anal. 17
 (1980)), found in a heap of column counts.  It reads every matrix as
-coordinate arrays (m.coo()), whose values are int64 or exact Python ints
-in an object array, so an entry past int64 takes the same path.  It
+coordinate arrays (CooMatrix), whose values are int64 or exact Python
+ints in an object array, so an entry past int64 takes the same path.  It
 eliminates every stored entry: a caller that drops rows, as the bottom-up
 sweep of engine.homology does, hands it m.without_rows(...).
 """
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrix import CooMatrix, IntMatrix
+from .matrix import CooMatrix
 from .primes import prime_power_base, require_prime
 
 
@@ -308,18 +308,18 @@ def _dense_snf(a: list[list[int]]) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-def _ring_entries(m: IntMatrix | CooMatrix, p: int):
+def _ring_entries(m: CooMatrix, p: int):
     """Rows, columns and values of m's entries that are nonzero over the
     ring, in storage order.
 
-    Over Z these are m's own arrays (m.coo()), not copies.  Over F_p the
+    Over Z these are m's own arrays, not copies.  Over F_p the
     values are reduced mod p, cast to object first when p is past 2^63 so
     every residue stays exact, and the three arrays are copied, without
     the entries whose residue is zero, only when some residue is zero.
     The rows and columns keep m's index dtype (int32 or int64, see
     CooMatrix), and the values m's value dtype.
     """
-    rows, cols, vals = m.coo()
+    rows, cols, vals = m.rows, m.cols, m.vals
     if not p:
         return rows, cols, vals
     if p >= 1 << 63:
@@ -375,7 +375,7 @@ def _peel_unit_singletons(rows, cols, unit):
 CORE_CHUNK = 1 << 10
 
 
-def _unit_pivot_phase(m: IntMatrix | CooMatrix,
+def _unit_pivot_phase(m: CooMatrix,
                       p: int = 0) -> tuple[list[int], list[list[int]]]:
     """Eliminate unit pivots sparsely; over Z when p == 0, else over F_p.
 
@@ -386,10 +386,10 @@ def _unit_pivot_phase(m: IntMatrix | CooMatrix,
     each pivot, one per unit invariant factor peeled off, dense
     remainder).
 
-    Two stages, one path for every ring and matrix type.  First numpy
+    Two stages, one path for every ring and value dtype.  First numpy
     peels the units alone in their row or column (_peel_unit_singletons),
-    which costs no arithmetic; m's storage order (m.coo()) fixes which.
-    Then the entries left, the core, load in chunks of CORE_CHUNK into row
+    which costs no arithmetic; m's storage order fixes which.  Then the
+    entries left, the core, load in chunks of CORE_CHUNK into row
     maps and column lists, with one int object per row and column index,
     and a heap of (entry count, column) picks each pivot: the sparsest
     live column, and in it the unit in the shortest row, the lower index
@@ -502,7 +502,7 @@ def _unit_pivot_phase(m: IntMatrix | CooMatrix,
 # ---------------------------------------------------------------------------
 
 
-def snf(m: IntMatrix | CooMatrix) -> SmithForm:
+def snf(m: CooMatrix) -> SmithForm:
     """Smith normal form with an ascending divisor chain.
 
     Peels +-1 pivots sparsely, then finishes the remainder densely.
@@ -515,7 +515,7 @@ def snf(m: IntMatrix | CooMatrix) -> SmithForm:
                      pivot_cols=tuple(pivot_cols))
 
 
-def rank_mod_p(m: IntMatrix | CooMatrix, p: int) -> SmithForm:
+def rank_mod_p(m: CooMatrix, p: int) -> SmithForm:
     """Smith form of the matrix over the prime field F_p.
 
     p must be a certified prime below 2^64 (see require_prime); anything

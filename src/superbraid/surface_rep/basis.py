@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ..exact_linalg import IntMatrix, snf
+from ..exact_linalg import CooMatrix, IntMatrix, snf
 
 
 def betti1(n: int, d: int) -> int:
@@ -107,13 +107,9 @@ class IntersectionForm:
         self.basis = SurfaceBasis(n, d)
         self.n = n
         self.d = d
-        ent = {}
-        for r, (k, i) in enumerate(self.basis.labels()):
-            for c, (l, j) in enumerate(self.basis.labels()):
-                v = _pair_aa(n, d, k, i, l, j)
-                if v:
-                    ent[(r, c)] = v
-        self.omega = IntMatrix(self.basis.dim, self.basis.dim, ent)
+        labels = self.basis.labels()
+        self.omega = IntMatrix([[_pair_aa(n, d, k, i, l, j)
+                                 for (l, j) in labels] for (k, i) in labels])
 
     def pair_full(self, k: int, i: int, l: int, j: int) -> int:
         return _pair_aa(self.n, self.d, k, i, l, j)
@@ -123,4 +119,5 @@ class IntersectionForm:
 
     def radical_rank(self) -> int:
         """Corank of the pairing; equals gcd(n, d) - 1."""
-        return self.basis.dim - snf(self.omega).rank
+        omega = CooMatrix.from_dense(self.omega.array)
+        return self.basis.dim - snf(omega).rank

@@ -27,51 +27,33 @@ belongs to the curve, that construction B preserves the intersection form.
 
 from __future__ import annotations
 
+import numpy as np
+
 from ..coxeter_complex import CoxeterSpec, LocalSystem, RelationError
-from ..exact_linalg import IntMatrix, product_is_zero, snf
+from ..exact_linalg import CooMatrix, IntMatrix, snf
 from .basis import IntersectionForm, SurfaceBasis
 
 ORDERS = ("left_to_right", "right_to_left")
 CONSTRUCTIONS = ("A", "B")
 
 
-def _column_matrix(dim: int, columns: list[dict[int, int]]) -> IntMatrix:
-    ent = {}
-    for c, col in enumerate(columns):
-        for r, v in col.items():
-            if v:
-                ent[(r, c)] = v
-    return IntMatrix(dim, dim, ent)
-
-
 def _twist_A(form: IntersectionForm, k: int) -> IntMatrix:
     basis = form.basis
-    d = form.d
-    columns = []
-    for (l, i) in basis.labels():
-        col = {basis.index(l, i): 1}
-        for j in range(1, d + 1):
+    out = np.eye(basis.dim, dtype=np.int64)
+    for c, (l, i) in enumerate(basis.labels()):
+        for j in range(1, form.d + 1):
             coeff = form.pair_gamma(l, i, k, j)
-            if coeff == 0:
-                continue
             for idx, v in basis.expand(k, j).items():
-                col[idx] = col.get(idx, 0) - coeff * v
-        columns.append(col)
-    return _column_matrix(basis.dim, columns)
+                out[idx, c] -= coeff * v
+    return IntMatrix(out)
 
 
 def transvection(omega: IntMatrix, c_index: int) -> IntMatrix:
     """Matrix of x -> x - omega(x, c) c for the basis vector c = e[c_index]."""
-    dim = omega.nrows
-    ent = {(i, i): 1 for i in range(dim)}
-    for i in range(dim):
-        w = omega[(i, c_index)]
-        if w:
-            # omega(e_i, c) = omega[i, c]; subtract it from column i, row c.
-            ent[(c_index, i)] = ent.get((c_index, i), 0) - w
-            if ent[(c_index, i)] == 0:
-                del ent[(c_index, i)]
-    return IntMatrix(dim, dim, ent)
+    out = np.eye(omega.nrows, dtype=np.int64)
+    # omega(e_i, c) = omega[i, c]; subtract it from column i, row c.
+    out[c_index] -= omega.array[:, c_index]
+    return IntMatrix(out)
 
 
 def _twist_B(form: IntersectionForm, k: int, order: str) -> IntMatrix:
@@ -179,8 +161,8 @@ def root_check(rep: SurfaceRep, k: int = 1) -> dict:
         raise ValueError("root_check needs even d")
     m = rep.generator(k).pow(rep.d // 2)
     delta = m - IntMatrix.identity(m.nrows)
-    rank = snf(delta).rank
-    square_zero = product_is_zero(delta, delta)
+    rank = snf(CooMatrix.from_dense(delta.array)).rank
+    square_zero = not (delta * delta).array.any()
     return {
         "n": rep.n,
         "d": rep.d,
@@ -195,25 +177,16 @@ def root_check(rep: SurfaceRep, k: int = 1) -> dict:
 
 def _block_compare(basis: SurfaceBasis, x: IntMatrix, y: IntMatrix) -> dict:
     """Blockwise equality report for two matrices on the same basis."""
-    n, d = basis.n, basis.d
+    m = basis.d - 1
     blocks = {}
-    for kr in range(1, n):
-        for kc in range(1, n):
-            eq, neg, nonzero = True, True, False
-            for i in range(1, d):
-                for j in range(1, d):
-                    r = basis.index(kr, i)
-                    c = basis.index(kc, j)
-                    vx, vy = x[(r, c)], y[(r, c)]
-                    if vx or vy:
-                        nonzero = True
-                    if vx != vy:
-                        eq = False
-                    if vx != -vy:
-                        neg = False
-            if nonzero:
-                blocks[f"{kr},{kc}"] = ("equal" if eq else
-                                        "negated" if neg else "different")
+    for kr in range(1, basis.n):
+        for kc in range(1, basis.n):
+            at = (slice((kr - 1) * m, kr * m), slice((kc - 1) * m, kc * m))
+            bx, by = x.array[at], y.array[at]
+            if bx.any() or by.any():
+                blocks[f"{kr},{kc}"] = (
+                    "equal" if (bx == by).all() else
+                    "negated" if (bx == -by).all() else "different")
     return blocks
 
 

@@ -37,14 +37,17 @@ class TestTwist:
         assert code == 0
         assert out.strip() == "[[1, -1], [0, 1]]"
 
-    def test_json_includes_convention(self, capsys):
-        code, out, _ = run(capsys, "twist", "--n", "3", "--d", "2",
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_json_includes_convention(self, capsys, d):
+        """Every d carries the same keys; at d = 1 the matrix is 0 x 0."""
+        matrix = {1: [], 2: [[1, -1], [0, 1]]}[d]
+        code, out, _ = run(capsys, "twist", "--n", "3", "--d", str(d),
                            "--k", "1", "--format", "json")
         assert code == 0
         payload = json.loads(out)
         assert set(payload) == {"n", "d", "k", "construction", "order",
                                 "matrix"}
-        assert payload["matrix"] == [[1, -1], [0, 1]]
+        assert payload["matrix"] == matrix
         assert payload["construction"] == "B"
         assert payload["order"] == "left_to_right"
 
@@ -280,6 +283,13 @@ class TestSeries:
         assert lines[0] == "t^3: q"
         assert lines[1] == "t^5: q + q^2 + q^3"
         assert all(int(line.split(":")[0][2:]) % 2 == 1 for line in lines)
+
+    def test_local_window_without_a_term_prints_zero(self, capsys):
+        """A local window that holds no nonzero term prints 0, as a
+        stable series with no term does."""
+        code, out, _ = run(capsys, "series", "--p", "3", "--mode", "local",
+                           "--max-q", "2", "--max-t", "2")
+        assert (code, out) == (0, "0\n")
 
     def test_json_round_trip(self, capsys):
         code, out, _ = run(capsys, "series", "--p", "3", "--mode", "local",

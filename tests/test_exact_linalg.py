@@ -15,7 +15,6 @@ from superbraid.exact_linalg import (
     AbelianGroup,
     CooMatrix,
     IntMatrix,
-    exact,
     first_nonzero_product,
     prime_factors,
     product_is_zero,
@@ -52,28 +51,47 @@ def sympy_divisors(dense):
     return sorted(out, key=lambda x: (0, 0) if x == 1 else (1, x))
 
 
+def coo(nrows, ncols, entries):
+    """A CooMatrix of the (row, col, value) entries, stored in the order
+    given; its values are int64 while every |value| < 2^63."""
+    i, j, v = (np.array([e[t] for e in entries], dtype=object)
+               for t in range(3))
+    if np.abs(v).max(initial=0) < 1 << 63:
+        v = v.astype(np.int64)
+    return CooMatrix(nrows, ncols, i.astype(np.int64), j.astype(np.int64), v)
+
+
+def dense(m):
+    """The rows of a CooMatrix."""
+    out = [[0] * m.ncols for _ in range(m.nrows)]
+    for i, j, v in m.stored():
+        out[i][j] = v
+    return out
+
+
 def test_snf_diag_2_3_gives_1_6():
-    s = snf(IntMatrix.from_dense([[2, 0], [0, 3]]))
+    s = snf(CooMatrix.from_dense([[2, 0], [0, 3]]))
     assert s.divisors == (1, 6)
 
 
 def test_snf_zero_and_identity():
-    assert snf(IntMatrix.zero(3, 4)).divisors == ()
-    assert snf(IntMatrix.identity(5)).divisors == (1,) * 5
+    assert snf(CooMatrix.from_dense([[0] * 4] * 3)).divisors == ()
+    assert snf(CooMatrix.from_dense(np.eye(5, dtype=np.int64))).divisors == (
+        (1,) * 5)
 
 
 def test_rank_mod_p_diag():
-    m = IntMatrix.from_dense([[2, 0], [0, 3]])
+    m = CooMatrix.from_dense([[2, 0], [0, 3]])
     assert rank_mod_p(m, 2).rank == 1
     assert rank_mod_p(m, 5).rank == 2
     assert rank_mod_p(m, 3).rank == 1
 
 
 def test_rank_mod_p_reduces_entries_beyond_int64():
-    m = IntMatrix.from_dense([[2**70, 1], [3, 5]])
+    m = CooMatrix.from_dense([[2**70, 1], [3, 5]])
     assert rank_mod_p(m, 3).rank == 2
     assert rank_mod_p(m, 2).rank == 2
-    assert rank_mod_p(IntMatrix.from_dense([[2**70, 2**71]]), 2).rank == 0
+    assert rank_mod_p(CooMatrix.from_dense([[2**70, 2**71]]), 2).rank == 0
 
 
 @pytest.mark.parametrize("rows, p", [
@@ -82,7 +100,7 @@ def test_rank_mod_p_reduces_entries_beyond_int64():
 ])
 def test_rank_mod_p_refuses_uncertified_moduli(rows, p):
     with pytest.raises(ValueError):
-        rank_mod_p(IntMatrix.from_dense(rows), p)
+        rank_mod_p(CooMatrix.from_dense(rows), p)
 
 
 def test_abelian_group_describe():
@@ -208,7 +226,7 @@ def test_abelian_group_sum():
 @settings(max_examples=150, deadline=None)
 @given(matrices)
 def test_snf_matches_sympy(rows):
-    m = IntMatrix.from_dense(rows)
+    m = CooMatrix.from_dense(rows)
     mine = list(snf(m).divisors)
     assert mine == sympy_divisors(rows)
 
@@ -216,7 +234,7 @@ def test_snf_matches_sympy(rows):
 @settings(max_examples=100, deadline=None)
 @given(matrices)
 def test_snf_divisor_chain(rows):
-    s = snf(IntMatrix.from_dense(rows))
+    s = snf(CooMatrix.from_dense(rows))
     assert all(d >= 1 for d in s.divisors)
     for a, b in zip(s.divisors, s.divisors[1:]):
         assert b % a == 0
@@ -227,14 +245,14 @@ def test_snf_divisor_chain(rows):
 def test_snf_with_skip_rows_matches_sympy_on_kept_rows(rows, data):
     skip = data.draw(st.sets(st.integers(0, len(rows) - 1)))
     kept = [row for i, row in enumerate(rows) if i not in skip]
-    m = as_coo(IntMatrix.from_dense(rows))
+    m = CooMatrix.from_dense(rows)
     assert list(snf(m.without_rows(skip)).divisors) == sympy_divisors(kept)
 
 
 @settings(max_examples=100, deadline=None)
 @given(matrices, st.sampled_from([2, 3, 5, 7]))
 def test_rank_mod_p_counts_nondivisible_invariants(rows, p):
-    m = IntMatrix.from_dense(rows)
+    m = CooMatrix.from_dense(rows)
     s = snf(m)
     assert rank_mod_p(m, p).rank == sum(1 for d in s.divisors if d % p)
 
@@ -269,14 +287,14 @@ def gf_rank(rows, p):
 @given(lifted_low_rank())
 def test_rank_mod_p_matches_sympy_gf(case):
     rows, p = case
-    assert rank_mod_p(IntMatrix.from_dense(rows), p).rank == gf_rank(rows, p)
+    assert rank_mod_p(CooMatrix.from_dense(rows), p).rank == gf_rank(rows, p)
 
 
 @settings(max_examples=100, deadline=None)
 @given(lifted_low_rank())
 def test_rank_mod_p_pivot_cols_are_independent_columns(case):
     rows, p = case
-    form = rank_mod_p(IntMatrix.from_dense(rows), p)
+    form = rank_mod_p(CooMatrix.from_dense(rows), p)
     cols = form.pivot_cols
     assert len(set(cols)) == len(cols) == form.rank
     assert form.divisors == (1,) * form.rank
@@ -289,22 +307,22 @@ def test_rank_mod_p_pivot_cols_are_independent_columns(case):
 @given(matrices, st.data())
 def test_without_rows_keeps_shape_and_drops_named_rows(rows, data):
     drop = data.draw(st.sets(st.integers(0, len(rows) + 1)))
-    m = as_coo(IntMatrix.from_dense(rows))
+    m = CooMatrix.from_dense(rows)
     out = m.without_rows(drop)
     assert (out.nrows, out.ncols) == (m.nrows, m.ncols)
-    assert exact(out).to_dense() == [[0] * m.ncols if i in drop else row
-                                     for i, row in enumerate(rows)]
-    assert exact(m) == IntMatrix.from_dense(rows)
+    assert dense(out) == [[0] * m.ncols if i in drop else row
+                          for i, row in enumerate(rows)]
+    assert dense(m) == rows
 
 
 def test_without_rows_returns_the_matrix_when_it_drops_nothing():
-    b = as_coo(IntMatrix.from_dense([[1, 0], [0, 2], [0, 0]]))
+    b = CooMatrix.from_dense([[1, 0], [0, 2], [0, 0]])
     assert b.without_rows(()) is b
     # row 2 stores nothing; rows -1 and 3 lie outside the matrix
     assert b.without_rows({2, -1, 3}) is b
     out = b.without_rows({1, 2})
     assert out is not b
-    assert exact(out).to_dense() == [[1, 0], [0, 0], [0, 0]]
+    assert dense(out) == [[1, 0], [0, 0], [0, 0]]
 
 
 @st.composite
@@ -332,75 +350,61 @@ def product_pairs(draw):
             q[i][j] = -q[i][j]
     scale = draw(st.sampled_from([1, 1, 2**29, 2**62]))
     p = [[v * scale for v in row] for row in p]
-    return IntMatrix.from_dense(p), IntMatrix.from_dense(q)
+    return IntMatrix(p), IntMatrix(q)
+
+
+def as_coo(*ms):
+    """The CooMatrix of each IntMatrix, its nonzeros row-major."""
+    return [CooMatrix.from_dense(m.array) for m in ms]
 
 
 @settings(max_examples=200, deadline=None)
 @given(product_pairs())
 def test_product_is_zero_agrees_with_exact(pair):
+    """A side with an entry past int64 holds exact ints in an object
+    array; the exact product is the IntMatrix one."""
     a, b = pair
-    assert product_is_zero(a, b) == (a * b).is_zero()
+    assert product_is_zero(*as_coo(a, b)) == (not (a * b).array.any())
 
 
 @settings(max_examples=200, deadline=None)
-@given(product_pairs(), st.booleans(), st.booleans())
-def test_first_nonzero_product_is_the_least_nonzero_cell(pair, coo_a, coo_b):
-    """Either side may be a CooMatrix; a's entries reach 9 * 2^62, past
-    int64, and a CooMatrix side then holds exact ints."""
+@given(product_pairs())
+def test_first_nonzero_product_is_the_least_nonzero_cell(pair):
+    """a's entries reach 9 * 2^62, past int64, and its CooMatrix then
+    holds exact ints."""
     a, b = pair
-    x = as_coo(a) if coo_a else a
-    y = as_coo(b) if coo_b else b
-    cells = [(i, j) for i, j, _ in (exact(a) * exact(b)).triples()]
-    assert first_nonzero_product(x, y) == min(cells, default=None)
+    cells = [(i, j) for i, j, _ in (a * b).triples()]
+    assert first_nonzero_product(*as_coo(a, b)) == min(cells, default=None)
 
 
 @settings(max_examples=200, deadline=None)
-@given(product_pairs(), st.booleans(), st.booleans(), st.integers(1, 3))
-def test_tiny_slice_budget_keeps_the_least_nonzero_cell(pair, coo_a, coo_b,
-                                                       budget):
+@given(product_pairs(), st.integers(1, 3))
+def test_tiny_slice_budget_keeps_the_least_nonzero_cell(pair, budget):
     """With a slice budget of 1 to 3 terms, a row of a with product terms
     makes its own slice once it has at least that many, and rows with
     fewer share one; either way the cell found is the least nonzero one."""
     a, b = pair
-    x = as_coo(a) if coo_a else a
-    y = as_coo(b) if coo_b else b
-    cells = [(i, j) for i, j, _ in (exact(a) * exact(b)).triples()]
+    cells = [(i, j) for i, j, _ in (a * b).triples()]
     with mock.patch.object(matrix_module, "PRODUCT_SLICE_TERMS", budget):
-        assert first_nonzero_product(x, y) == min(cells, default=None)
-
-
-def as_coo(m):
-    """m's nonzeros as a CooMatrix, in m's storage order."""
-    return CooMatrix(m.nrows, m.ncols, *m.coo())
-
-
-@settings(max_examples=200, deadline=None)
-@given(product_pairs(), st.booleans(), st.booleans())
-def test_product_is_zero_on_arrays_agrees_with_exact(pair, coo_a, coo_b):
-    """Either side may be a CooMatrix: both are in the composition check,
-    and --inject-fault passes an array boundary and a tampered IntMatrix.
-    A side with an entry past int64 holds exact ints in an object array."""
-    a, b = pair
-    x = as_coo(a) if coo_a else a
-    y = as_coo(b) if coo_b else b
-    assert product_is_zero(x, y) == (a * b).is_zero()
+        assert first_nonzero_product(*as_coo(a, b)) == min(cells,
+                                                           default=None)
 
 
 @settings(max_examples=100, deadline=None)
 @given(matrices, st.sampled_from([1, 2**64]), st.data())
 def test_coo_matrix_members_match_int_matrix(rows, scale, data):
-    m = IntMatrix.from_dense([[v * scale for v in row] for row in rows])
-    c = as_coo(m)
+    m = IntMatrix([[v * scale for v in row] for row in rows])
+    c = CooMatrix.from_dense(m.array)
+    row_major = [(i, j, v) for i, row in enumerate(m.array.tolist())
+                 for j, v in enumerate(row) if v]
     assert (c.nrows, c.ncols, c.nnz(), c.max_abs()) == (
-        m.nrows, m.ncols, m.nnz(), m.max_abs())
+        m.nrows, m.ncols, len(row_major), m.max_abs())
     assert c.triples() == m.triples()
-    assert list(c.stored()) == [(i, j, v) for (i, j), v in m.entries.items()]
+    assert list(c.stored()) == row_major
     drop = data.draw(st.sets(st.integers(0, m.nrows - 1)))
     assert list(c.without_rows(drop).stored()) == [
-        (i, j, v) for (i, j), v in m.entries.items() if i not in drop]
-    assert exact(c) == m
-    assert snf(c) == snf(m)
-    assert rank_mod_p(c, 3) == rank_mod_p(m, 3)
+        (i, j, v) for i, j, v in row_major if i not in drop]
+    assert dense(c) == m.array.tolist()
 
 
 def test_pivots_follow_the_storage_order():
@@ -409,19 +413,17 @@ def test_pivots_follow_the_storage_order():
     boundaries keep the order the dict boundaries were written in, and
     with it every pivot of the pre-pass; the core that follows picks its
     pivots by column and row counts and indices."""
-    m = IntMatrix(5, 5)
-    m.entries = {(i, i): 1 for i in reversed(range(5))}
-    for x in (m, as_coo(m)):
-        assert snf(x).pivot_cols == (4, 3, 2, 1, 0)
-        assert rank_mod_p(x, 3).pivot_cols == (4, 3, 2, 1, 0)
+    x = coo(5, 5, [(i, i, 1) for i in reversed(range(5))])
+    assert snf(x).pivot_cols == (4, 3, 2, 1, 0)
+    assert rank_mod_p(x, 3).pivot_cols == (4, 3, 2, 1, 0)
 
 
 @st.composite
 def singleton_rich(draw):
     """(rows, m): a sparse matrix, mostly +-1, so many entries are alone
     in their row or column, some after others are peeled; its non-units
-    (2, 3, 6) are sometimes scaled past 2^64.  m holds its nonzeros in a
-    drawn storage order, as an IntMatrix or as a CooMatrix."""
+    (2, 3, 6) are sometimes scaled past 2^64.  m, a CooMatrix, holds its
+    nonzeros in a drawn storage order."""
     r, c = draw(st.integers(1, 10)), draw(st.integers(1, 10))
     scale = draw(st.sampled_from([1, 1, 2**64]))
     value = st.sampled_from([1, -1, 1, -1, 1, -1, 2, -2, 3, 6]).map(
@@ -434,11 +436,7 @@ def singleton_rich(draw):
         rows[i][j] = v
     order = draw(st.permutations(
         [(i, j) for i in range(r) for j in range(c) if rows[i][j]]))
-    m = IntMatrix(r, c)
-    m.entries = {(i, j): rows[i][j] for i, j in order}
-    if draw(st.booleans()):
-        m = as_coo(m)
-    return rows, m
+    return rows, coo(r, c, [(i, j, rows[i][j]) for i, j in order])
 
 
 def columns(rows, cols):
@@ -455,7 +453,7 @@ def test_peeled_smith_form_matches_sympy(case, data):
     skip = data.draw(st.sets(st.integers(0, len(rows) - 1)))
     for skipped in (set(), skip):
         kept = [row for i, row in enumerate(rows) if i not in skipped]
-        form = snf(as_coo(m).without_rows(skipped))
+        form = snf(m.without_rows(skipped))
         assert list(form.divisors) == sympy_divisors(kept)
         cols = form.pivot_cols
         assert len(set(cols)) == len(cols) <= form.divisors.count(1)
@@ -493,7 +491,7 @@ def assert_stops_on_no_unit(m, p):
 
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(singleton_rich().map(lambda case: case[1]),
-                 matrices.map(IntMatrix.from_dense)))
+                 matrices.map(CooMatrix.from_dense)))
 def test_elimination_stops_only_when_no_unit_is_left(m):
     """In a few percent of the dense draws from matrices, a row update
     writes the first unit into a column the kernel had set aside."""
@@ -505,10 +503,9 @@ def test_a_unit_written_by_a_row_update_is_pivoted():
     """Column 0 holds no unit until the pivot (0, 1) turns its 3 into
     3 - 2 = 1.  All three columns hold two entries, so column 0 is looked
     at first, set aside, and must be taken up again after that update."""
-    m = IntMatrix.from_dense([[2, 1, 1], [3, 1, 1]])
-    for x in (m, as_coo(m)):
-        assert assert_stops_on_no_unit(x, 0) == ([1, 0], [])
-        assert snf(x).divisors == (1, 1)
+    m = CooMatrix.from_dense([[2, 1, 1], [3, 1, 1]])
+    assert assert_stops_on_no_unit(m, 0) == ([1, 0], [])
+    assert snf(m).divisors == (1, 1)
 
 
 @pytest.mark.parametrize("rows, divisors", [
@@ -518,23 +515,22 @@ def test_a_unit_written_by_a_row_update_is_pivoted():
     ([[0, 1, 0], [-2, 0, 0], [0, 0, 1], [0, 1, 0]], (1, 1, 2)),
 ])
 def test_non_unit_singletons_are_never_peeled(rows, divisors):
-    m = IntMatrix.from_dense(rows)
-    for x in (m, as_coo(m)):
-        form = snf(x)
-        assert form.divisors == divisors
-        assert len(form.pivot_cols) == divisors.count(1)
-        assert rank_mod_p(x, 2).rank == divisors.count(1)
-        assert rank_mod_p(x, 3).rank == len(divisors)
+    m = CooMatrix.from_dense(rows)
+    form = snf(m)
+    assert form.divisors == divisors
+    assert len(form.pivot_cols) == divisors.count(1)
+    assert rank_mod_p(m, 2).rank == divisors.count(1)
+    assert rank_mod_p(m, 3).rank == len(divisors)
 
 
 def test_entry_past_int64_beside_unit_singletons():
     rows = [[2**64, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [6, 0, 0, 4],
             [0, 1, 0, 0]]
-    m = IntMatrix.from_dense(rows)
+    m = CooMatrix.from_dense(rows)
     form = snf(m)
     assert list(form.divisors) == sympy_divisors(rows) == [1, 1, 2, 2**65]
     assert sorted(form.pivot_cols) == [1, 2]
-    assert snf(as_coo(m).without_rows({4})) == form
+    assert snf(m.without_rows({4})) == form
     for p in (2, 3, 2**61 - 1, 2**64 - 59):
         assert rank_mod_p(m, p).rank == gf_rank(rows, p)
 
@@ -542,34 +538,36 @@ def test_entry_past_int64_beside_unit_singletons():
 def test_coo_keeps_an_entry_past_int64_exact():
     """The values are int64 while every |value| < 2^63, and exact Python
     ints in an object array once one is not."""
-    _, _, fits = IntMatrix(1, 2, {(0, 0): 1, (0, 1): (1 << 63) - 1}).coo()
+    fits = CooMatrix.from_dense([[1, (1 << 63) - 1]]).vals
     assert fits.dtype == np.int64
-    rows, cols, vals = IntMatrix(1, 2, {(0, 1): -(1 << 63),
-                                        (0, 0): 1 << 64}).coo()
-    assert vals.dtype == object
-    assert (rows.tolist(), cols.tolist(), vals.tolist()) == (
-        [0, 0], [1, 0], [-(1 << 63), 1 << 64])
-    assert all(type(v) is int for v in vals)
+    m = CooMatrix.from_dense([[1 << 64, -(1 << 63)]])
+    assert m.vals.dtype == object
+    assert (m.rows.tolist(), m.cols.tolist(), m.vals.tolist()) == (
+        [0, 0], [0, 1], [1 << 64, -(1 << 63)])
+    assert all(type(v) is int for v in m.vals)
 
 
 def test_product_is_zero_cancels_across_row_slices():
     p = [[(3 * i + 5 * j) % 7 - 3 for j in range(6)] for i in range(12)]
     q = [[(2 * i - j) % 5 - 2 for j in range(9)] for i in range(6)]
-    a = IntMatrix.from_dense([row + row for row in p])
-    b = IntMatrix.from_dense(q + [[-v for v in row] for row in q])
-    terms = sum(1 for _, k in a.entries for kk, _ in b.entries if kk == k)
+    a = CooMatrix.from_dense([row + row for row in p])
+    rows = q + [[-v for v in row] for row in q]
+    b = CooMatrix.from_dense(rows)
+    terms = sum(1 for _, k, _ in a.stored() for kk, _, _ in b.stored()
+                if kk == k)
     assert terms > 3 * (a.nnz() + b.nnz())
     assert product_is_zero(a, b)
-    for (k, j), v in sorted(b.entries.items())[::5]:
-        flipped = IntMatrix(b.nrows, b.ncols, {**b.entries, (k, j): -v})
-        assert not product_is_zero(a, flipped)
+    for k, j, v in b.triples()[::5]:
+        flipped = [row[:] for row in rows]
+        flipped[k][j] = -v
+        assert not product_is_zero(a, CooMatrix.from_dense(flipped))
 
 
 def test_product_is_zero_keys_past_int64():
     # Output keys i * b.ncols + j of rows 0 and 2^40 differ by 2^64, so an
     # int64 key would merge the two cells and cancel them.
-    a = IntMatrix(2**40 + 1, 1, {(0, 0): 1, (2**40, 0): -1})
-    b = IntMatrix(1, 2**24, {(0, 0): 1})
+    a = coo(2**40 + 1, 1, [(0, 0, 1), (2**40, 0, -1)])
+    b = coo(1, 2**24, [(0, 0, 1)])
     assert not product_is_zero(a, b)
     assert first_nonzero_product(a, b) == (0, 0)
 
@@ -584,14 +582,14 @@ def test_coo_coordinates_are_int32_below_two_to_31():
     for nrows, ncols in ((2**31, 2), (2, 2**31)):
         wide = CooMatrix(nrows, ncols, one, one, one)
         assert wide.rows.dtype == wide.cols.dtype == np.int64
-    assert as_coo(IntMatrix.from_dense([[0, 2], [3, 0]])).rows.dtype == np.int32
+    assert CooMatrix.from_dense([[0, 2], [3, 0]]).rows.dtype == np.int32
 
 
 def test_product_keys_are_taken_past_int32():
     # With int32 coordinates, the keys i * b.ncols + j of cells (0, 0) and
     # (2^16, 0) would both wrap to 0 and cancel.
-    a = as_coo(IntMatrix(2**16 + 1, 1, {(0, 0): 1, (2**16, 0): -1}))
-    b = as_coo(IntMatrix(1, 2**16, {(0, 0): 1}))
+    a = coo(2**16 + 1, 1, [(0, 0, 1), (2**16, 0, -1)])
+    b = coo(1, 2**16, [(0, 0, 1)])
     assert a.rows.dtype == np.int32
     assert first_nonzero_product(a, b) == (0, 0)
 
@@ -601,45 +599,86 @@ def test_zero_residues_mod_p_are_dropped(p):
     """An entry that is zero mod p is no unit over F_p: it is dropped
     before the pre-pass, which would otherwise take it as a pivot alone
     in its column."""
-    m = IntMatrix.from_dense([[p, 1, 0], [2 * p, 0, 0], [0, 0, 3 * p]])
-    for x in (m, as_coo(m)):
-        assert _unit_pivot_phase(x, p) == ([1], [])
-        assert rank_mod_p(x, p).pivot_cols == (1,)
-    assert rank_mod_p(IntMatrix.from_dense([[p, 2 * p]]), p).rank == 0
+    m = CooMatrix.from_dense([[p, 1, 0], [2 * p, 0, 0], [0, 0, 3 * p]])
+    assert _unit_pivot_phase(m, p) == ([1], [])
+    assert rank_mod_p(m, p).pivot_cols == (1,)
+    assert rank_mod_p(CooMatrix.from_dense([[p, 2 * p]]), p).rank == 0
 
 
 def test_product_is_zero_sums_past_int64():
     # Every entry fits in int64, but 2^62 * 4 and 2^62 * 2 + 2^62 * 2 are
     # 2^64, which int64 arithmetic would wrap to 0.
-    a = IntMatrix(1, 2, {(0, 0): 1 << 62, (0, 1): 1 << 62})
-    for x in (a, as_coo(a)):
-        assert not product_is_zero(x, IntMatrix(2, 1, {(0, 0): 4}))
-        assert not product_is_zero(x, IntMatrix.from_dense([[2], [2]]))
-        assert product_is_zero(x, IntMatrix.from_dense([[4], [-4]]))
+    a = CooMatrix.from_dense([[1 << 62, 1 << 62]])
+    assert not product_is_zero(a, CooMatrix.from_dense([[4], [0]]))
+    assert not product_is_zero(a, CooMatrix.from_dense([[2], [2]]))
+    assert product_is_zero(a, CooMatrix.from_dense([[4], [-4]]))
 
 
 def test_matrix_roundtrips():
-    m = IntMatrix.from_dense([[0, -2], [7, 0], [0, 1]])
-    assert IntMatrix.from_triples(3, 2, m.triples()) == m
+    m = IntMatrix([[0, -2], [7, 0], [0, 1]])
+    assert CooMatrix.from_dense(m.array).triples() == m.triples()
     assert m.transpose().transpose() == m
-    assert (m - m).is_zero()
+    assert not (m - m).array.any()
+
+
+def python_product(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)]
+            for row in a]
+
+
+@st.composite
+def int_matrix_cases(draw):
+    """(a, b, c, s, e): a and c r x k, b k x c, s square and 0 <= e <= 4,
+    as lists of rows; entries small, near the int64 bounds, or up to
+    2^80."""
+    entry = st.one_of(st.integers(-9, 9), st.integers(-2**80, 2**80),
+                      st.sampled_from([2**31, 2**62, 2**63 - 1, -2**63]))
+    r, k, n = (draw(st.integers(1, 4)) for _ in range(3))
+
+    def rows(nr, nc):
+        return draw(st.lists(st.lists(entry, min_size=nc, max_size=nc),
+                             min_size=nr, max_size=nr))
+
+    return (rows(r, k), rows(k, n), rows(r, k), rows(n, n),
+            draw(st.integers(0, 4)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(int_matrix_cases())
+def test_int_matrix_arithmetic_matches_python_ints(case):
+    """*, + and pow equal the Python-int products and sums, and hold
+    int64 exactly when every |entry| < 2^63."""
+    a, b, c, s, e = case
+    power = [[int(i == j) for j in range(len(s))] for i in range(len(s))]
+    for _ in range(e):
+        power = python_product(power, s)
+    for got, want in (
+            (IntMatrix(a) * IntMatrix(b), python_product(a, b)),
+            (IntMatrix(a) + IntMatrix(c),
+             [[x + y for x, y in zip(u, v)] for u, v in zip(a, c)]),
+            (IntMatrix(a) - IntMatrix(c),
+             [[x - y for x, y in zip(u, v)] for u, v in zip(a, c)]),
+            (IntMatrix(s).pow(e), power)):
+        assert got.array.tolist() == want
+        small = all(abs(v) < 1 << 63 for row in want for v in row)
+        assert (got.array.dtype == np.int64) == small
 
 
 def test_pivot_cols_one_per_peeled_unit():
-    perm = IntMatrix.from_dense([[0, -1, 0], [0, 0, 1], [1, 0, 0]])
+    perm = CooMatrix.from_dense([[0, -1, 0], [0, 0, 1], [1, 0, 0]])
     assert sorted(snf(perm).pivot_cols) == [0, 1, 2]
     # no +-1 entry to peel: the unit divisor of diag(2, 3) comes from the
     # dense phase, so no pivot column records it
-    assert snf(IntMatrix.from_dense([[2, 0], [0, 3]])).pivot_cols == ()
-    assert snf(IntMatrix.zero(2, 3)).pivot_cols == ()
+    assert snf(CooMatrix.from_dense([[2, 0], [0, 3]])).pivot_cols == ()
+    assert snf(CooMatrix.from_dense([[0] * 3] * 2)).pivot_cols == ()
 
 
 @settings(max_examples=100, deadline=None)
 @given(matrices)
 def test_pivot_cols_are_distinct_nonzero_columns(rows):
-    m = IntMatrix.from_dense(rows)
+    m = CooMatrix.from_dense(rows)
     s = snf(m)
-    nonzero_cols = {j for (_, j) in m.entries}
+    nonzero_cols = set(m.cols.tolist())
     assert len(set(s.pivot_cols)) == len(s.pivot_cols)
     assert set(s.pivot_cols) <= nonzero_cols
     assert len(s.pivot_cols) <= s.divisors.count(1)
@@ -648,12 +687,12 @@ def test_pivot_cols_are_distinct_nonzero_columns(rows):
 @settings(max_examples=100, deadline=None)
 @given(matrices)
 def test_skip_rows_empty_reproduces_snf(rows):
-    m = IntMatrix.from_dense(rows)
-    assert snf(as_coo(m).without_rows(())) == snf(m)
+    m = CooMatrix.from_dense(rows)
+    assert snf(m.without_rows(())) == snf(m)
 
 
 def test_skip_rows_drops_rows_before_eliminating():
-    m = as_coo(IntMatrix.from_dense([[1, 0], [0, 2], [0, 3]]))
+    m = CooMatrix.from_dense([[1, 0], [0, 2], [0, 3]])
     assert snf(m).divisors == (1, 1)
     assert snf(m.without_rows({2})).divisors == (1, 2)
     assert snf(m.without_rows([0, 2])).divisors == (2,)

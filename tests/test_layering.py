@@ -1,7 +1,8 @@
 """Layering: no module imports a private name from another subpackage,
 nothing outside the command-line front end imports it, the engine does not
 read the reference tables, the local systems of coxeter_complex do not
-import the curve representation built on them, no module keeps mutable
+import the curve representation built on them, the product path names no
+IntMatrix (and equal IntMatrix values hash alike), no module keeps mutable
 state of its own (what a process keeps lives in functools caches), no
 module imports a name it never reads, and the program's environment
 variables and options match a pinned inventory."""
@@ -13,7 +14,11 @@ import ast
 from pathlib import Path
 from types import MappingProxyType
 
+import numpy as np
+
 import superbraid
+from superbraid.exact_linalg import IntMatrix
+from superbraid.surface_rep import build_rep
 
 ROOT = Path(superbraid.__file__).parent
 
@@ -181,6 +186,38 @@ def test_local_systems_do_not_import_the_curve_representation():
     assert imports_reaching("from .. import surface_rep", cx, "surface_rep")
     assert not imports_reaching("from .groups import CoxeterSpec", cx,
                                 "surface_rep")
+
+
+def test_the_product_path_names_no_int_matrix():
+    """The Smith form, the complex assembly and the engine read only
+    CooMatrix: a dense generator reaches the kernel through
+    CooMatrix.from_dense, so none of them imports IntMatrix."""
+    for rel in ("exact_linalg/snf.py", "coxeter_complex/complexes.py",
+                "homology_engine/engine.py"):
+        source = (ROOT / rel).read_text()
+        package = ("superbraid", *Path(rel).parent.parts)
+        assert not any("IntMatrix" in names
+                       for _, _, names in _imports(source, package)), rel
+        assert "IntMatrix" not in source, rel
+
+
+def test_equal_int_matrices_hash_alike_across_dtypes():
+    """The benchmark's trace keys a set by a local system's tuple of
+    generators, so equal IntMatrix values are == and hash alike, whether
+    they were given as int64, as exact Python ints or computed past the
+    int64 guard."""
+    rows = [[1, -2], [0, 3]]
+    small = IntMatrix(np.array(rows, dtype=np.int64))
+    big = IntMatrix([[2**70, 0], [0, 1]])
+    assert big.array.dtype == object
+    for same in (IntMatrix(np.array(rows, dtype=object)), IntMatrix(rows),
+                 big * small - big * small + small):
+        assert same == small and hash(same) == hash(small)
+        assert len({(small, big), (same, IntMatrix(big.array.tolist()))}) == 1
+    assert small != IntMatrix([[1, -2], [0, 4]])
+    assert small != IntMatrix([[1, -2, 0], [0, 3, 0]]) != rows
+    actions = [tuple(build_rep(4, 3).system.actions) for _ in range(2)]
+    assert len(set(actions)) == 1
 
 
 def test_no_module_keeps_mutable_state():

@@ -1,11 +1,12 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from superbraid.coxeter_complex import CoxeterSpec, LocalSystem, build_complex
-from superbraid.exact_linalg import AbelianGroup, IntMatrix, snf
+from superbraid.exact_linalg import AbelianGroup, CooMatrix, IntMatrix, snf
 from superbraid.homology_engine import braid_twisted_homology, engine
 from superbraid.surface_rep import (
     IntersectionForm,
@@ -28,7 +29,7 @@ nd_pairs = st.tuples(st.integers(2, 6), st.integers(2, 6))
 
 
 def dense(m):
-    return m.to_dense()
+    return m.array.tolist()
 
 
 def test_numerical_invariants():
@@ -94,7 +95,7 @@ def test_twist_A_frozen():
     assert dense(twist_matrix(3, 2, 1, "A")) == [[-1, -1], [0, 1]]
     # block 1 of the (3,3) twist is the cyclic shift of order 3
     t = twist_matrix(3, 3, 1, "A")
-    block = [[t[(r, c)] for c in range(2)] for r in range(2)]
+    block = t.array[:2, :2].tolist()
     assert block == [[0, -1], [1, -1]]
 
 
@@ -116,12 +117,11 @@ def _twist_A_block_oracle(n, d, k):
         else:
             col = {basis.index(l, i): 1}
         cols.append(col)
-    ent = {}
+    out = np.zeros((basis.dim, basis.dim), dtype=np.int64)
     for c, col in enumerate(cols):
         for r, v in col.items():
-            if v:
-                ent[(r, c)] = v
-    return IntMatrix(basis.dim, basis.dim, ent)
+            out[r, c] = v
+    return IntMatrix(out)
 
 
 @given(st.tuples(st.integers(2, 6), st.integers(3, 6)))
@@ -152,8 +152,11 @@ def test_twist_B_is_geometric_shift_on_one_block(d):
     cols = []
     for i in range(1, d):
         cols.append({idx: -v for idx, v in basis.expand(1, i + 1).items()})
-    ent = {(r, c): v for c, col in enumerate(cols) for r, v in col.items()}
-    expected = IntMatrix(basis.dim, basis.dim, ent)
+    expected = np.zeros((basis.dim, basis.dim), dtype=np.int64)
+    for c, col in enumerate(cols):
+        for r, v in col.items():
+            expected[r, c] = v
+    expected = IntMatrix(expected)
     assert twist_matrix(2, d, 1, "B") == expected
 
 
@@ -252,7 +255,7 @@ def test_generators_unimodular(nd):
     n, d = nd
     rep = build_rep(n, d, "B")
     for t in rep.matrices:
-        s = snf(t)
+        s = snf(CooMatrix.from_dense(t.array))
         assert s.rank == rep.dim and all(v == 1 for v in s.divisors)
 
 
@@ -290,7 +293,7 @@ def test_curve_representation_is_burau_at_a_root_of_unity(d):
         rep = build_rep(n, d)
         for k in range(1, n):
             assert x * rep.generator(k) == _burau(n, d, k) * x, (n, k)
-        form = snf(x)
+        form = snf(CooMatrix.from_dense(x.array))
         assert form.rank == x.nrows and all(v == 1 for v in form.divisors)
 
 
